@@ -3,7 +3,8 @@
 Subcommands emit CSV or JSON only; figures are left to external tools.  Every
 command is deterministic given --seed (default from BOXSEARCH_SEED, else 17),
 and JSON reports echo the resolved options for provenance.  Exit status is 0
-iff every requested check passed.
+when every requested check passed, 1 when a check failed, and 2 on bad input
+(usage and the error on stderr).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _default_seed() -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise SystemExit(f"invalid {SEED_ENV_VAR}={env!r}: not an integer") from exc
+            raise ValueError(f"invalid {SEED_ENV_VAR}={env!r}: not an integer") from exc
     return DEFAULT_SEED
 
 
@@ -175,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_matrix(args, seed: int) -> int:
     cells = args.xmax * (args.tmax + 1)
     if args.xmax < 1 or args.tmax < 0:
-        raise SystemExit("--xmax must be >= 1 and --tmax >= 0")
+        raise ValueError("--xmax must be >= 1 and --tmax >= 0")
     if cells > args.max_cells:
-        raise SystemExit(
+        raise ValueError(
             f"--xmax {args.xmax} x --tmax {args.tmax} is {cells} cells, "
             f"above --max-cells {args.max_cells}")
     params = SearchParams(args.k)
@@ -212,9 +213,9 @@ def _cmd_speedup(args, seed: int) -> int:
     if args.x_range:
         xs.extend(args.x_range)
     if not xs:
-        raise SystemExit("speedup needs --x or --x-range")
+        raise ValueError("speedup needs --x or --x-range")
     if args.mode == "mc" and not args.trials:
-        raise SystemExit("--trials is required when --mode mc")
+        raise ValueError("--trials is required when --mode mc")
     params = SearchParams(args.k)
     rows = []
     if args.mode == "exact":
@@ -275,7 +276,7 @@ def _cmd_robustness(args, seed: int) -> int:
 
 def _cmd_crash(args, seed: int) -> int:
     if not 0 <= args.k_prime < args.k:
-        raise SystemExit(f"--k-prime must satisfy 0 <= k' < k, got k'={args.k_prime} k={args.k}")
+        raise ValueError(f"--k-prime must satisfy 0 <= k' < k, got k'={args.k_prime} k={args.k}")
     report = sim.crash_experiment(args.k, args.k_prime, args.x, args.trials, seed)
     results = [
         {"fleet": "crashed", "k": args.k, "crashed": args.k_prime,
@@ -422,16 +423,19 @@ def _cmd_verify_bounds(args, seed: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.subcommand == "matrix":
-        return _cmd_matrix(args, seed)
-    if args.subcommand == "speedup":
-        return _cmd_speedup(args, seed)
-    if args.subcommand == "robustness":
-        return _cmd_robustness(args, seed)
-    if args.subcommand == "crash":
-        return _cmd_crash(args, seed)
-    return _cmd_verify_bounds(args, seed)
+    try:
+        seed = args.seed if args.seed is not None else _default_seed()
+        if args.subcommand == "matrix":
+            return _cmd_matrix(args, seed)
+        if args.subcommand == "speedup":
+            return _cmd_speedup(args, seed)
+        if args.subcommand == "robustness":
+            return _cmd_robustness(args, seed)
+        if args.subcommand == "crash":
+            return _cmd_crash(args, seed)
+        return _cmd_verify_bounds(args, seed)
+    except ValueError as exc:  # bad input: usage and message on stderr, exit 2
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

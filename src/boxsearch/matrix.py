@@ -206,10 +206,6 @@ class SurvivalMatrix:
         return abs(total - t)
 
 
-def column_sum_check(view: SurvivalMatrix, t: int, x_max: int) -> Prob:
-    return view.column_sum_residual(t, x_max)
-
-
 @dataclass(frozen=True)
 class ThetaEstimate:
     """Truncated expected-time ratio with a certified truncation error.

@@ -17,12 +17,10 @@ import numpy as np
 
 from .strategy import (
     BLOCK_RANDOM,
-    COORDINATED,
     NESTED,
     SOLO,
     SearchParams,
     StrategyKind,
-    rng_chunk_size,
     searcher_seed,
 )
 
@@ -167,172 +165,82 @@ class TrialOutcome:
         return self.time is not None
 
 
-def _nested_steps_py(width: int, target: int, u, cand: list[int], st: list[int],
-                     limit: int) -> int:
-    """Reference stepper for the nested sampler, one uniform per step.
+# Uniforms are drawn in chunks that start small (runs that end within a few
+# steps draw little) and grow to amortize numpy's per-call cost.  A uniform is
+# one PCG64 output whatever the chunk sizes, so they change no hit time.
+CHUNK_FIRST = 64
+CHUNK_MAX = 16384
 
-    Mirrors strategy.next_box_nested exactly: the pool grows by ``width``
-    boxes on every odd step and draws are swap-popped from the candidate
-    list, so a given seed yields the identical peek sequence.  Consumes the
-    uniforms in ``u``; returns the hit step, 0 when the uniforms ran out, or
-    -1 when ``limit`` was reached.  ``st`` carries (t, hi) across calls.
+
+def _follow_treasure(u: np.ndarray, m: np.ndarray, p: int) -> tuple[int, int]:
+    """Replay swap-pop draws against the treasure's slot ``p``.
+
+    Step i draws slot floor(u[i] * m[i]) of an m[i]-box candidate list and
+    moves the list's last box into it.  Only two draws matter: slot ``p``
+    (a hit), or another slot while the treasure is last (it moves there).
+    Returns (index of the hit or -1, slot after the last step).
     """
-    t, hi = st
-    pop = cand.pop
-    extend = cand.extend
-    for x in u:
-        if t >= limit:
-            st[0], st[1] = t, hi
-            return -1
-        t += 1
-        if t & 1:
-            extend(range(hi + 1, hi + width + 1))
-            hi += width
-        m = len(cand)
-        j = int(x * m)
-        box = cand[j]
-        last = pop()
-        if j < m - 1:
-            cand[j] = last
-        if box == target:
-            st[0], st[1] = t, hi
-            return t
-    st[0], st[1] = t, hi
-    return 0
-
-
-def _block_steps_py(block_len: int, target: int, u, cand: list[int], st: list[int],
-                    limit: int) -> int:
-    """Reference stepper for the block sampler; same contract as above."""
-    t, hi = st
-    pop = cand.pop
-    extend = cand.extend
-    for x in u:
-        if t >= limit:
-            st[0], st[1] = t, hi
-            return -1
-        t += 1
-        if not cand:
-            extend(range(hi + 1, hi + block_len + 1))
-            hi += block_len
-        m = len(cand)
-        j = int(x * m)
-        box = cand[j]
-        last = pop()
-        if j < m - 1:
-            cand[j] = last
-        if box == target:
-            st[0], st[1] = t, hi
-            return t
-    st[0], st[1] = t, hi
-    return 0
-
-
-def _hit_time_py(stepper, grow: int, target: int, seed_seq, limit: int) -> int | None:
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    cand: list[int] = []
-    st = [0, 0]
-    chunk = 0
+    j = (u * m).astype(np.int64)
+    i = 0
     while True:
-        u = rng.random(rng_chunk_size(chunk)).tolist()
-        chunk += 1
-        r = stepper(grow, target, u, cand, st, limit)
-        if r > 0:
-            return r
-        if r < 0:
-            return None
+        events = np.flatnonzero((j[i:] == p) | (m[i:] == p + 1))
+        if not events.size:
+            return -1, p
+        i += int(events[0])
+        if j[i] == p:
+            return i, p
+        p = int(j[i])
+        i += 1
 
 
-try:  # compiled steppers; the pure-Python ones above stay the reference
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _nested_steps_nb(width, target, u, cand, st, limit):  # pragma: no cover
-        t = st[0]
-        m = st[1]
-        hi = st[2]
-        for idx in range(u.shape[0]):
-            if t >= limit:
-                st[0], st[1], st[2] = t, m, hi
-                return -1
-            t += 1
-            if t & 1:
-                for b in range(hi + 1, hi + width + 1):
-                    cand[m] = b
-                    m += 1
-                hi += width
-            j = int(u[idx] * m)
-            box = cand[j]
-            m -= 1
-            cand[j] = cand[m]
-            if box == target:
-                st[0], st[1], st[2] = t, m, hi
-                return t
-        st[0], st[1], st[2] = t, m, hi
-        return 0
-
-    @_njit(cache=True)
-    def _block_steps_nb(block_len, target, u, cand, st, limit):  # pragma: no cover
-        t = st[0]
-        m = st[1]
-        hi = st[2]
-        for idx in range(u.shape[0]):
-            if t >= limit:
-                st[0], st[1], st[2] = t, m, hi
-                return -1
-            t += 1
-            if m == 0:
-                for b in range(hi + 1, hi + block_len + 1):
-                    cand[m] = b
-                    m += 1
-                hi += block_len
-            j = int(u[idx] * m)
-            box = cand[j]
-            m -= 1
-            cand[j] = cand[m]
-            if box == target:
-                st[0], st[1], st[2] = t, m, hi
-                return t
-        st[0], st[1], st[2] = t, m, hi
-        return 0
-
-    HAVE_COMPILED_STEPPERS = True
-except ImportError:  # pragma: no cover
-    HAVE_COMPILED_STEPPERS = False
-
-USE_COMPILED_STEPPERS = HAVE_COMPILED_STEPPERS
-
-
-def _hit_time_nb(stepper, grow: int, target: int, seed_seq, limit: int,
-                 pool_cap: int) -> int | None:
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    cand = np.empty(pool_cap, np.int64)
-    st = np.zeros(3, np.int64)
-    chunk = 0
-    while True:
-        u = rng.random(rng_chunk_size(chunk))
-        chunk += 1
-        r = stepper(grow, target, u, cand, st, limit)
-        if r > 0:
-            return int(r)
-        if r < 0:
-            return None
+def _skipped_generator(seed_seq, skip: int) -> np.random.Generator:
+    """The searcher's Generator with its first ``skip`` uniforms consumed."""
+    bits = np.random.PCG64(seed_seq)
+    bits.advance(skip)
+    return np.random.Generator(bits)
 
 
 def _nested_hit_time(width: int, target: int, seed_seq, limit: int) -> int | None:
-    """First step <= limit at which the nested sampler draws ``target``."""
-    if USE_COMPILED_STEPPERS:
-        pool_cap = ((limit + 1) // 2 + 1) * width
-        return _hit_time_nb(_nested_steps_nb, width, target, seed_seq, limit, pool_cap)
-    return _hit_time_py(_nested_steps_py, width, target, seed_seq, limit)
+    """First step <= limit at which the nested sampler draws ``target``.
+
+    Equals replaying strategy.next_box_nested on the same seed.  The list
+    holds m(t) = ceil(t/2) * width - (t - 1) boxes at step t whatever the
+    draws, and ``target`` joins it in slot target - first at step ``first``,
+    the odd step that appends its block; earlier draws cannot touch it.
+    """
+    first = 2 * -(-target // width) - 1
+    if limit < first:
+        return None
+    rng = _skipped_generator(seed_seq, first - 1)
+    p = target - first
+    t = first
+    size = CHUNK_FIRST
+    while t <= limit:
+        steps = np.arange(t, min(t + size, limit + 1))
+        hit, p = _follow_treasure(rng.random(steps.size),
+                                  (steps + 1) // 2 * width - steps + 1, p)
+        if hit >= 0:
+            return t + hit
+        t += steps.size
+        size = min(4 * size, CHUNK_MAX)
+    return None
 
 
 def _block_hit_time(block_len: int, target: int, seed_seq, limit: int) -> int | None:
-    """First step <= limit at which the block sampler draws ``target``."""
-    if USE_COMPILED_STEPPERS:
-        return _hit_time_nb(_block_steps_nb, block_len, target, seed_seq, limit,
-                            block_len + 1)
-    return _hit_time_py(_block_steps_py, block_len, target, seed_seq, limit)
+    """First step <= limit at which the block sampler draws ``target``.
+
+    Equals replaying strategy.next_box_block_random on the same seed: each
+    earlier block takes exactly ``block_len`` steps, and the treasure's own
+    list shrinks from ``block_len`` boxes to one.
+    """
+    done = (-(-target // block_len) - 1) * block_len
+    n = min(block_len, limit - done)
+    if n <= 0:
+        return None
+    u = _skipped_generator(seed_seq, done).random(n)
+    hit, _ = _follow_treasure(u, np.arange(block_len, block_len - n, -1),
+                              target - done - 1)
+    return done + hit + 1 if hit >= 0 else None
 
 
 def _hit_time(config: TrialConfig, sid: int, target: int, limit: int) -> int | None:

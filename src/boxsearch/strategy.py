@@ -23,16 +23,10 @@ BLOCK_RANDOM = "block-random"
 
 STRATEGY_NAMES = (NESTED, COORDINATED, SOLO, BLOCK_RANDOM)
 
-# Uniform variates are consumed from buffers whose sizes follow this fixed
-# schedule (small first, so short runs waste little; large afterwards, so long
-# runs amortize).  Keeping the schedule a module constant guarantees every
-# consumer of a given seed draws the exact same stream, independent of
-# call-site batching.
-RNG_CHUNKS = (256, 4096)
-
-
-def rng_chunk_size(i: int) -> int:
-    return RNG_CHUNKS[i] if i < len(RNG_CHUNKS) else RNG_CHUNKS[-1]
+# UniformStream refills its buffer this many uniforms at a time.  Each
+# uniform is one PCG64 output, so any chunking yields the same stream; the
+# size only trades buffer waste on short runs against per-call cost.
+UNIFORM_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,7 @@ class UniformStream:
     spawn keys are statistically independent and fully reproducible.
     """
 
-    __slots__ = ("_rng", "_buf", "_pos", "_chunk_index")
+    __slots__ = ("_rng", "_buf", "_pos")
 
     def __init__(self, seed) -> None:
         if not isinstance(seed, np.random.SeedSequence):
@@ -137,14 +131,12 @@ class UniformStream:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._buf: list[float] = []
         self._pos = 0
-        self._chunk_index = 0
 
     def uniform(self) -> float:
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
-            buf = self._buf = self._rng.random(rng_chunk_size(self._chunk_index)).tolist()
-            self._chunk_index += 1
+            buf = self._buf = self._rng.random(UNIFORM_CHUNK).tolist()
             pos = 0
         self._pos = pos + 1
         return buf[pos]

@@ -43,10 +43,24 @@ def test_matrix_k1_row(capsys):
     assert out.strip().splitlines()[1] == "1,1,1/2,0"
 
 
-def test_matrix_cell_cap_names_flags(capsys):
+def usage_error(capsys, *argv) -> str:
+    """Run a CLI call that must exit 2 (bad input); return its stderr."""
     with pytest.raises(SystemExit) as exc:
-        main(["matrix", "--xmax", "100000", "--tmax", "1000"])
-    assert "--max-cells" in str(exc.value) and "--xmax" in str(exc.value)
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and "Traceback" not in err
+    return err
+
+
+def test_matrix_cell_cap_names_flags(capsys):
+    err = usage_error(capsys, "matrix", "--xmax", "100000", "--tmax", "1000")
+    assert "--max-cells" in err and "--xmax" in err
+
+
+def test_matrix_bad_slab_names_flags(capsys):
+    err = usage_error(capsys, "matrix", "--xmax", "0", "--tmax", "3")
+    assert "--xmax" in err
 
 
 def test_matrix_json_format(capsys):
@@ -77,9 +91,19 @@ def test_speedup_exact_k2_window(capsys):
 
 
 def test_speedup_mc_requires_trials(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["speedup", "--k", "2", "--x", "100", "--mode", "mc"])
-    assert "--trials" in str(exc.value)
+    err = usage_error(capsys, "speedup", "--k", "2", "--x", "100", "--mode", "mc")
+    assert "--trials" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--k", "2"), "needs --x or --x-range"),
+    (("--k", "0", "--x", "5"), "k must be a positive integer"),
+    (("--x", "0"), "box index must be >= 1"),
+    (("--x", "5", "--epsilon", "0"), "epsilon must be positive"),
+    (("--x", "5", "--mode", "mc", "--trials", "1"), "need at least 2 trials"),
+])
+def test_speedup_bad_input_exits_2(capsys, argv, message):
+    assert message in usage_error(capsys, "speedup", *argv)
 
 
 def test_speedup_exact_vs_mc_rows_agree(capsys):
@@ -134,9 +158,15 @@ def test_crash_report(capsys):
 
 
 def test_crash_validation(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["crash", "--k", "2", "--k-prime", "2", "--x", "100", "--trials", "100"])
-    assert "--k-prime" in str(exc.value)
+    err = usage_error(capsys, "crash", "--k", "2", "--k-prime", "2", "--x", "100",
+                      "--trials", "100")
+    assert "--k-prime" in err
+
+
+def test_crash_bad_treasure_exits_2(capsys):
+    err = usage_error(capsys, "crash", "--k", "2", "--k-prime", "1", "--x", "0",
+                      "--trials", "10")
+    assert "treasure index must be >= 1" in err
 
 
 def test_verify_bounds_passes_k2(capsys):
@@ -181,6 +211,12 @@ def test_seed_env_var_override(capsys, monkeypatch):
     code, out = run_cli(capsys, "robustness", "--k", "2", "--x", "100", "--trials",
                         "200", "--perturbation", "identity", "--seed", "3")
     assert json.loads(out)["seed"] == 3
+
+
+def test_seed_env_var_not_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("BOXSEARCH_SEED", "abc")
+    err = usage_error(capsys, "matrix", "--xmax", "2", "--tmax", "2")
+    assert "BOXSEARCH_SEED" in err
 
 
 def test_rerun_byte_identical(capsys):

@@ -9,7 +9,6 @@ from boxsearch import sim
 from boxsearch.matrix import (
     SurvivalMatrix,
     block_random_survival,
-    column_sum_check,
     coordinated_survival,
     expected_discovery_time,
     nested_survival,
@@ -101,7 +100,7 @@ def test_column_identity_exact():
         view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
         for t in range(0, 51):
             x_max = p.pool_limit(t) if t else 1
-            assert column_sum_check(view, t, x_max) == 0
+            assert view.column_sum_residual(t, x_max) == 0
 
 
 def test_column_identity_example_k2_t4():

@@ -19,7 +19,14 @@ from boxsearch.sim import (
     run_trial,
     sweep_csv,
 )
-from boxsearch.strategy import SearchParams, StrategyKind
+from boxsearch.strategy import (
+    SearchParams,
+    StrategyKind,
+    UniformStream,
+    make_state,
+    next_box,
+    searcher_seed,
+)
 
 
 def config(k=2, kind=None, x=100, seed=0, **kw):
@@ -43,19 +50,36 @@ def test_trial_reproducible():
     assert run_trial(cfg) != run_trial(config(k=3, x=500, seed=12346))
 
 
-def test_compiled_and_python_steppers_agree():
-    if not sim.HAVE_COMPILED_STEPPERS:
-        pytest.skip("no compiled steppers available")
-    configs = [config(k=2, x=173, seed=s) for s in range(30)]
-    configs += [config(k=2, kind=StrategyKind.block_random(3), x=40, seed=s)
-                for s in range(30)]
-    fast = [run_trial(c) for c in configs]
-    sim.USE_COMPILED_STEPPERS = False
-    try:
-        slow = [run_trial(c) for c in configs]
-    finally:
-        sim.USE_COMPILED_STEPPERS = True
-    assert fast == slow
+def reference_hit_time(kind, params, target, seed, sid, limit):
+    """Step strategy.next_box until it returns ``target``; None after ``limit``."""
+    state = make_state(kind, params, UniformStream(searcher_seed(seed, sid)))
+    for t in range(1, limit + 1):
+        if next_box(state) == target:
+            return t
+    return None
+
+
+def test_hit_time_matches_strategy_reference():
+    # (kind, params, target, hit-time function, grow, step the treasure joins)
+    cases = []
+    for k in (1, 2, 3, 5):
+        w = k + 1
+        for x in (1, w, w + 1, 2 * w, 2 * w + 1, 173, 400):
+            cases.append((StrategyKind.nested(), SearchParams(k), x,
+                          sim._nested_hit_time, w, 2 * -(-x // w) - 1))
+    for b in (1, 3, 5):
+        for x in (1, b, b + 1, 40, 101):
+            cases.append((StrategyKind.block_random(b), SearchParams(2), x,
+                          sim._block_hit_time, b, (-(-x // b) - 1) * b + 1))
+    for kind, params, x, hit_time, grow, join in cases:
+        for seed in range(12):
+            sid = 1 + seed % 3
+            full = reference_hit_time(kind, params, x, seed, sid, 100_000)
+            assert full is not None and full >= join
+            for limit in (100_000, full, full - 1, join - 1):
+                want = reference_hit_time(kind, params, x, seed, sid, limit)
+                assert want == (full if limit >= full else None)
+                assert hit_time(grow, x, searcher_seed(seed, sid), limit) == want
 
 
 def test_mc_matches_exact_expected_time_x1():

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from boxsearch.strategy import (
+    UNIFORM_CHUNK,
     SearchParams,
     SearcherState,
     StrategyKind,
@@ -196,3 +198,18 @@ def test_deterministic_replay():
 def test_randomized_kind_requires_stream():
     with pytest.raises(ValueError):
         make_state(StrategyKind.nested(), SearchParams(2))
+
+
+def test_uniform_stream_is_chunking_invariant():
+    # the simulator skips and chunks draws on the strength of these three facts
+    ss = searcher_seed(2024, 3)
+    whole = np.random.Generator(np.random.PCG64(ss)).random(3 * UNIFORM_CHUNK + 7)
+    rng = np.random.Generator(np.random.PCG64(ss))
+    parts = np.concatenate([rng.random(5), rng.random(1), rng.random(whole.size - 6)])
+    assert np.array_equal(parts, whole)
+    for n in (0, 1, 63, UNIFORM_CHUNK + 1):
+        bits = np.random.PCG64(ss)
+        bits.advance(n)
+        assert np.array_equal(np.random.Generator(bits).random(whole.size - n), whole[n:])
+    stream = UniformStream(ss)
+    assert [stream.uniform() for _ in range(whole.size)] == whole.tolist()

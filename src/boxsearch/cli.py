@@ -3,8 +3,10 @@
 Subcommands emit CSV or JSON only; figures are left to external tools.  Every
 command is deterministic given --seed (default from BOXSEARCH_SEED, else 17),
 and JSON reports echo the resolved options for provenance.  Exit status is 0
-when every requested check passed, 1 when a check failed, and 2 on bad input
-(usage and the error on stderr).
+when every requested check passed, 1 when a check failed, 2 on bad input
+(usage and the error on stderr), and 3 when a result could not be certified:
+a series tail still above its bound at the step cap, or Monte Carlo trials
+that hit their step cap (the message on stderr).
 """
 
 from __future__ import annotations
@@ -182,14 +184,7 @@ def _cmd_matrix(args, seed: int) -> int:
             f"--xmax {args.xmax} x --tmax {args.tmax} is {cells} cells, "
             f"above --max-cells {args.max_cells}")
     params = SearchParams(args.k)
-    if args.strategy == BLOCK_RANDOM:
-        kind = StrategyKind.block_random(args.block)
-    elif args.strategy == COORDINATED:
-        kind = StrategyKind.coordinated(args.searcher_id)
-    elif args.strategy == SOLO:
-        kind = StrategyKind.solo()
-    else:
-        kind = StrategyKind.nested()
+    kind = StrategyKind(args.strategy, block_len=args.block, searcher_id=args.searcher_id)
     view = matrix.SurvivalMatrix(kind, params, exact=args.exact)
     rows = [[x] + [view.value(x, t) for t in range(args.tmax + 1)]
             for x in range(1, args.xmax + 1)]
@@ -436,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_verify_bounds(args, seed)
     except ValueError as exc:  # bad input: usage and message on stderr, exit 2
         parser.error(str(exc))
+    except RuntimeError as exc:  # could not certify: message on stderr, exit 3
+        print(f"{parser.prog}: could not certify: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

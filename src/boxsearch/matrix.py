@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -44,30 +44,28 @@ def block_of(params: SearchParams, x: int) -> int:
     return (x + params.k) // (params.k + 1)
 
 
-def nested_survival(params: SearchParams, x: int, t: int, exact: bool = False) -> Prob:
-    """N(x, t) for the nested-pool sampler.
+def _nested_steps(params: SearchParams, row: list[Prob], u: int, t: int) -> list[Prob]:
+    """Append N(x, u), ..., N(x, t) to row, whose last entry is N(x, u - 1).
 
-    Single-step recurrence: while x is outside the pool N stays 1; once the
-    pool reaches x, each step multiplies N by (1 - 1/m(t)) where
-    m(t) = ceil(t/2)*(k+1) - (t-1) is the number of unvisited pool members.
+    x must be in the nested pool by step u, i.e. u >= 2*block - 1 for its
+    block.  Each step then multiplies N by (1 - 1/m) where
+    m = ceil(u/2)*(k+1) - (u-1) is the number of unvisited pool members.  The
+    same line is exact for Fraction (it gives 0 once m = 1) and float64 for
+    float.
     """
-    _validate_xt(x, t)
-    first = 2 * block_of(params, x) - 1
-    if t < first:
-        return Fraction(1) if exact else 1.0
-    if exact:
-        n = Fraction(1)
-        for u in range(first, t + 1):
-            m = params.pool_size(u)
-            if m == 1:
-                return Fraction(0)
-            n *= Fraction(m - 1, m)
-        return n
-    n = 1.0
-    for u in range(first, t + 1):
+    while u <= t:
         m = params.pool_size(u)
-        n *= (m - 1) / m
-    return n
+        row.append(row[-1] * (m - 1) / m)
+        u += 1
+    return row
+
+
+def nested_survival(params: SearchParams, x: int, t: int, exact: bool = False) -> Prob:
+    """N(x, t) for the nested-pool sampler: 1 until the pool reaches x, then
+    multiplied by (1 - 1/m) per step; see :func:`_nested_steps`."""
+    _validate_xt(x, t)
+    one = Fraction(1) if exact else 1.0
+    return _nested_steps(params, [one], 2 * block_of(params, x) - 1, t)[-1]
 
 
 def block_random_survival(block_len: int, x: int, t: int, exact: bool = False) -> Prob:
@@ -110,15 +108,9 @@ def coordinated_survival(searcher_id: int, params: SearchParams, x: int, t: int,
 
 def survival_row_exact(params: SearchParams, x: int, t_max: int) -> list[Fraction]:
     """Exact nested-sampler row [N(x, 0), ..., N(x, t_max)]."""
-    _validate_xt(x, t_max if t_max >= 0 else -1)
-    first = 2 * block_of(params, x) - 1
-    row = [Fraction(1)] * min(first, t_max + 1)
-    n = Fraction(1)
-    for u in range(first, t_max + 1):
-        m = params.pool_size(u)
-        n = Fraction(0) if m == 1 else n * Fraction(m - 1, m)
-        row.append(n)
-    return row
+    _validate_xt(x, t_max)
+    view = SurvivalMatrix(StrategyKind.nested(), params, exact=True)
+    return view._nested_row(block_of(params, x), t_max)
 
 
 class SurvivalMatrix:
@@ -139,7 +131,10 @@ class SurvivalMatrix:
         _validate_xt(x, t)
         name = self.kind.name
         if name == NESTED:
-            row = self._nested_row(block_of(self.params, x), t)
+            block = block_of(self.params, x)
+            row = self._rows.get(block)
+            if row is None or len(row) <= t:
+                row = self._nested_row(block, t)
             return row[t]
         if name == BLOCK_RANDOM:
             return block_random_survival(self.kind.block_len, x, t, self.exact)
@@ -148,25 +143,14 @@ class SurvivalMatrix:
         return coordinated_survival(self.kind.searcher_id, self.params, x, t, self.exact)
 
     def _nested_row(self, block: int, t: int) -> list[Prob]:
+        """The cached row [N(x, 0), ..., N(x, t), ...] for x in the block."""
         row = self._rows.get(block)
         if row is None:
-            one = Fraction(1) if self.exact else 1.0
-            row = [one] * min(2 * block - 1, t + 1)
-            self._rows[block] = row
-        first = 2 * block - 1
-        params = self.params
-        while len(row) <= t:
-            u = len(row)
-            if u < first:
-                row.append(row[0])
-                continue
-            m = params.pool_size(u)
-            prev = row[-1]
-            if self.exact:
-                row.append(Fraction(0) if m == 1 else prev * Fraction(m - 1, m))
-            else:
-                row.append(prev * (m - 1) / m)
-        return row
+            row = self._rows[block] = [Fraction(1) if self.exact else 1.0]
+        first = 2 * block - 1  # N stays at row[0] = 1 until the pool reaches x
+        if len(row) < first:
+            row.extend([row[0]] * (min(first, t + 1) - len(row)))
+        return _nested_steps(self.params, row, len(row), t)
 
     def support_limit(self, t: int) -> int:
         """Largest x with N(x, t) possibly below 1."""
@@ -225,25 +209,53 @@ class ThetaEstimate:
         return 1.0 / self.theta
 
 
+def _checked_fleet(params: SearchParams, x: int, fleet: int | None,
+                   epsilon: float | None = None) -> int:
+    """Validate x (and epsilon, when given); return the fleet size, k by default."""
+    if x < 1:
+        raise ValueError(f"box index must be >= 1, got {x}")
+    if epsilon is not None and not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    n_fleet = params.k if fleet is None else fleet
+    if n_fleet < 1:
+        raise ValueError(f"fleet must be >= 1, got {n_fleet}")
+    return n_fleet
+
+
+def _tail_certificate(delta: Prob, fleet: int) -> Callable[[Prob, int], Prob]:
+    """Certified tail of sum_t N(x, t)**fleet for k >= 2, as tail(b, tau0).
+
+    The even-step survival obeys b(tau) = b(tau-1) * d/(d+2) with
+    d = tau*(k-1); the product beyond tau0 is at most
+    ((tau0+1+delta)/(tau+1+delta))**delta, so with b = N(x, 2*tau0) the sum
+    over t > 2*tau0 is summable with exponent delta*fleet and at most
+    2*b**fleet*(1 + (tau0+1+delta)/(delta*fleet - 1)).  Works for float and
+    Fraction arguments alike; raises ValueError when delta*fleet <= 1, where
+    the sum diverges.
+    """
+    dk = delta * fleet
+    if dk <= 1:
+        raise ValueError(f"expected time diverges: fleet*delta = {float(dk):g} <= 1")
+
+    def tail(b: Prob, tau0: int) -> Prob:
+        return 2 * b ** fleet * (1 + (tau0 + 1 + delta) / (dk - 1))
+
+    return tail
+
+
 def _row_sum(params: SearchParams, block: int, eps_abs: float, fleet: int,
              max_steps: int) -> tuple[float, int, float]:
     """sum_t N(x, t)**fleet for x in the given pool block, with certified tail.
 
     Returns (sum, truncation_t, tail_abs) where tail_abs bounds the discarded
-    sum over t > truncation_t.  For k >= 2 the even-step survival obeys
-    b(tau) = b(tau-1) * d/(d+2) with d = tau*(k-1); the product beyond tau0 is
-    at most ((tau0+1+delta)/(tau+1+delta))**delta, which makes the tail
-    summable with exponent delta*fleet and gives the bound used here.
+    sum over t > truncation_t (see :func:`_tail_certificate`).
     """
     k = params.k
     if k == 1:
         # the two pool members left at each odd step are forced by step 2*block
         total = (2 * block - 1) + 0.5 ** fleet
         return total, 2 * block, 0.0
-    delta = params.delta
-    dk = delta * fleet
-    if dk <= 1.0:
-        raise ValueError(f"expected time diverges: fleet*delta = {dk:g} <= 1")
+    tail_of = _tail_certificate(params.delta, fleet)
     km1 = float(k - 1)
     parts = [float(2 * block - 1)]
     b = 1.0
@@ -262,7 +274,7 @@ def _row_sum(params: SearchParams, block: int, eps_abs: float, fleet: int,
         parts.append(float(np.sum(odds ** fleet) + np.sum(evens ** fleet)))
         b = float(evens[-1])
         tau_end = hi - 1
-        tail = 2.0 * b ** fleet * (1.0 + (tau_end + 1 + delta) / (dk - 1.0))
+        tail = tail_of(b, tau_end)
         if tail <= eps_abs:
             return math.fsum(parts), 2 * tau_end, tail
         tau = hi
@@ -279,13 +291,7 @@ def theta(params: SearchParams, x: int, epsilon: float = 1e-6, fleet: int | None
     ratio; ``fleet`` defaults to the design parameter k and may differ from it
     (e.g. survivors of a larger design).
     """
-    if x < 1:
-        raise ValueError(f"box index must be >= 1, got {x}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    n_fleet = params.k if fleet is None else fleet
-    if n_fleet < 1:
-        raise ValueError(f"fleet must be >= 1, got {n_fleet}")
+    n_fleet = _checked_fleet(params, x, fleet, epsilon)
     total, trunc, tail = _row_sum(params, block_of(params, x), epsilon * x, n_fleet, max_steps)
     return ThetaEstimate(params.k, x, total / x, trunc, tail / x)
 
@@ -297,7 +303,7 @@ def theta_window(params: SearchParams, x: int, epsilon: float = 1e-6,
     The ratio oscillates with x mod (k+1); the window max tracks the running
     peak of the curve, which is the quantity whose large-x limit matters.
     """
-    n_fleet = params.k if fleet is None else fleet
+    n_fleet = _checked_fleet(params, x, fleet, epsilon)
     width = 2 * params.block_size
     lo = max(1, x - width + 1)
     rows: dict[int, tuple[float, int, float]] = {}
@@ -320,20 +326,15 @@ def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
     lo is the partial sum over t <= t_max divided by x; hi adds the certified
     rational tail bound.
     """
+    n_fleet = _checked_fleet(params, x, fleet)
     if params.k < 2:
         raise ValueError("exact bracket needs k >= 2; k = 1 sums are finite")
     if t_max % 2 or t_max < 2 * block_of(params, x):
         raise ValueError("t_max must be even and at least the block entry step")
-    n_fleet = params.k if fleet is None else fleet
-    delta = params.delta_exact
-    dk = delta * n_fleet
-    if dk <= 1:
-        raise ValueError(f"expected time diverges: fleet*delta = {dk} <= 1")
+    tail_of = _tail_certificate(params.delta_exact, n_fleet)
     row = survival_row_exact(params, x, t_max)
     partial = sum(v ** n_fleet for v in row)
-    tau0 = t_max // 2
-    b = row[t_max]
-    tail = 2 * b ** n_fleet * (1 + (tau0 + 1 + delta) / (dk - 1))
+    tail = tail_of(row[t_max], t_max // 2)
     return Fraction(partial, x), Fraction(partial + tail, x)
 
 
@@ -380,11 +381,7 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
     samplers the sum is evaluated exactly (block-random) or with a certified
     truncation (nested).
     """
-    if x < 1:
-        raise ValueError(f"box index must be >= 1, got {x}")
-    n_fleet = (params.k if fleet is None else fleet)
-    if n_fleet < 1:
-        raise ValueError(f"fleet must be >= 1, got {n_fleet}")
+    n_fleet = _checked_fleet(params, x, fleet)
     name = kind.name
     if name == NESTED:
         return theta(params, x, epsilon, fleet=n_fleet).theta * x

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from boxsearch import matrix
 from boxsearch.cli import main
 
 
@@ -101,9 +102,24 @@ def test_speedup_mc_requires_trials(capsys):
     (("--x", "0"), "box index must be >= 1"),
     (("--x", "5", "--epsilon", "0"), "epsilon must be positive"),
     (("--x", "5", "--mode", "mc", "--trials", "1"), "need at least 2 trials"),
+    (("--x", "0", "--window"), "box index must be >= 1"),
+    (("--x", "10", "--epsilon", "0", "--window"), "epsilon must be positive"),
 ])
 def test_speedup_bad_input_exits_2(capsys, argv, message):
     assert message in usage_error(capsys, "speedup", *argv)
+
+
+def test_uncertified_result_exits_3(capsys, monkeypatch):
+    def uncertified(*args, **kwargs):
+        raise RuntimeError("tail bound 1e-3 still above 1e-5 after 1000 steps")
+
+    monkeypatch.setattr(matrix, "theta", uncertified)
+    code = main(["speedup", "--k", "2", "--x", "10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "could not certify: tail bound 1e-3 still above" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_speedup_exact_vs_mc_rows_agree(capsys):

@@ -66,6 +66,21 @@ def test_nested_survival_monte_carlo_oracle():
     assert abs(unvisited - exact) < 4 * se
 
 
+def test_one_nested_recurrence_float_and_exact():
+    # nested_survival, survival_row_exact and the cached SurvivalMatrix rows
+    # come from one recurrence, so they agree bit for bit
+    for k in (1, 2, 3, 5):
+        p = SearchParams(k)
+        view = SurvivalMatrix(StrategyKind.nested(), p)
+        exact_view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
+        for x in (1, k + 1, k + 2, 3 * (k + 1), 5 * (k + 1) + 1, 17 * (k + 1), 40 * (k + 1)):
+            for t in range(121):
+                assert nested_survival(p, x, t).hex() == view.value(x, t).hex()
+            row = survival_row_exact(p, x, 120)
+            assert row == [exact_view.value(x, t) for t in range(121)]
+            assert row[120] == nested_survival(p, x, 120, exact=True)
+
+
 def test_block_random_survival_reference_table():
     assert [block_random_survival(3, 1, t, exact=True) for t in range(4)] == \
         [F(1), F(2, 3), F(1, 3), F(0)]

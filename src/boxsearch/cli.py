@@ -2,21 +2,22 @@
 
 Subcommands emit CSV or JSON only; figures are left to external tools.  Every
 command is deterministic given --seed (default from BOXSEARCH_SEED, else 17),
-and JSON reports echo the resolved options for provenance.  Exit status is 0
-when every requested check passed, 1 when a check failed, 2 on bad input
-(usage and the error on stderr), and 3 when a result could not be certified:
-a series tail still above its bound at the step cap, or Monte Carlo trials
-that hit their step cap (the message on stderr).
+and JSON reports echo the resolved options for provenance.  Each ``_cmd_*``
+returns an :class:`Output`; :func:`main` alone renders it in the chosen
+format, writes it and sets the exit status: 0 when every requested check
+passed, 1 when a check failed, 2 on bad input, an unwritable --output
+included (usage and the error on stderr), and 3 when a result could not be
+certified: a series tail still above its bound at the step cap, or Monte
+Carlo trials that hit their step cap (the message on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from . import __version__, bounds, matrix, sim
 from .strategy import BLOCK_RANDOM, COORDINATED, NESTED, SOLO, SearchParams, StrategyKind
@@ -28,17 +29,11 @@ _STRATEGY_CHOICES = (NESTED, BLOCK_RANDOM, SOLO, COORDINATED)
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, Fraction):
-        return str(v)
+    if isinstance(v, str):
+        return v
     if isinstance(v, float):
         return f"{v:.12g}"
-    return str(v)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return "" if v is None else str(v)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -62,6 +57,39 @@ def _default_seed() -> int:
 def _report(command: str, seed: int, options: dict, results) -> dict:
     return {"version": __version__, "seed": seed, "command": command,
             "options": options, "results": results}
+
+
+class Output(NamedTuple):
+    """What one subcommand produced; :func:`main` renders, writes and scores it."""
+
+    options: dict  # resolved options, echoed in JSON reports
+    results: list  # JSON results
+    columns: Sequence[str]  # CSV header
+    rows: list  # CSV rows, one value per column
+    failures: list[str] | None  # failed checks; None when the command checks nothing
+
+
+SWEEP_COLUMNS = ("k", "x", "strategy", "perturbation", "trials", "mean_time", "stderr",
+                 "speedup")
+SPEEDUP_COLUMNS = ("k", "x", "strategy", "mode", "theta", "speedup", "stderr", "trials",
+                   "truncation_t", "tail_bound")
+VERIFY_COLUMNS = ("name", "k", "value", "bound", "margin", "status")
+
+
+def _stats_dict(stats: sim.RunStats) -> dict:
+    return {
+        "trials": stats.trials,
+        "mean_time": stats.mean_time,
+        "stderr": stats.stderr,
+        "speedup": stats.speedup_point,
+        "ci95": [stats.ci95[0], stats.ci95[1]],
+        "non_discovery_count": stats.non_discovery_count,
+    }
+
+
+def _sweep_row(k: int, x: int, label: str, stats: sim.RunStats) -> tuple:
+    return (k, x, NESTED, label, stats.trials, stats.mean_time, stats.stderr,
+            stats.speedup_point)
 
 
 def _parse_perturbation(spec: str) -> sim.Perturbation:
@@ -175,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_matrix(args, seed: int) -> int:
+def _cmd_matrix(args, seed: int) -> Output:
     cells = args.xmax * (args.tmax + 1)
     if args.xmax < 1 or args.tmax < 0:
         raise ValueError("--xmax must be >= 1 and --tmax >= 0")
@@ -186,24 +214,16 @@ def _cmd_matrix(args, seed: int) -> int:
     params = SearchParams(args.k)
     kind = StrategyKind(args.strategy, block_len=args.block, searcher_id=args.searcher_id)
     view = matrix.SurvivalMatrix(kind, params, exact=args.exact)
-    rows = [[x] + [view.value(x, t) for t in range(args.tmax + 1)]
+    cell = str if args.exact else float  # JSON has no rationals: "p/q" text, made once
+    rows = [[x] + [cell(view.value(x, t)) for t in range(args.tmax + 1)]
             for x in range(1, args.xmax + 1)]
-    if args.format == "csv":
-        header = "x," + ",".join(str(t) for t in range(args.tmax + 1))
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        results = [{"x": row[0], "n": [_fmt(v) if args.exact else v for v in row[1:]]}
-                   for row in rows]
-        options = {"k": args.k, "strategy": kind.describe(), "xmax": args.xmax,
-                   "tmax": args.tmax, "exact": args.exact}
-        _emit(_json_text(_report("matrix", seed, options, results)), args.output)
-    return 0
+    options = {"k": args.k, "strategy": kind.describe(), "xmax": args.xmax,
+               "tmax": args.tmax, "exact": args.exact}
+    return Output(options, [{"x": row[0], "n": row[1:]} for row in rows],
+                  ["x", *map(str, range(args.tmax + 1))], rows, None)
 
 
-def _cmd_speedup(args, seed: int) -> int:
+def _cmd_speedup(args, seed: int) -> Output:
     xs: list[int] = list(args.x or [])
     if args.x_range:
         xs.extend(args.x_range)
@@ -212,36 +232,25 @@ def _cmd_speedup(args, seed: int) -> int:
     if args.mode == "mc" and not args.trials:
         raise ValueError("--trials is required when --mode mc")
     params = SearchParams(args.k)
-    rows = []
+    rows = []  # one value per SPEEDUP_COLUMNS entry
     if args.mode == "exact":
         for p in matrix.speedup_curve(params, xs, args.epsilon, window=args.window):
-            rows.append({"k": p.k, "x": p.x, "strategy": NESTED, "mode": "exact",
-                         "theta": p.theta, "speedup": p.speedup, "stderr": None,
-                         "trials": None, "truncation_t": p.truncation_t,
-                         "tail_bound": p.tail_bound})
+            rows.append((p.k, p.x, NESTED, "exact", p.theta, p.speedup, None, None,
+                         p.truncation_t, p.tail_bound))
     else:
         for x in sorted(xs):
             template = sim.TrialConfig(params=params, kind=StrategyKind.nested(),
                                        treasure=x, seed=seed)
             stats = sim.estimate_speedup(template, args.trials)
-            rows.append({"k": args.k, "x": x, "strategy": NESTED, "mode": "mc",
-                         "theta": stats.mean_time / x, "speedup": stats.speedup_point,
-                         "stderr": stats.stderr, "trials": stats.trials,
-                         "truncation_t": None, "tail_bound": None})
-    if args.format == "csv":
-        header = "k,x,strategy,mode,theta,speedup,stderr,trials,truncation_t,tail_bound"
-        lines = [header]
-        for r in rows:
-            lines.append(",".join(_fmt(r[c]) for c in header.split(",")))
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        options = {"k": args.k, "x": sorted(xs), "mode": args.mode,
-                   "epsilon": args.epsilon, "trials": args.trials, "window": args.window}
-        _emit(_json_text(_report("speedup", seed, options, rows)), args.output)
-    return 0
+            rows.append((args.k, x, NESTED, "mc", stats.mean_time / x, stats.speedup_point,
+                         stats.stderr, stats.trials, None, None))
+    options = {"k": args.k, "x": sorted(xs), "mode": args.mode,
+               "epsilon": args.epsilon, "trials": args.trials, "window": args.window}
+    return Output(options, [dict(zip(SPEEDUP_COLUMNS, r)) for r in rows], SPEEDUP_COLUMNS,
+                  rows, None)
 
 
-def _cmd_robustness(args, seed: int) -> int:
+def _cmd_robustness(args, seed: int) -> Output:
     params = SearchParams(args.k)
     perts = args.perturbation or [
         sim.Perturbation(kind="shift", shift=5),
@@ -249,47 +258,36 @@ def _cmd_robustness(args, seed: int) -> int:
     ]
     report = sim.robustness_experiment(params, args.x, perts, args.trials, seed,
                                        tolerance=args.tolerance)
-    results = [{"perturbation": "identity (baseline)",
-                **sim.stats_dict(report.baseline),
+    results = [{"perturbation": "identity (baseline)", **_stats_dict(report.baseline),
                 "speedup_ratio": 1.0, "violation": False}]
+    rows = [_sweep_row(args.k, args.x, "identity", report.baseline)]
     for e in report.entries:
-        results.append({"perturbation": e.perturbation, **sim.stats_dict(e.stats),
+        results.append({"perturbation": e.perturbation, **_stats_dict(e.stats),
                         "speedup_ratio": e.speedup_ratio, "violation": e.violation})
+        rows.append(_sweep_row(args.k, args.x, e.perturbation, e.stats))
     options = {"k": args.k, "x": args.x, "trials": args.trials,
                "tolerance": args.tolerance,
                "perturbations": [p.describe() for p in perts]}
-    payload = _report("robustness", seed, options, results)
-    payload["failures"] = [e.perturbation for e in report.entries if e.violation]
-    if args.format == "csv":
-        rows = [(args.k, args.x, NESTED, "identity", report.baseline)]
-        rows += [(args.k, args.x, NESTED, e.perturbation, e.stats) for e in report.entries]
-        _emit(sim.sweep_csv(rows), args.output)
-    else:
-        _emit(_json_text(payload), args.output)
-    return 1 if report.any_violation else 0
+    return Output(options, results, SWEEP_COLUMNS, rows,
+                  [e.perturbation for e in report.entries if e.violation])
 
 
-def _cmd_crash(args, seed: int) -> int:
+def _cmd_crash(args, seed: int) -> Output:
     if not 0 <= args.k_prime < args.k:
         raise ValueError(f"--k-prime must satisfy 0 <= k' < k, got k'={args.k_prime} k={args.k}")
     report = sim.crash_experiment(args.k, args.k_prime, args.x, args.trials, seed)
     results = [
         {"fleet": "crashed", "k": args.k, "crashed": args.k_prime,
-         **sim.stats_dict(report.with_crashes)},
+         **_stats_dict(report.with_crashes)},
         {"fleet": "control", "k": args.k - args.k_prime, "crashed": 0,
-         **sim.stats_dict(report.control)},
+         **_stats_dict(report.control)},
         {"check": "ci95-overlap", "passed": report.overlap},
     ]
+    rows = [_sweep_row(args.k, args.x, f"crashed:{args.k_prime}", report.with_crashes),
+            _sweep_row(args.k - args.k_prime, args.x, "control", report.control)]
     options = {"k": args.k, "k_prime": args.k_prime, "x": args.x, "trials": args.trials}
-    payload = _report("crash", seed, options, results)
-    payload["failures"] = [] if report.overlap else ["ci95-overlap"]
-    if args.format == "csv":
-        rows = [(args.k, args.x, NESTED, f"crashed:{args.k_prime}", report.with_crashes),
-                (args.k - args.k_prime, args.x, NESTED, "control", report.control)]
-        _emit(sim.sweep_csv(rows), args.output)
-    else:
-        _emit(_json_text(payload), args.output)
-    return 0 if report.overlap else 1
+    return Output(options, results, SWEEP_COLUMNS, rows,
+                  [] if report.overlap else ["ci95-overlap"])
 
 
 def _verify_entries(args, seed: int) -> list[dict]:
@@ -397,22 +395,17 @@ def _verify_entries(args, seed: int) -> list[dict]:
     return entries
 
 
-def _cmd_verify_bounds(args, seed: int) -> int:
+def _cmd_verify_bounds(args, seed: int) -> Output:
     entries = _verify_entries(args, seed)
-    failures = [e["name"] for e in entries if e["status"] == "fail"]
     options = {"k": args.k or [2, 3, 5], "x_tail": args.x_tail, "theta_x": args.theta_x,
                "instances": args.instances, "skip_theta": args.skip_theta}
-    payload = _report("verify-bounds", seed, options, entries)
-    payload["failures"] = failures
-    if args.format == "csv":
-        lines = ["name,k,value,bound,margin,status"]
-        for e in entries:
-            lines.append(",".join(_fmt(e.get(c)) for c in ("name", "k", "value", "bound",
-                                                           "margin", "status")))
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(_json_text(payload), args.output)
-    return 1 if failures else 0
+    return Output(options, entries, VERIFY_COLUMNS,
+                  [[e[c] for c in VERIFY_COLUMNS] for e in entries],
+                  [e["name"] for e in entries if e["status"] == "fail"])
+
+
+_COMMANDS = {"matrix": _cmd_matrix, "speedup": _cmd_speedup, "robustness": _cmd_robustness,
+             "crash": _cmd_crash, "verify-bounds": _cmd_verify_bounds}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -420,20 +413,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         seed = args.seed if args.seed is not None else _default_seed()
-        if args.subcommand == "matrix":
-            return _cmd_matrix(args, seed)
-        if args.subcommand == "speedup":
-            return _cmd_speedup(args, seed)
-        if args.subcommand == "robustness":
-            return _cmd_robustness(args, seed)
-        if args.subcommand == "crash":
-            return _cmd_crash(args, seed)
-        return _cmd_verify_bounds(args, seed)
+        out = _COMMANDS[args.subcommand](args, seed)
     except ValueError as exc:  # bad input: usage and message on stderr, exit 2
         parser.error(str(exc))
     except RuntimeError as exc:  # could not certify: message on stderr, exit 3
         print(f"{parser.prog}: could not certify: {exc}", file=sys.stderr)
         return 3
+    if args.format == "csv":
+        lines = [",".join(out.columns)]
+        lines += [",".join(_fmt(v) for v in row) for row in out.rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = _report(args.subcommand, seed, out.options, out.results)
+        if out.failures is not None:
+            payload["failures"] = out.failures
+        text = json.dumps(payload, indent=2) + "\n"
+    try:
+        _emit(text, args.output)
+    except OSError as exc:  # an unwritable --output is bad input too
+        parser.error(f"cannot write --output: {exc}")
+    return 1 if out.failures else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ exactly) and float64 with chunked pairwise summation (long-horizon sums).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -338,39 +338,16 @@ def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
     return Fraction(partial, x), Fraction(partial + tail, x)
 
 
-@dataclass(frozen=True)
-class SpeedupPoint:
-    k: int
-    x: int
-    theta: float
-    speedup: float
-    truncation_t: int
-    tail_bound: float
-
-
 def speedup_curve(params: SearchParams, xs: Sequence[int], epsilon: float = 1e-6,
-                  window: bool = False) -> list[SpeedupPoint]:
-    """Exact theta and speed-up rows, ordered by x.
+                  window: bool = False) -> list[ThetaEstimate]:
+    """Exact theta rows for the given x, ordered by x; ``.speedup`` is 1/theta.
 
-    With ``window=True`` each row reports the max-over-window theta (and the
-    correspondingly smallest speed-up), see :func:`theta_window`.
+    With ``window=True`` the row for x reports the max-over-window theta (and
+    the correspondingly smallest speed-up) of the window ending at x, see
+    :func:`theta_window`.
     """
-    points = []
-    for x in sorted(xs):
-        est = theta_window(params, x, epsilon) if window else theta(params, x, epsilon)
-        points.append(SpeedupPoint(params.k, x, est.theta, 1.0 / est.theta,
-                                   est.truncation_t, est.tail_bound))
-    return points
-
-
-def speedup_curve_csv(params: SearchParams, xs: Sequence[int], epsilon: float = 1e-6,
-                      window: bool = False) -> str:
-    """CSV rendering of :func:`speedup_curve` (12 significant digits)."""
-    lines = ["k,x,theta,speedup,truncation_t,tail_bound"]
-    for p in speedup_curve(params, xs, epsilon, window):
-        lines.append(f"{p.k},{p.x},{p.theta:.12g},{p.speedup:.12g},"
-                     f"{p.truncation_t},{p.tail_bound:.12g}")
-    return "\n".join(lines) + "\n"
+    fn = theta_window if window else theta
+    return [replace(fn(params, x, epsilon), x=x) for x in sorted(xs)]
 
 
 def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,

@@ -9,9 +9,10 @@ trial indices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +33,19 @@ def ceil_sqrt(i: int) -> int:
     return s if s * s == i else s + 1
 
 
+@functools.lru_cache(maxsize=16)
+def _block_permutation(seed: int, window: int, block: int) -> np.ndarray:
+    """The local-shuffle permutation of one block (0-based, read-only).
+
+    Trials map the same treasure through the same perturbation over and over,
+    so the few blocks in use are kept rather than drawn again per call.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+    perm = rng.permutation(window)
+    perm.flags.writeable = False
+    return perm
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """A searcher's private renumbering of the box list.
@@ -42,13 +56,12 @@ class Perturbation:
 
     - identity: i
     - shift: i + c (the first c perceived slots are extra boxes)
-    - extra-boxes: i + rate(i) with sublinear rate, default ceil(sqrt(i))
+    - extra-boxes: i + ceil(sqrt(i))
     - local-shuffle: a seeded permutation displacing each index < window
     """
 
     kind: str = "identity"
     shift: int = 0
-    rate: Callable[[int], int] | None = None
     window: int = 1
     seed: int = 0
 
@@ -70,20 +83,16 @@ class Perturbation:
         if kind == "shift":
             return i + self.shift
         if kind == "extra-boxes":
-            extra = int((self.rate or ceil_sqrt)(i))
-            if extra < 0:
-                raise ValueError(f"rate({i}) must be >= 0, got {extra}")
-            return i + extra
+            return i + ceil_sqrt(i)
         blk = (i - 1) // self.window
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(blk,)))
-        perm = rng.permutation(self.window)
+        perm = _block_permutation(self.seed, self.window, blk)
         return blk * self.window + int(perm[i - 1 - blk * self.window]) + 1
 
     def describe(self) -> str:
         if self.kind == "shift":
             return f"shift:{self.shift}"
         if self.kind == "extra-boxes":
-            return "extra-boxes:ceil-sqrt" if self.rate is None else "extra-boxes:custom"
+            return "extra-boxes:ceil-sqrt"
         if self.kind == "local-shuffle":
             return f"local-shuffle:{self.window}:seed={self.seed}"
         return "identity"
@@ -347,7 +356,8 @@ def estimate_speedup(template: TrialConfig, trials: int,
         return RunStats(trials, math.nan, math.nan, math.nan, (math.nan, math.nan), missing)
     mean = total / found
     if found > 1:
-        var = max(0.0, (total_sq - total * total / found) / (found - 1))
+        # exact integer numerator: times near 1e8 would cancel in float
+        var = (found * total_sq - total * total) / (found * (found - 1))
         stderr = math.sqrt(var / found)
     else:
         stderr = math.nan
@@ -449,39 +459,3 @@ def robustness_experiment(params: SearchParams, x: int,
         entries.append(RobustnessEntry(pert.describe(), stats, ratio,
                                        ratio < 1.0 - tolerance))
     return RobustnessReport(params.k, x, trials, tolerance, baseline, tuple(entries))
-
-
-def stats_dict(stats: RunStats) -> dict:
-    return {
-        "trials": stats.trials,
-        "mean_time": stats.mean_time,
-        "stderr": stats.stderr,
-        "speedup": stats.speedup_point,
-        "ci95": [stats.ci95[0], stats.ci95[1]],
-        "non_discovery_count": stats.non_discovery_count,
-    }
-
-
-def experiment_report(template: TrialConfig, stats: RunStats) -> dict:
-    """JSON-ready report for one Monte Carlo experiment."""
-    config = {
-        "k": template.params.k,
-        "strategy": template.kind.describe(),
-        "x": template.treasure,
-        "seed": template.seed,
-        "step_cap": template.effective_step_cap,
-        "searchers": template.fleet_size,
-        "crashes": [[sid, when] for sid, when in template.crashes.entries],
-        "perturbations": [p.describe() for p in template.perturbations],
-    }
-    return {"config": config, **stats_dict(stats)}
-
-
-def sweep_csv(rows: Sequence[tuple[int, int, str, str, RunStats]]) -> str:
-    """Long-format CSV for sweeps: one row per (k, x, strategy, perturbation)."""
-    lines = ["k,x,strategy,perturbation,trials,mean_time,stderr,speedup"]
-    for k, x, strategy, pert, stats in rows:
-        lines.append(f"{k},{x},{strategy},{pert},{stats.trials},"
-                     f"{stats.mean_time:.12g},{stats.stderr:.12g},"
-                     f"{stats.speedup_point:.12g}")
-    return "\n".join(lines) + "\n"

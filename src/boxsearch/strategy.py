@@ -64,8 +64,11 @@ class SearchParams:
         return ((t + 1) // 2) * (self.k + 1)
 
     def pool_size(self, t: int) -> int:
-        """Number of unvisited pool members at step t; always >= 1."""
-        return self.pool_limit(t) - (t - 1)
+        """Unvisited pool members at step t >= 1, pool_limit(t) - (t - 1) >= 1;
+        written out because every step of every N(x, t) row calls it."""
+        if t < 1:
+            raise ValueError(f"step index must be >= 1, got {t}")
+        return ((t + 1) // 2) * (self.k + 1) - (t - 1)
 
 
 @dataclass(frozen=True)

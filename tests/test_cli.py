@@ -169,6 +169,8 @@ def test_crash_report(capsys):
     assert code == 0
     payload = json.loads(out)
     crashed, control, check = payload["results"]
+    assert set(crashed) == {"fleet", "k", "crashed", "trials", "mean_time", "stderr",
+                            "speedup", "ci95", "non_discovery_count"}
     assert crashed["mean_time"] == control["mean_time"]
     assert check["passed"] is True
 
@@ -258,3 +260,51 @@ def test_output_file(tmp_path, capsys):
                         "--exact", "--output", str(path))
     assert code == 0 and out == ""
     assert path.read_text().startswith("x,0,1,2\n1,1,2/3,1/3")
+
+
+SMALL_COMMANDS = {
+    "matrix": ("matrix", "--k", "2", "--xmax", "3", "--tmax", "3", "--exact"),
+    "speedup": ("speedup", "--k", "2", "--x", "50", "--x", "7"),
+    "robustness": ("robustness", "--k", "2", "--x", "20", "--trials", "20", "--seed", "1",
+                   "--perturbation", "shift:2"),
+    "crash": ("crash", "--k", "2", "--k-prime", "1", "--x", "20", "--trials", "20",
+              "--seed", "1"),
+    "verify-bounds": ("verify-bounds", "--k", "2", "--instances", "1", "--skip-theta",
+                      "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(SMALL_COMMANDS))
+def test_output_file_bytes_equal_stdout(tmp_path, capsys, name, fmt):
+    argv = (*SMALL_COMMANDS[name], "--format", fmt)
+    code, out = run_cli(capsys, *argv)
+    path = tmp_path / "out.txt"
+    file_code, file_out = run_cli(capsys, *argv, "--output", str(path))
+    assert file_out == "" and file_code == code
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    err = usage_error(capsys, "matrix", "--xmax", "2", "--tmax", "2",
+                      "--output", str(tmp_path / "missing" / "x.csv"))
+    assert "--output" in err
+
+
+def test_sweep_csv_shapes(capsys):
+    header = "k,x,strategy,perturbation,trials,mean_time,stderr,speedup"
+    code, out = run_cli(capsys, "crash", "--k", "3", "--k-prime", "1", "--x", "50",
+                        "--trials", "50", "--seed", "4", "--format", "csv")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == header and len(lines) == 3
+    assert lines[1].startswith("3,50,nested,crashed:1,50,")
+    assert lines[2].startswith("2,50,nested,control,50,")
+    code, out = run_cli(capsys, "robustness", "--k", "2", "--x", "50", "--trials", "50",
+                        "--seed", "4", "--perturbation", "shift:3", "--format", "csv")
+    lines2 = out.strip().splitlines()
+    assert lines2[0] == header and len(lines2) == 3
+    assert lines2[1].startswith("2,50,nested,identity,50,")
+    assert lines2[2].startswith("2,50,nested,shift:3,50,")
+    for line in lines[1:] + lines2[1:]:
+        fields = line.split(",")
+        assert len(fields) == 8 and all(float(v) > 0 for v in fields[5:])

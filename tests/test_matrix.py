@@ -8,13 +8,13 @@ import pytest
 from boxsearch import sim
 from boxsearch.matrix import (
     SurvivalMatrix,
+    ThetaEstimate,
     block_random_survival,
     coordinated_survival,
     expected_discovery_time,
     nested_survival,
     solo_survival,
     speedup_curve,
-    speedup_curve_csv,
     survival_row_exact,
     theta,
     theta_exact_bracket,
@@ -214,14 +214,11 @@ def test_speedup_curve_limits():
 
 def test_speedup_curve_rows_ordered_and_csv():
     p = SearchParams(2)
-    pts = speedup_curve(p, [300, 100, 200], epsilon=1e-6)
-    assert [pt.x for pt in pts] == [100, 200, 300]
-    text = speedup_curve_csv(p, [100], epsilon=1e-6)
-    lines = text.strip().splitlines()
-    assert lines[0] == "k,x,theta,speedup,truncation_t,tail_bound"
-    fields = lines[1].split(",")
-    assert fields[0] == "2" and fields[1] == "100"
-    assert float(fields[2]) == pytest.approx(pts[0].theta, rel=1e-10)
+    for window in (False, True):
+        pts = speedup_curve(p, [300, 100, 200], epsilon=1e-6, window=window)
+        assert all(isinstance(pt, ThetaEstimate) for pt in pts)
+        # window rows keep the requested x, not the x that attains the max
+        assert [pt.x for pt in pts] == [100, 200, 300]
 
 
 def test_theta_window_dominates_pointwise():

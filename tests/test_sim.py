@@ -1,7 +1,10 @@
 """Trial engine: baselines, MC/exact agreement, crashes, perturbations."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boxsearch import sim
@@ -14,10 +17,8 @@ from boxsearch.sim import (
     cis_overlap,
     crash_experiment,
     estimate_speedup,
-    experiment_report,
     robustness_experiment,
     run_trial,
-    sweep_csv,
 )
 from boxsearch.strategy import (
     SearchParams,
@@ -172,6 +173,7 @@ def test_perturbation_maps():
     assert Perturbation(kind="shift", shift=5).map_index(12) == 17
     assert Perturbation(kind="extra-boxes").map_index(9) == 12
     assert Perturbation(kind="extra-boxes").map_index(10) == 14
+    assert Perturbation(kind="extra-boxes").describe() == "extra-boxes:ceil-sqrt"
     with pytest.raises(ValueError):
         Perturbation(kind="warp")
     with pytest.raises(ValueError):
@@ -188,6 +190,19 @@ def test_perturbation_injective_and_asymptotically_identity():
             assert abs(pert.map_index(i) / i - 1.0) < 0.02
 
 
+def test_local_shuffle_matches_fresh_permutation():
+    for seed in (0, 3, 11):
+        for window in (1, 4, 9):
+            pert = Perturbation(kind="local-shuffle", window=window, seed=seed)
+            for blk in (0, 1, 7, 1000):
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(blk,))
+                perm = np.random.default_rng(ss).permutation(window)
+                want = [blk * window + int(v) + 1 for v in perm]
+                for _ in range(2):
+                    got = [pert.map_index(blk * window + j + 1) for j in range(window)]
+                    assert got == want
+
+
 def test_local_shuffle_displacement_bounded():
     pert = Perturbation(kind="local-shuffle", window=6, seed=11)
     for i in range(1, 600):
@@ -195,8 +210,6 @@ def test_local_shuffle_displacement_bounded():
 
 
 def test_identity_perturbation_bit_identical():
-    from dataclasses import replace
-
     base = config(k=2, x=300, seed=55)
     perturbed = config(k=2, x=300, seed=55,
                        perturbations=(Perturbation(), Perturbation()))
@@ -236,17 +249,18 @@ def test_run_stats_aggregation_exact():
     assert cis_overlap(stats, stats)
 
 
-def test_report_and_csv_shapes():
-    cfg = config(k=2, x=50, seed=4)
-    stats = estimate_speedup(cfg, 200)
-    rep = experiment_report(cfg, stats)
-    assert rep["config"]["k"] == 2 and rep["config"]["strategy"] == "nested"
-    assert set(rep) == {"config", "trials", "mean_time", "stderr", "speedup",
-                        "ci95", "non_discovery_count"}
-    text = sweep_csv([(2, 50, "nested", "identity", stats)])
-    lines = text.strip().splitlines()
-    assert lines[0] == "k,x,strategy,perturbation,trials,mean_time,stderr,speedup"
-    assert lines[1].startswith("2,50,nested,identity,200,")
+def test_stderr_exact_for_large_times():
+    # every time is 1e8 + 1 or 1e8 + 2, where a float sum of squares cancels
+    x = 10 ** 8 + 1
+    template = config(k=1, kind=StrategyKind.block_random(2), x=x, seed=3)
+    stats = estimate_speedup(template, 200)
+    times = [run_trial(replace(template, seed=sim.trial_seed(3, i))).time
+             for i in range(200)]
+    assert set(times) == {x, x + 1}
+    mean = Fraction(sum(times), len(times))
+    var = sum((t - mean) ** 2 for t in times) / (len(times) - 1)
+    assert stats.mean_time == float(mean)
+    assert stats.stderr == pytest.approx(math.sqrt(var / len(times)), rel=1e-12)
 
 
 def test_mc_matches_theta_exact_k2():

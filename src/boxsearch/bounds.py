@@ -61,19 +61,26 @@ def claim1_tail_sum(x: int, delta: float, k: int, tolerance: float = 1e-6,
                     max_terms: int = 200_000_000) -> float:
     """(1/x) * sum_{t=x}^inf [prod_{i=x}^t i/(i+delta)]**k, certified truncation.
 
-    Needs delta*k > 1; the summand decays like (x/t)**(delta*k) and the
-    discarded tail is bounded by the corresponding integral, so summation
-    stops once that bound (normalized by x) drops below ``tolerance``.
+    Needs delta*k > 1; the summand decays like (x/t)**(delta*k).  After
+    summing through t = T with last product p, the product beyond T lies
+    between (T/t)**delta and ((T+1+delta)/(t+1+delta))**delta, so with
+    c = delta*k - 1 the discarded tail lies between
+    p**k*T*max(0, T + 1 - max(c, 1))/((T+1)*c) and p**k*(T+1+delta)/c (the same
+    integral bounds as ``matrix._tail_certificate``).  The lower bound is
+    added to the returned value, and summation stops once the bracket width
+    (normalized by x) is at most ``tolerance``; the true value therefore lies
+    in [value, value + tolerance].
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    dk = delta * k
-    if dk <= 1.0:
-        raise ValueError(f"series diverges: delta*k = {dk:g} <= 1")
+    c = delta * k - 1.0
+    if c <= 0:
+        raise ValueError(f"series diverges: delta*k = {c + 1.0:g} <= 1")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+    c_lo = max(c, 1.0)
     parts = []
     p = 1.0
     t = x
@@ -84,14 +91,15 @@ def claim1_tail_sum(x: int, delta: float, k: int, tolerance: float = 1e-6,
         parts.append(float(np.sum(cum ** k)))
         p = float(cum[-1])
         t_end = hi - 1
-        # prod beyond t_end shrinks at least like ((t_end+1+delta)/(t+1+delta))**delta
-        tail = p ** k * (t_end + 1 + delta) / (dk - 1.0) / x
-        if tail <= tolerance:
-            return math.fsum(parts) / x
+        pk = p ** k
+        tail_lo = pk * t_end * max(0.0, t_end + 1 - c_lo) / ((t_end + 1) * c)
+        width = (pk * (t_end + 1 + delta) / c - tail_lo) / x
+        if width <= tolerance:
+            return (math.fsum(parts) + tail_lo) / x
         t = hi
         if t - x > max_terms:
             raise RuntimeError(
-                f"tail bound {tail:.3g} still above {tolerance:.3g} after {max_terms} terms")
+                f"tail bound {width:.3g} still above {tolerance:.3g} after {max_terms} terms")
 
 
 def upper_bound_identity_residual(k: int) -> float:

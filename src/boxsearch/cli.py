@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=20,
                    help="random water-filling instances")
     p.add_argument("--skip-theta", action="store_true",
-                   help="skip the exact-theta dominance check (slowest entry)")
+                   help="skip the exact-theta dominance check (one theta_window per k)")
     add_common(p, default_format="json")
 
     return parser

@@ -194,8 +194,10 @@ class SurvivalMatrix:
 class ThetaEstimate:
     """Truncated expected-time ratio with a certified truncation error.
 
-    ``tail_bound`` bounds the discarded sum_{t>truncation_t} N(x,t)**fleet
-    divided by x, so the true ratio lies in [theta, theta + tail_bound].
+    ``theta`` is the sum over t <= truncation_t of N(x,t)**fleet plus a
+    certified lower bound on the rest, divided by x; ``tail_bound`` is the
+    width of the certified bracket on that rest, divided by x.  So the true
+    ratio lies in [theta, theta + tail_bound].
     """
 
     k: int
@@ -222,23 +224,38 @@ def _checked_fleet(params: SearchParams, x: int, fleet: int | None,
     return n_fleet
 
 
-def _tail_certificate(delta: Prob, fleet: int) -> Callable[[Prob, int], Prob]:
-    """Certified tail of sum_t N(x, t)**fleet for k >= 2, as tail(b, tau0).
+def _tail_certificate(delta: Prob, fleet: int) -> Callable[[Prob, int], tuple[Prob, Prob]]:
+    """Certified bracket (lo, hi) on the tail of sum_t N(x, t)**fleet for
+    k >= 2, as tail(b, tau0), where b = N(x, 2*tau0) and the tail is the sum
+    over t > 2*tau0.
 
     The even-step survival obeys b(tau) = b(tau-1) * d/(d+2) with
-    d = tau*(k-1); the product beyond tau0 is at most
-    ((tau0+1+delta)/(tau+1+delta))**delta, so with b = N(x, 2*tau0) the sum
-    over t > 2*tau0 is summable with exponent delta*fleet and at most
-    2*b**fleet*(1 + (tau0+1+delta)/(delta*fleet - 1)).  Works for float and
-    Fraction arguments alike; raises ValueError when delta*fleet <= 1, where
-    the sum diverges.
-    """
-    dk = delta * fleet
-    if dk <= 1:
-        raise ValueError(f"expected time diverges: fleet*delta = {float(dk):g} <= 1")
+    d = tau*(k-1), so b(tau)/b(tau0) = prod_{s=tau0+1}^{tau} s/(s+delta) lies
+    between (tau0/tau)**delta (as log(1 + delta/s) <= delta/s) and
+    ((tau0+1+delta)/(tau+1+delta))**delta, and each odd-step term lies
+    between the even-step terms around it.  With c = delta*fleet - 1 > 0:
 
-    def tail(b: Prob, tau0: int) -> Prob:
-        return 2 * b ** fleet * (1 + (tau0 + 1 + delta) / (dk - 1))
+    - hi = 2*b**fleet*(1 + (tau0+1+delta)/c) bounds the tail above;
+    - lo = 2*b**fleet*tau0*max(0, tau0 + 1 - max(c, 1))/((tau0+1)*c) bounds
+      it below: the tail is at least 2*b**fleet*sum_{tau>tau0}
+      (tau0/tau)**(c+1) >= 2*b**fleet*tau0*(tau0/(tau0+1))**c/c (the
+      integral from tau0+1), and (1 - y)**c >= 1 - max(c, 1)*y with
+      y = 1/(tau0+1) makes that rational; lo is 0 while tau0 + 1 <= c.
+
+    The width hi - lo <= 2*b**fleet*(1 + (1+delta+max(c, 1))/c) carries no
+    tau0 factor, so summation can stop once b**fleet itself is small.  Works
+    for float and Fraction arguments alike; raises ValueError when c <= 0,
+    where the sum diverges.
+    """
+    c = delta * fleet - 1
+    if c <= 0:
+        raise ValueError(f"expected time diverges: fleet*delta = {float(c + 1):g} <= 1")
+    c_lo = max(c, 1)
+
+    def tail(b: Prob, tau0: int) -> tuple[Prob, Prob]:
+        scale = 2 * b ** fleet
+        return (scale * tau0 * max(0, tau0 + 1 - c_lo) / ((tau0 + 1) * c),
+                scale * (1 + (tau0 + 1 + delta) / c))
 
     return tail
 
@@ -247,8 +264,11 @@ def _row_sum(params: SearchParams, block: int, eps_abs: float, fleet: int,
              max_steps: int) -> tuple[float, int, float]:
     """sum_t N(x, t)**fleet for x in the given pool block, with certified tail.
 
-    Returns (sum, truncation_t, tail_abs) where tail_abs bounds the discarded
-    sum over t > truncation_t (see :func:`_tail_certificate`).
+    Returns (sum, truncation_t, tail_abs): sum adds the certified lower
+    bound on the tail over t > truncation_t to the summed terms, and tail_abs
+    is the width of the tail bracket (see :func:`_tail_certificate`), so the
+    series lies in [sum, sum + tail_abs].  Summation stops at the first chunk
+    end where that width is at most eps_abs.
     """
     k = params.k
     if k == 1:
@@ -274,13 +294,14 @@ def _row_sum(params: SearchParams, block: int, eps_abs: float, fleet: int,
         parts.append(float(np.sum(odds ** fleet) + np.sum(evens ** fleet)))
         b = float(evens[-1])
         tau_end = hi - 1
-        tail = tail_of(b, tau_end)
-        if tail <= eps_abs:
-            return math.fsum(parts), 2 * tau_end, tail
+        tail_lo, tail_hi = tail_of(b, tau_end)
+        width = tail_hi - tail_lo
+        if width <= eps_abs:
+            return math.fsum(parts) + tail_lo, 2 * tau_end, width
         tau = hi
         if 2 * tau > max_steps:
             raise RuntimeError(
-                f"tail bound {tail:.3g} still above {eps_abs:.3g} after {max_steps} steps")
+                f"tail bound {width:.3g} still above {eps_abs:.3g} after {max_steps} steps")
 
 
 def theta(params: SearchParams, x: int, epsilon: float = 1e-6, fleet: int | None = None,
@@ -288,8 +309,10 @@ def theta(params: SearchParams, x: int, epsilon: float = 1e-6, fleet: int | None
     """Expected-time ratio for a fleet running the nested-pool sampler.
 
     ``epsilon`` is the largest tolerated truncation error on the returned
-    ratio; ``fleet`` defaults to the design parameter k and may differ from it
-    (e.g. survivors of a larger design).
+    ratio: the series stops once the two-sided tail bracket of
+    :func:`_tail_certificate` is at most epsilon*x wide, and the ratio lies in
+    [theta, theta + tail_bound].  ``fleet`` defaults to the design parameter k
+    and may differ from it (e.g. survivors of a larger design).
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
     total, trunc, tail = _row_sum(params, block_of(params, x), epsilon * x, n_fleet, max_steps)
@@ -323,8 +346,9 @@ def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
                         fleet: int | None = None) -> tuple[Fraction, Fraction]:
     """Exact rational bracket [lo, hi] containing theta (k >= 2, even t_max).
 
-    lo is the partial sum over t <= t_max divided by x; hi adds the certified
-    rational tail bound.
+    The partial sum over t <= t_max plus the certified rational lower and
+    upper tail bounds of :func:`_tail_certificate`, divided by x, give lo
+    and hi.
     """
     n_fleet = _checked_fleet(params, x, fleet)
     if params.k < 2:
@@ -334,8 +358,8 @@ def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
     tail_of = _tail_certificate(params.delta_exact, n_fleet)
     row = survival_row_exact(params, x, t_max)
     partial = sum(v ** n_fleet for v in row)
-    tail = tail_of(row[t_max], t_max // 2)
-    return Fraction(partial, x), Fraction(partial + tail, x)
+    tail_lo, tail_hi = tail_of(row[t_max], t_max // 2)
+    return Fraction(partial + tail_lo, x), Fraction(partial + tail_hi, x)
 
 
 def speedup_curve(params: SearchParams, xs: Sequence[int], epsilon: float = 1e-6,

@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boxsearch import sim
 from boxsearch.matrix import (
     SurvivalMatrix,
     ThetaEstimate,
+    _tail_certificate,
     block_random_survival,
     coordinated_survival,
     expected_discovery_time,
@@ -189,6 +191,73 @@ def test_theta_k2_large_x_window():
     assert 0.87 <= est.theta <= 0.91
     # the reported value understates the ratio by at most tail_bound
     assert est.tail_bound <= 1e-8
+
+
+def test_theta_two_sided_tail_against_k2_closed_form():
+    # oracle: for k = 2 the survival telescopes.  With B = block_of(x),
+    # N(x, t) = 1 for t <= 2B-2, N(x, 2τ-1) = B(B+1)/(τ(τ+2)) and
+    # N(x, 2τ) = B(B+1)/((τ+1)(τ+2)) for τ >= B, so the series is summed
+    # directly, without the recurrence or the tail certificate; beyond τ = T
+    # the rest is below 2*(B(B+1))**f * T**(1-2f)/(2f-1)
+    p = SearchParams(2)
+    for blk in (1, 2, 3):
+        row = survival_row_exact(p, 3 * blk, 60)
+        a = blk * (blk + 1)
+        assert all(row[2 * t - 1] == F(a, t * (t + 2)) and row[2 * t] == F(a, (t + 1) * (t + 2))
+                   for t in range(blk, 31))
+    big_t = 200_000
+    tau = np.arange(1, big_t + 1, dtype=np.float64)
+    for fleet in (2, 3):
+        for x in (1, 2, 3, 5, 8, 9):
+            blk = (x + 2) // 3
+            a = blk * (blk + 1.0)
+            rest = 2 * a ** fleet * big_t ** (1 - 2 * fleet) / (2 * fleet - 1)
+            assert rest < 1e-13
+            t = tau[blk - 1:]
+            odd, even = (a / (t * (t + 2))) ** fleet, (a / ((t + 1) * (t + 2))) ** fleet
+            brute = (2 * blk - 1 + math.fsum(np.concatenate((odd, even)))) / x
+            slack = 4 * math.ulp(brute) + rest / x
+            for eps in (1e-6, 1e-10):
+                est = theta(p, x, eps, fleet=fleet)
+                assert est.theta <= brute + slack
+                assert brute <= est.theta + est.tail_bound + slack
+
+
+def test_tail_certificate_brackets_directly_summed_tail():
+    # rational (lo, hi) at small τ0 against the tail sum_{t > 2τ0} N(1, t)**fleet
+    # summed from the float recurrence up to t = 2T: that partial sum is
+    # itself below the tail, so lo <= partial proves lo a lower bound, and T
+    # is far enough out for it to hold.  The pairs cover c = δ*fleet - 1
+    # below 1, at 1, and far above 1, where lo is clamped to 0 while
+    # τ0 + 1 <= c
+    big_t = 20_000
+    for k, fleets in ((2, (2, 3, 8)), (3, (2, 12)), (5, (3, 4))):
+        p = SearchParams(k)
+        row = SurvivalMatrix(StrategyKind.nested(), p)._nested_row(1, 2 * big_t)
+        delta = p.delta_exact
+        for fleet in fleets:
+            tail_of = _tail_certificate(delta, fleet)
+            c = delta * fleet - 1
+            terms = np.array(row) ** fleet
+            for tau0 in (1, 2, 3, 5, 10, 30):
+                b = survival_row_exact(p, 1, 2 * tau0)[-1]
+                lo, hi = tail_of(b, tau0)
+                assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+                direct = math.fsum(terms[2 * tau0 + 1:])
+                assert 0 <= lo <= direct * (1 + 1e-12)
+                assert direct <= hi
+                assert hi - lo <= 2 * b ** fleet * (1 + (1 + delta + max(c, 1)) / c)
+                if tau0 + 1 <= c:
+                    assert lo == 0
+
+
+def test_theta_work_stays_near_block_entry():
+    # a work count, not a timing: the two-sided tail stops a few chunks after
+    # the row leaves 1 (step 2*block - 1, which is 499 999 for k = 3 at
+    # x = 1e6); a rule that waits for the whole tail to drop below epsilon*x
+    # needs 1.6e8 steps (k = 8) and 7.9e8 steps (k = 3) here
+    assert theta(SearchParams(8), 10_000, 1e-7).truncation_t <= 2 ** 18
+    assert theta(SearchParams(3), 1_000_000, 1e-7).truncation_t <= 2 ** 22
 
 
 def test_theta_rejects_bad_args():

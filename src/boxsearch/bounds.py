@@ -3,7 +3,7 @@
 Four families of checks:
 
 - log-gamma evaluation of the survival product prod_{i=x}^t i/(i+delta) and
-  the power-law tail sum it controls;
+  the power-law tail sum it controls (summed by the matrix series kernel);
 - the water-filling minimizer f_i = min(1, alpha / a_i^(1/(k-1))) of
   sum a_i f_i^k under a total-deficit budget, with independent grid oracles;
 - the continuous optimal survival function and its cutoff curve gamma(t);
@@ -20,7 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate
 
-_CHUNK = 1 << 16
+from . import matrix
+
+_MAX_TERMS = 200_000_000  # claim1_tail_sum gives up after this many terms
+_MAX_SWEEPS = 60  # pair sweeps per grid resolution in waterfill_grid_oracle
+_QUAD_TOL = 1e-9  # relative tolerance of each adaptive quadrature piece
+_QUAD_LIMIT = 200  # subintervals per quadrature piece
 
 
 def direct_ratio_product(x: int, t: int, delta: float) -> float:
@@ -57,49 +62,23 @@ def gamma_asymptotic_ratio(n: float, alpha: float) -> float:
     return math.exp(math.lgamma(n + alpha) - math.lgamma(n) - alpha * math.log(n))
 
 
-def claim1_tail_sum(x: int, delta: float, k: int, tolerance: float = 1e-6,
-                    max_terms: int = 200_000_000) -> float:
+def claim1_tail_sum(x: int, delta: float, k: int, tolerance: float = 1e-6) -> float:
     """(1/x) * sum_{t=x}^inf [prod_{i=x}^t i/(i+delta)]**k, certified truncation.
 
-    Needs delta*k > 1; the summand decays like (x/t)**(delta*k).  After
-    summing through t = T with last product p, the product beyond T lies
-    between (T/t)**delta and ((T+1+delta)/(t+1+delta))**delta, so with
-    c = delta*k - 1 the discarded tail lies between
-    p**k*T*max(0, T + 1 - max(c, 1))/((T+1)*c) and p**k*(T+1+delta)/c (the same
-    integral bounds as ``matrix._tail_certificate``).  The lower bound is
-    added to the returned value, and summation stops once the bracket width
-    (normalized by x) is at most ``tolerance``; the true value therefore lies
-    in [value, value + tolerance].
+    Needs delta*k > 1; the summand decays like (x/t)**(delta*k).  The sum is
+    the :func:`boxsearch.matrix._series` with scale 1, gap delta and no odd
+    steps that starts at x: its certified lower tail is added and summation
+    stops once the tail bracket is at most tolerance*x wide, so the true
+    value lies in [value, value + tolerance].
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    c = delta * k - 1.0
-    if c <= 0:
-        raise ValueError(f"series diverges: delta*k = {c + 1.0:g} <= 1")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    c_lo = max(c, 1.0)
-    parts = []
-    p = 1.0
-    t = x
-    while True:
-        hi = t + _CHUNK
-        i = np.arange(t, hi, dtype=np.float64)
-        cum = np.cumprod(i / (i + delta)) * p
-        parts.append(float(np.sum(cum ** k)))
-        p = float(cum[-1])
-        t_end = hi - 1
-        pk = p ** k
-        tail_lo = pk * t_end * max(0.0, t_end + 1 - c_lo) / ((t_end + 1) * c)
-        width = (pk * (t_end + 1 + delta) / c - tail_lo) / x
-        if width <= tolerance:
-            return (math.fsum(parts) + tail_lo) / x
-        t = hi
-        if t - x > max_terms:
-            raise RuntimeError(
-                f"tail bound {width:.3g} still above {tolerance:.3g} after {max_terms} terms")
+    total, _, _ = matrix._series(x, 1.0, delta, (), k, 0.0, tolerance * x, x + _MAX_TERMS)
+    return total / x
 
 
 def upper_bound_identity_residual(k: int) -> float:
@@ -197,8 +176,8 @@ def _pair_line_grid(a_i: float, a_j: float, s: float, k: int,
     return float(f[int(np.argmin(obj))])
 
 
-def waterfill_grid_oracle(p: WaterFillProblem, resolution: float = 1e-6,
-                          max_sweeps: int = 60) -> tuple[list[float], float]:
+def waterfill_grid_oracle(p: WaterFillProblem,
+                          resolution: float = 1e-6) -> tuple[list[float], float]:
     """Brute-force grid minimizer, independent of the closed form.
 
     Every feasible move decomposes into mass exchanges between coordinate
@@ -229,7 +208,7 @@ def waterfill_grid_oracle(p: WaterFillProblem, resolution: float = 1e-6,
     schedule = [r for r in (1e-2, 1e-4) if r > resolution] + [resolution]
     best = waterfill_objective(p, f)
     for res in schedule:
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             improved = False
             for i, j in pairs:
                 s = f[i] + f[j]
@@ -245,8 +224,7 @@ def waterfill_grid_oracle(p: WaterFillProblem, resolution: float = 1e-6,
     return f, best
 
 
-def random_feasible_f(p: WaterFillProblem, rng: np.random.Generator,
-                      moves: int | None = None) -> list[float]:
+def random_feasible_f(p: WaterFillProblem, rng: np.random.Generator) -> list[float]:
     """A random point satisfying the deficit budget, for dominance tests.
 
     Starts at the centroid and applies random bounded pair exchanges, which
@@ -254,7 +232,7 @@ def random_feasible_f(p: WaterFillProblem, rng: np.random.Generator,
     """
     n = len(p.a)
     d = [p.budget / n] * n
-    for _ in range(moves if moves is not None else 4 * n):
+    for _ in range(4 * n):
         i, j = (int(v) for v in rng.integers(0, n, 2))
         if i == j:
             continue
@@ -277,8 +255,6 @@ class LowerBoundConfig:
     k: int
     a: float
     s: float = 1.0
-    quad_tol: float = 1e-9
-    max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -360,8 +336,8 @@ def lower_bound_closed_form(k: int, a: float) -> float:
     return scale * (k / (a - 1) - (a - 2) * (k - 1) / (a - 1) ** 2)
 
 
-def _piecewise_quad(f: Callable[[float], float], t_max: float, scale: float,
-                    rel_tol: float, limit: int) -> tuple[float, float]:
+def _piecewise_quad(f: Callable[[float], float], t_max: float,
+                    scale: float) -> tuple[float, float]:
     """Adaptive quadrature on [0, t_max] split dyadically from ``scale``.
 
     The integrands here concentrate near the origin and then decay over many
@@ -373,7 +349,7 @@ def _piecewise_quad(f: Callable[[float], float], t_max: float, scale: float,
     total = 0.0
     err = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        v, e = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=limit)
+        v, e = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=_QUAD_TOL, limit=_QUAD_LIMIT)
         total += v
         err += e
     return total, err
@@ -414,8 +390,7 @@ def lowerbound_value(config: LowerBoundConfig, tolerance: float = 1e-6) -> Lower
     t_max = s
     while tail_from(t_max) > tolerance * value:
         t_max *= 2.0
-    head, err = _piecewise_quad(integrand, t_max, s, config.quad_tol,
-                                config.max_subdivisions)
+    head, err = _piecewise_quad(integrand, t_max, s)
     if not math.isfinite(head) or err > tolerance * value:
         raise RuntimeError(f"quadrature did not converge: estimate error {err:.3g}")
     quad_value = head + tail_from(t_max)
@@ -443,8 +418,7 @@ def weighted_average_quadrature(config: LowerBoundConfig, t_max: float = 1e6) ->
         g = solve_gamma(k, a, s, t)
         return big_i * (g ** (-a) * (g - t - s) + g ** (1 - a) / (a - 1))
 
-    head, _err = _piecewise_quad(integrand, t_max, s, config.quad_tol,
-                                 config.max_subdivisions)
+    head, _err = _piecewise_quad(integrand, t_max, s)
     if not math.isfinite(head):
         raise RuntimeError("quadrature did not converge")
     return head

@@ -19,6 +19,8 @@ import os
 import sys
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from . import __version__, bounds, matrix, sim
 from .strategy import BLOCK_RANDOM, COORDINATED, NESTED, SOLO, SearchParams, StrategyKind
 
@@ -329,9 +331,7 @@ def _verify_entries(args, seed: int) -> list[dict]:
         value = bounds.claim1_tail_sum(args.x_tail, delta, k, tolerance=1e-5)
         add("claim1-tail", value, limit * 1.01, value <= limit * 1.01, k=k)
 
-    rng_seed = seed
-    import numpy as np
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     worst_resid = 0.0
     for _ in range(args.instances):

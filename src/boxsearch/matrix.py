@@ -6,13 +6,14 @@ probability N(x, t)**f, so the expected discovery time is sum_t N(x, t)**f and
 the expected-time ratio theta = that sum divided by x.  Speed-up is 1/theta.
 
 Two arithmetic modes: exact ``Fraction`` values (identities that must hold
-exactly) and float64 with chunked pairwise summation (long-horizon sums).
+exactly) and float64 with chunked pairwise summation (long-horizon sums),
+one pass per pool block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from .strategy import (
     BLOCK_RANDOM,
-    COORDINATED,
     NESTED,
     SOLO,
     SearchParams,
@@ -30,6 +30,7 @@ from .strategy import (
 Prob = Union[Fraction, float]
 
 _TAU_CHUNK = 1 << 16
+_MAX_STEPS = 2_000_000_000
 
 
 def _validate_xt(x: int, t: int) -> None:
@@ -173,20 +174,14 @@ class SurvivalMatrix:
         support = self.support_limit(t)
         if x_max < support:
             raise ValueError(f"x_max={x_max} below support bound {support} at t={t}")
-        name = self.kind.name
-        zero = Fraction(0) if self.exact else 0.0
-        total = zero
-        if name == NESTED:
+        total = Fraction(0) if self.exact else 0.0
+        if self.kind.name == NESTED:
             width = self.params.block_size
             for block in range(1, (t + 1) // 2 + 1):
                 total += width * (1 - self._nested_row(block, t)[t])
-        elif name == BLOCK_RANDOM:
-            b = self.kind.block_len
-            for j in range(1, (t + b - 1) // b + 1):
-                total += b * (1 - block_random_survival(b, (j - 1) * b + 1, t, self.exact))
         else:
-            # deterministic 0/1 strategies open exactly one new box per step
-            total += t
+            for x in range(1, x_max + 1):
+                total += 1 - self.value(x, t)
         return abs(total - t)
 
 
@@ -242,14 +237,16 @@ def _tail_certificate(delta: Prob, fleet: int) -> Callable[[Prob, int], tuple[Pr
       integral from tau0+1), and (1 - y)**c >= 1 - max(c, 1)*y with
       y = 1/(tau0+1) makes that rational; lo is 0 while tau0 + 1 <= c.
 
-    The width hi - lo <= 2*b**fleet*(1 + (1+delta+max(c, 1))/c) carries no
-    tau0 factor, so summation can stop once b**fleet itself is small.  Works
-    for float and Fraction arguments alike; raises ValueError when c <= 0,
-    where the sum diverges.
+    Each half of the tail (its even-step terms, its odd-step terms) lies in
+    [lo/2, hi/2]: the even half is at most b**fleet*(tau0+1+delta)/c and the
+    odd half at most b**fleet more.  The width hi - lo <= 2*b**fleet*(1 +
+    (1+delta+max(c, 1))/c) carries no tau0 factor, so summation can stop once
+    b**fleet itself is small.  Works for float and Fraction arguments alike;
+    raises ValueError when c <= 0, where the sum diverges.
     """
     c = delta * fleet - 1
     if c <= 0:
-        raise ValueError(f"expected time diverges: fleet*delta = {float(c + 1):g} <= 1")
+        raise ValueError(f"series diverges: fleet*delta = {float(c + 1):g} <= 1")
     c_lo = max(c, 1)
 
     def tail(b: Prob, tau0: int) -> tuple[Prob, Prob]:
@@ -260,52 +257,80 @@ def _tail_certificate(delta: Prob, fleet: int) -> Callable[[Prob, int], tuple[Pr
     return tail
 
 
-def _row_sum(params: SearchParams, block: int, eps_abs: float, fleet: int,
-             max_steps: int) -> tuple[float, int, float]:
-    """sum_t N(x, t)**fleet for x in the given pool block, with certified tail.
+def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet: int,
+            head: float, eps_abs: float, max_tau: int) -> tuple[float, float, int]:
+    """Certified sum of head and, over tau >= start, b(tau)**fleet plus
+    (b(tau-1)*(d+o)/(d+gap))**fleet for each o in mids, where d = tau*scale
+    and b(tau) = prod_{s=start}^{tau} d_s/(d_s+gap).
 
-    Returns (sum, truncation_t, tail_abs): sum adds the certified lower
-    bound on the tail over t > truncation_t to the summed terms, and tail_abs
-    is the width of the tail bracket (see :func:`_tail_certificate`), so the
-    series lies in [sum, sum + tail_abs].  Summation stops at the first chunk
-    end where that width is at most eps_abs.
+    With scale = k-1, gap = 2 and mids = (1,) the terms are N(x, 2*tau) and
+    N(x, 2*tau-1) for x in pool block start; with scale = 1, gap = delta and
+    no mids they are Claim 1's.  Each of the 1 + len(mids) term sequences
+    has its tail in [lo/2, hi/2] of :func:`_tail_certificate`.  Chunks of
+    _TAU_CHUNK taus are added until the sum of those brackets is at most
+    eps_abs wide.  Returns (the sum plus the bracket's lower end, the bracket
+    width, the last tau summed).
     """
-    k = params.k
-    if k == 1:
-        # the two pool members left at each odd step are forced by step 2*block
-        total = (2 * block - 1) + 0.5 ** fleet
-        return total, 2 * block, 0.0
-    tail_of = _tail_certificate(params.delta, fleet)
-    km1 = float(k - 1)
-    parts = [float(2 * block - 1)]
+    tail_of = _tail_certificate(gap / scale, fleet)
+    seqs = 1 + len(mids)
+    parts = [head]
     b = 1.0
-    tau = block
+    tau = start
     while True:
         hi = tau + _TAU_CHUNK
-        taus = np.arange(tau, hi, dtype=np.float64)
-        d = taus * km1
-        f_even = d / (d + 2.0)
-        cum = np.cumprod(f_even)
-        b_prev = np.empty_like(cum)
-        b_prev[0] = b
-        np.multiply(cum[:-1], b, out=b_prev[1:])
-        odds = b_prev * ((d + 1.0) / (d + 2.0))
-        evens = b * cum
-        parts.append(float(np.sum(odds ** fleet) + np.sum(evens ** fleet)))
+        d = np.arange(tau, hi, dtype=np.float64) * scale
+        evens = np.cumprod(d / (d + gap)) * b
+        odds = [np.concatenate(([b], evens[:-1])) * ((d + o) / (d + gap)) for o in mids]
+        parts.append(float(sum(np.sum(t ** fleet) for t in [*odds, evens])))
         b = float(evens[-1])
-        tau_end = hi - 1
-        tail_lo, tail_hi = tail_of(b, tau_end)
-        width = tail_hi - tail_lo
-        if width <= eps_abs:
-            return math.fsum(parts) + tail_lo, 2 * tau_end, width
+        lo, top = (v * seqs / 2 for v in tail_of(b, hi - 1))
+        if top - lo <= eps_abs:
+            return math.fsum(parts) + lo, top - lo, hi - 1
         tau = hi
-        if 2 * tau > max_steps:
+        if tau > max_tau:
             raise RuntimeError(
-                f"tail bound {width:.3g} still above {eps_abs:.3g} after {max_steps} steps")
+                f"tail bound {top - lo:.3g} still above {eps_abs:.3g} after tau = {max_tau}")
+
+
+def _curve(params: SearchParams, xs: Sequence[int], epsilon: float, fleet: int, window: bool,
+           max_steps: int) -> list[tuple[int, float, int, float]]:
+    """theta (window=False) or theta_window rows for the sorted xs, as
+    (x at the max, theta, truncation_t, tail_bound), with one
+    :func:`_series` per pool block.
+
+    A window [lo, x] meets at most three pool blocks, and in each theta is
+    largest at the block's first x in the window: those are the candidates.
+    A block is summed to epsilon times the least lo of its rows, and a
+    window's tail_bound reaches every candidate's bracket top.
+    """
+    k, size = params.k, params.block_size
+    rows = []  # each row's candidates
+    eps_abs: dict[int, float] = {}  # xs are sorted, so a block's first row has the least lo
+    for x in xs:
+        lo = max(1, x - 2 * size + 1) if window else x
+        rows.append([lo, *range(lo + size - (lo - 1) % size, x + 1, size)])
+        for c in rows[-1]:
+            eps_abs.setdefault(block_of(params, c), epsilon * lo)
+    sums = {}  # block -> (series, bracket width, truncation_t)
+    for blk, eps in eps_abs.items():
+        if k == 1:  # the two pool members left at each odd step are forced by step 2*block
+            sums[blk] = (2 * blk - 1 + 0.5 ** fleet, 0.0, 2 * blk)
+        else:
+            total, width, tau = _series(blk, k - 1.0, 2.0, (1.0,), fleet, 2.0 * blk - 1, eps,
+                                        max_steps // 2)
+            sums[blk] = (total, width, 2 * tau)
+    out = []
+    for cands in rows:
+        est = [sums[block_of(params, c)] for c in cands]
+        th = [total / c for (total, _, _), c in zip(est, cands)]
+        j = th.index(max(th))
+        tail = max(width / c + (t - th[j]) for (_, width, _), c, t in zip(est, cands, th))
+        out.append((cands[j], th[j], est[j][2], tail))
+    return out
 
 
 def theta(params: SearchParams, x: int, epsilon: float = 1e-6, fleet: int | None = None,
-          max_steps: int = 2_000_000_000) -> ThetaEstimate:
+          max_steps: int = _MAX_STEPS) -> ThetaEstimate:
     """Expected-time ratio for a fleet running the nested-pool sampler.
 
     ``epsilon`` is the largest tolerated truncation error on the returned
@@ -315,8 +340,8 @@ def theta(params: SearchParams, x: int, epsilon: float = 1e-6, fleet: int | None
     and may differ from it (e.g. survivors of a larger design).
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    total, trunc, tail = _row_sum(params, block_of(params, x), epsilon * x, n_fleet, max_steps)
-    return ThetaEstimate(params.k, x, total / x, trunc, tail / x)
+    [(_, th, trunc, tail)] = _curve(params, [x], epsilon, n_fleet, False, max_steps)
+    return ThetaEstimate(params.k, x, th, trunc, tail)
 
 
 def theta_window(params: SearchParams, x: int, epsilon: float = 1e-6,
@@ -325,21 +350,12 @@ def theta_window(params: SearchParams, x: int, epsilon: float = 1e-6,
 
     The ratio oscillates with x mod (k+1); the window max tracks the running
     peak of the curve, which is the quantity whose large-x limit matters.
+    The estimate's x is the one that attains the max, and the window's true
+    max lies in [theta, theta + tail_bound].
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    width = 2 * params.block_size
-    lo = max(1, x - width + 1)
-    rows: dict[int, tuple[float, int, float]] = {}
-    best: ThetaEstimate | None = None
-    for xx in range(lo, x + 1):
-        blk = block_of(params, xx)
-        if blk not in rows:
-            rows[blk] = _row_sum(params, blk, epsilon * lo, n_fleet, 2_000_000_000)
-        total, trunc, tail = rows[blk]
-        est = ThetaEstimate(params.k, xx, total / xx, trunc, tail / xx)
-        if best is None or est.theta > best.theta:
-            best = est
-    return best
+    [(at, th, trunc, tail)] = _curve(params, [x], epsilon, n_fleet, True, _MAX_STEPS)
+    return ThetaEstimate(params.k, at, th, trunc, tail)
 
 
 def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
@@ -370,8 +386,12 @@ def speedup_curve(params: SearchParams, xs: Sequence[int], epsilon: float = 1e-6
     the correspondingly smallest speed-up) of the window ending at x, see
     :func:`theta_window`.
     """
-    fn = theta_window if window else theta
-    return [replace(fn(params, x, epsilon), x=x) for x in sorted(xs)]
+    xs = sorted(xs)
+    if not xs:
+        return []
+    _checked_fleet(params, xs[0], None, epsilon)
+    rows = _curve(params, xs, epsilon, params.k, window, _MAX_STEPS)
+    return [ThetaEstimate(params.k, x, *row[1:]) for x, row in zip(xs, rows)]
 
 
 def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,

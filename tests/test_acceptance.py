@@ -4,12 +4,10 @@ Each test prints one `[acceptance] ... PASS/FAIL` line (visible under
 ``pytest -s``) and fails the suite if its criterion is not met.
 """
 
-import math
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from boxsearch import bounds, matrix, sim
 from boxsearch.cli import main

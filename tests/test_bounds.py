@@ -66,6 +66,17 @@ def test_claim1_telescoping_oracle():
     oracle = x * x * math.fsum(1.0 / u ** 3 for u in range(x + 1, 400_000))
     value = claim1_tail_sum(x, 1.0, 3, tolerance=1e-9)
     assert value == pytest.approx(oracle, abs=1e-4)
+    # k = 2, delta = 2 telescopes too: prod = x(x+1)/((t+1)(t+2)).  Summed to
+    # u = t+1 = T; beyond it each term lies between (x(x+1))**2 times
+    # (u+1)**-4 and u**-4, whose sums the integrals from T+2 and from T bracket
+    big_t = 400_000
+    u = np.arange(x + 1, big_t + 1, dtype=np.float64)
+    a = (x * (x + 1.0)) ** 2
+    head = math.fsum(a / (u * (u + 1)) ** 2)
+    lo, hi = ((head + a * v ** -3 / 3) / x for v in (big_t + 2.0, big_t))
+    value = claim1_tail_sum(x, 2.0, 2, tolerance=1e-9)
+    assert value <= hi + 4 * math.ulp(hi)
+    assert lo <= value + 1e-9 + 4 * math.ulp(lo)
 
 
 def test_claim1_monotone_in_x():

@@ -113,13 +113,14 @@ def test_uncertified_result_exits_3(capsys, monkeypatch):
     def uncertified(*args, **kwargs):
         raise RuntimeError("tail bound 1e-3 still above 1e-5 after 1000 steps")
 
-    monkeypatch.setattr(matrix, "theta", uncertified)
-    code = main(["speedup", "--k", "2", "--x", "10"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert "could not certify: tail bound 1e-3 still above" in captured.err
-    assert "Traceback" not in captured.err
+    monkeypatch.setattr(matrix, "_series", uncertified)  # the one series kernel
+    for argv in (("--x", "10"), ("--x-range", "1:50:1", "--window")):
+        code = main(["speedup", "--k", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "could not certify: tail bound 1e-3 still above" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_speedup_exact_vs_mc_rows_agree(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxsearch import sim
+from boxsearch import matrix, sim
 from boxsearch.matrix import (
     SurvivalMatrix,
     ThetaEstimate,
@@ -138,6 +138,15 @@ def test_column_identity_other_strategies():
             assert view.column_sum_residual(t, max(1, view.support_limit(t))) == 0
 
 
+def test_column_residual_sees_a_revisiting_map(monkeypatch):
+    # the 0/1 strategies sum 1 - N down the column like the others, so a map
+    # that opens box 1 at every step leaves a residual of t - 1
+    view = SurvivalMatrix(StrategyKind.coordinated(2), SearchParams(2), exact=True)
+    monkeypatch.setattr(matrix, "coordinated_survival",
+                        lambda sid, params, x, t, exact=False: F(int(x > 1 or t == 0)))
+    assert view.column_sum_residual(10, view.support_limit(10)) == 9
+
+
 def test_coordinated_survival_values():
     p = SearchParams(3)
     # searcher 2 opens 2, 5, 8, ... at times 1, 2, 3, ...
@@ -197,30 +206,45 @@ def test_theta_two_sided_tail_against_k2_closed_form():
     # oracle: for k = 2 the survival telescopes.  With B = block_of(x),
     # N(x, t) = 1 for t <= 2B-2, N(x, 2τ-1) = B(B+1)/(τ(τ+2)) and
     # N(x, 2τ) = B(B+1)/((τ+1)(τ+2)) for τ >= B, so the series is summed
-    # directly, without the recurrence or the tail certificate; beyond τ = T
-    # the rest is below 2*(B(B+1))**f * T**(1-2f)/(2f-1)
+    # directly, without the recurrence or the tail certificate, to τ = T;
+    # beyond T both terms lie between (B(B+1))**f times (τ+2)**-2f and τ**-2f,
+    # whose sums the integrals from T+3 and from T bracket
     p = SearchParams(2)
     for blk in (1, 2, 3):
         row = survival_row_exact(p, 3 * blk, 60)
         a = blk * (blk + 1)
         assert all(row[2 * t - 1] == F(a, t * (t + 2)) and row[2 * t] == F(a, (t + 1) * (t + 2))
                    for t in range(blk, 31))
-    big_t = 200_000
+    big_t, cut = 200_000, 100  # blocks up to cut share one sum of the terms beyond τ = cut
     tau = np.arange(1, big_t + 1, dtype=np.float64)
+    brackets = {}
     for fleet in (2, 3):
-        for x in (1, 2, 3, 5, 8, 9):
+        odd = (1 / (tau * (tau + 2))) ** fleet
+        even = (1 / ((tau + 1) * (tau + 2))) ** fleet
+        far = math.fsum(np.concatenate((odd[cut:], even[cut:])))
+        rest = [2 * v ** (1 - 2 * fleet) / (2 * fleet - 1) for v in (big_t + 3.0, big_t)]
+        for x in range(1, 3 * cut + 1):
             blk = (x + 2) // 3
-            a = blk * (blk + 1.0)
-            rest = 2 * a ** fleet * big_t ** (1 - 2 * fleet) / (2 * fleet - 1)
-            assert rest < 1e-13
-            t = tau[blk - 1:]
-            odd, even = (a / (t * (t + 2))) ** fleet, (a / ((t + 1) * (t + 2))) ** fleet
-            brute = (2 * blk - 1 + math.fsum(np.concatenate((odd, even)))) / x
-            slack = 4 * math.ulp(brute) + rest / x
-            for eps in (1e-6, 1e-10):
-                est = theta(p, x, eps, fleet=fleet)
-                assert est.theta <= brute + slack
-                assert brute <= est.theta + est.tail_bound + slack
+            s = math.fsum([far, *odd[blk - 1:cut], *even[blk - 1:cut]])
+            brackets[x, fleet] = [(2 * blk - 1 + (blk * (blk + 1)) ** fleet * (s + r)) / x
+                                  for r in rest]
+
+    def contains(est, xs, fleet):
+        lo = max(brackets[x, fleet][0] for x in xs)
+        hi = max(brackets[x, fleet][1] for x in xs)
+        assert hi - lo < 1e-13  # the oracle is tight
+        slack = 4 * math.ulp(hi)
+        return est.theta <= hi + slack and lo <= est.theta + est.tail_bound + slack
+
+    for eps in (1e-6, 1e-10):
+        for fleet in (2, 3):
+            for x in (1, 2, 3, 5, 8, 9):
+                assert contains(theta(p, x, eps, fleet=fleet), [x], fleet)
+        # whole curves, one series per block; a window row brackets the window's max
+        for window in (False, True):
+            for est in speedup_curve(p, range(1, 3 * cut + 1), eps, window=window):
+                xs = range(max(1, est.x - 5), est.x + 1) if window else [est.x]
+                assert contains(est, xs, 2) and est.tail_bound <= eps
 
 
 def test_tail_certificate_brackets_directly_summed_tail():
@@ -258,6 +282,31 @@ def test_theta_work_stays_near_block_entry():
     # needs 1.6e8 steps (k = 8) and 7.9e8 steps (k = 3) here
     assert theta(SearchParams(8), 10_000, 1e-7).truncation_t <= 2 ** 18
     assert theta(SearchParams(3), 1_000_000, 1e-7).truncation_t <= 2 ** 22
+
+
+def test_speedup_curve_sums_each_block_once(monkeypatch):
+    # a work count: the 4000 rows of range(1, 4001) read 1000 pool blocks,
+    # with or without windows, and each block's series is summed once
+    calls = []
+
+    def counted(start, *args):
+        calls.append(start)
+        return series(start, *args)
+
+    series = matrix._series
+    monkeypatch.setattr(matrix, "_series", counted)
+    for window in (False, True):
+        calls.clear()
+        rows = speedup_curve(SearchParams(3), range(1, 4001), window=window)
+        assert len(rows) == 4000 and sorted(calls) == list(range(1, 1001))
+        # a shared block is bracketed for the least x (or window start) that reads it
+        rows = speedup_curve(SearchParams(10), range(1, 60), 1e-11, window=window)
+        assert all(r.tail_bound <= 1e-11 for r in rows)
+    # a far-off x does not make the small one's series run longer
+    p = SearchParams(2)
+    near, far = speedup_curve(p, [1, 10 ** 8])
+    assert near.truncation_t == theta(p, 1).truncation_t
+    assert far.truncation_t == theta(p, 10 ** 8).truncation_t
 
 
 def test_theta_rejects_bad_args():

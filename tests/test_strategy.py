@@ -8,7 +8,6 @@ import pytest
 from boxsearch.strategy import (
     UNIFORM_CHUNK,
     SearchParams,
-    SearcherState,
     StrategyKind,
     UniformStream,
     make_state,

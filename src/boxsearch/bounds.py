@@ -5,7 +5,8 @@ Four families of checks:
 - log-gamma evaluation of the survival product prod_{i=x}^t i/(i+delta) and
   the power-law tail sum it controls (summed by the matrix series kernel);
 - the water-filling minimizer f_i = min(1, alpha / a_i^(1/(k-1))) of
-  sum a_i f_i^k under a total-deficit budget, with independent grid oracles;
+  sum a_i f_i^k under a total-deficit budget, checked by an independent
+  pairwise grid oracle that zooms coarse to fine;
 - the continuous optimal survival function and its cutoff curve gamma(t);
 - the closed-form weighted-average lower bound on the expected-time ratio,
   cross-checked by adaptive quadrature.
@@ -23,7 +24,8 @@ from scipy import integrate
 from . import matrix
 
 _MAX_TERMS = 200_000_000  # claim1_tail_sum gives up after this many terms
-_MAX_SWEEPS = 60  # pair sweeps per grid resolution in waterfill_grid_oracle
+_MAX_SWEEPS = 60  # pair sweeps in waterfill_grid_oracle
+_PAIR_GRID = 201  # points per zoom level of the pair search in _pair_line_grid
 _QUAD_TOL = 1e-9  # relative tolerance of each adaptive quadrature piece
 _QUAD_LIMIT = 200  # subintervals per quadrature piece
 
@@ -165,15 +167,20 @@ def rebalance_pair(a1: float, a2: float, total: float, k: int) -> tuple[float, f
 
 def _pair_line_grid(a_i: float, a_j: float, s: float, k: int,
                     resolution: float) -> float:
-    """Grid argmin of a_i*f^k + a_j*(s-f)^k over the feasible f range."""
-    lo = max(0.0, s - 1.0)
-    hi = min(1.0, s)
-    if hi <= lo:
-        return lo
-    npts = min(int(math.ceil((hi - lo) / resolution)) + 1, 2_000_001)
-    f = np.linspace(lo, hi, npts)
-    obj = a_i * f ** k + a_j * (s - f) ** k
-    return float(f[int(np.argmin(obj))])
+    """Grid argmin of a_i*f^k + a_j*(s-f)^k over the feasible f range.
+
+    Coarse to fine: a _PAIR_GRID-point grid over [max(0, s-1), min(1, s)],
+    then a new one over the two cells around its argmin, until the spacing
+    is at most ``resolution``.  The objective is convex in f, so its
+    minimum always lies in the two cells around the grid argmin.
+    """
+    lo, hi = max(0.0, s - 1.0), min(1.0, s)
+    while True:
+        f = np.linspace(lo, hi, _PAIR_GRID)
+        i = int(np.argmin(a_i * f ** k + a_j * (s - f) ** k))
+        if f[1] - f[0] <= resolution:
+            return float(f[i])
+        lo, hi = f[max(i - 1, 0)], f[min(i + 1, _PAIR_GRID - 1)]
 
 
 def waterfill_grid_oracle(p: WaterFillProblem,
@@ -181,46 +188,31 @@ def waterfill_grid_oracle(p: WaterFillProblem,
     """Brute-force grid minimizer, independent of the closed form.
 
     Every feasible move decomposes into mass exchanges between coordinate
-    pairs, so the oracle sweeps all pairs, re-optimizing each pair on a 1-D
-    grid (coarse first, then at ``resolution``) until a full fine sweep no
+    pairs, so the oracle starts from the equal split and sweeps all pairs,
+    re-optimizing each pair by the coarse-to-fine grid search of
+    :func:`_pair_line_grid` down to ``resolution``, until a full sweep no
     longer improves.  The objective is convex on a convex set, which makes
-    this pairwise descent land at the global grid optimum; n = 2 is a single
-    flat grid at ``resolution``.
+    this pairwise descent land at the global optimum to grid accuracy.
     """
+    if not resolution > 0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     n = len(p.a)
-    total_f = n - p.budget
-    if n == 1:
-        f1 = min(1.0, max(0.0, total_f))
-        return [f1], float(p.a[0] * f1 ** p.k)
-
-    # feasible start: equal split, then push any overflow onto later slots
-    f = [min(1.0, max(0.0, total_f / n))] * n
-    spare = total_f - sum(f)
-    for i in range(n):
-        if spare == 0.0:
-            break
-        room = (1.0 - f[i]) if spare > 0 else -f[i]
-        move = min(abs(spare), abs(room)) * (1 if spare > 0 else -1)
-        f[i] += move
-        spare -= move
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    schedule = [r for r in (1e-2, 1e-4) if r > resolution] + [resolution]
+    f = [(n - p.budget) / n] * n  # in [0, 1]: WaterFillProblem keeps 0 <= budget <= n
     best = waterfill_objective(p, f)
-    for res in schedule:
-        for _ in range(_MAX_SWEEPS):
-            improved = False
-            for i, j in pairs:
-                s = f[i] + f[j]
-                fi = _pair_line_grid(p.a[i], p.a[j], s, p.k, res)
-                cand = list(f)
-                cand[i], cand[j] = fi, s - fi
-                obj = waterfill_objective(p, cand)
-                if obj < best - 1e-15:
-                    f, best = cand, obj
-                    improved = True
-            if not improved:
-                break
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for _ in range(_MAX_SWEEPS):
+        improved = False
+        for i, j in pairs:
+            s = f[i] + f[j]
+            fi = _pair_line_grid(p.a[i], p.a[j], s, p.k, resolution)
+            cand = list(f)
+            cand[i], cand[j] = fi, s - fi
+            obj = waterfill_objective(p, cand)
+            if obj < best - 1e-15:
+                f, best = cand, obj
+                improved = True
+        if not improved:
+            break
     return f, best
 
 

@@ -396,6 +396,8 @@ def _verify_entries(args, seed: int) -> list[dict]:
 
 
 def _cmd_verify_bounds(args, seed: int) -> Output:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {args.instances}")
     entries = _verify_entries(args, seed)
     options = {"k": args.k or [2, 3, 5], "x_tail": args.x_tail, "theta_x": args.theta_x,
                "instances": args.instances, "skip_theta": args.skip_theta}

@@ -29,7 +29,10 @@ from .strategy import (
 
 Prob = Union[Fraction, float]
 
-_TAU_CHUNK = 1 << 16
+# 8192 taus a chunk: its ~ten float64 temporaries (64 KiB each) stay below glibc's
+# 128 KiB mmap threshold, so they are reused from the heap rather than page-faulted
+# in afresh, and the series stops nearer the step where its tail bracket fits.
+_TAU_CHUNK = 1 << 13
 _MAX_STEPS = 2_000_000_000
 
 
@@ -292,8 +295,8 @@ def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet
                 f"tail bound {top - lo:.3g} still above {eps_abs:.3g} after tau = {max_tau}")
 
 
-def _curve(params: SearchParams, xs: Sequence[int], epsilon: float, fleet: int, window: bool,
-           max_steps: int) -> list[tuple[int, float, int, float]]:
+def _curve(params: SearchParams, xs: Sequence[int], epsilon: float, fleet: int,
+           window: bool) -> list[tuple[int, float, int, float]]:
     """theta (window=False) or theta_window rows for the sorted xs, as
     (x at the max, theta, truncation_t, tail_bound), with one
     :func:`_series` per pool block.
@@ -317,7 +320,7 @@ def _curve(params: SearchParams, xs: Sequence[int], epsilon: float, fleet: int, 
             sums[blk] = (2 * blk - 1 + 0.5 ** fleet, 0.0, 2 * blk)
         else:
             total, width, tau = _series(blk, k - 1.0, 2.0, (1.0,), fleet, 2.0 * blk - 1, eps,
-                                        max_steps // 2)
+                                        _MAX_STEPS // 2)
             sums[blk] = (total, width, 2 * tau)
     out = []
     for cands in rows:
@@ -329,8 +332,8 @@ def _curve(params: SearchParams, xs: Sequence[int], epsilon: float, fleet: int, 
     return out
 
 
-def theta(params: SearchParams, x: int, epsilon: float = 1e-6, fleet: int | None = None,
-          max_steps: int = _MAX_STEPS) -> ThetaEstimate:
+def theta(params: SearchParams, x: int, epsilon: float = 1e-6,
+          fleet: int | None = None) -> ThetaEstimate:
     """Expected-time ratio for a fleet running the nested-pool sampler.
 
     ``epsilon`` is the largest tolerated truncation error on the returned
@@ -340,7 +343,7 @@ def theta(params: SearchParams, x: int, epsilon: float = 1e-6, fleet: int | None
     and may differ from it (e.g. survivors of a larger design).
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    [(_, th, trunc, tail)] = _curve(params, [x], epsilon, n_fleet, False, max_steps)
+    [(_, th, trunc, tail)] = _curve(params, [x], epsilon, n_fleet, False)
     return ThetaEstimate(params.k, x, th, trunc, tail)
 
 
@@ -354,7 +357,7 @@ def theta_window(params: SearchParams, x: int, epsilon: float = 1e-6,
     max lies in [theta, theta + tail_bound].
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    [(at, th, trunc, tail)] = _curve(params, [x], epsilon, n_fleet, True, _MAX_STEPS)
+    [(at, th, trunc, tail)] = _curve(params, [x], epsilon, n_fleet, True)
     return ThetaEstimate(params.k, at, th, trunc, tail)
 
 
@@ -390,7 +393,7 @@ def speedup_curve(params: SearchParams, xs: Sequence[int], epsilon: float = 1e-6
     if not xs:
         return []
     _checked_fleet(params, xs[0], None, epsilon)
-    rows = _curve(params, xs, epsilon, params.k, window, _MAX_STEPS)
+    rows = _curve(params, xs, epsilon, params.k, window)
     return [ThetaEstimate(params.k, x, *row[1:]) for x, row in zip(xs, rows)]
 
 

@@ -380,8 +380,7 @@ class CrashReport:
     overlap: bool
 
 
-def crash_experiment(k: int, k_prime: int, x: int, trials: int, base_seed: int,
-                     step_cap: int = 0) -> CrashReport:
+def crash_experiment(k: int, k_prime: int, x: int, trials: int, base_seed: int) -> CrashReport:
     """Crashed oversized fleet vs the right-sized fleet it degrades to.
 
     A fleet of k searchers runs the sampler designed for k - k' searchers,
@@ -397,7 +396,6 @@ def crash_experiment(k: int, k_prime: int, x: int, trials: int, base_seed: int,
         kind=StrategyKind.nested(),
         treasure=x,
         seed=base_seed,
-        step_cap=step_cap,
         crashes=CrashSchedule(tuple((sid, 1) for sid in range(1, k_prime + 1))),
         searchers=k,
     )
@@ -406,7 +404,6 @@ def crash_experiment(k: int, k_prime: int, x: int, trials: int, base_seed: int,
         kind=StrategyKind.nested(),
         treasure=x,
         seed=base_seed,
-        step_cap=step_cap,
     )
     stats_crashed = estimate_speedup(crashed, trials)
     stats_control = estimate_speedup(control, trials)
@@ -438,8 +435,7 @@ class RobustnessReport:
 
 def robustness_experiment(params: SearchParams, x: int,
                           perturbation_set: Sequence[Perturbation], trials: int,
-                          base_seed: int, tolerance: float = 0.05,
-                          step_cap: int = 0) -> RobustnessReport:
+                          base_seed: int, tolerance: float = 0.05) -> RobustnessReport:
     """Perturbed vs unperturbed speed-up under shared base seeds.
 
     Every searcher in the perturbed runs applies the same perturbation.
@@ -448,8 +444,7 @@ def robustness_experiment(params: SearchParams, x: int,
     the others is low-variance.  An entry is flagged when its speed-up falls
     more than ``tolerance`` (relative) below the baseline.
     """
-    template = TrialConfig(params=params, kind=StrategyKind.nested(), treasure=x,
-                           seed=base_seed, step_cap=step_cap)
+    template = TrialConfig(params=params, kind=StrategyKind.nested(), treasure=x, seed=base_seed)
     baseline = estimate_speedup(template, trials)
     entries = []
     for pert in perturbation_set:

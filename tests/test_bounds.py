@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from boxsearch import bounds
 from boxsearch.bounds import (
     LowerBoundConfig,
     WaterFillProblem,
@@ -113,15 +114,43 @@ def test_waterfill_validation():
         WaterFillProblem((1.0,), 2.0, 2)
     with pytest.raises(ValueError):
         WaterFillProblem((1.0,), 0.5, 1)
+    p = WaterFillProblem((1.0, 8.0), 0.5, 2)
+    for resolution in (0.0, -1e-6, math.nan):  # none would ever end the zoom
+        with pytest.raises(ValueError):
+            waterfill_grid_oracle(p, resolution=resolution)
 
 
 def test_waterfill_pair_example_grid_oracle():
-    # weights (1, 8), deficit 1/2: compare against the flat 1e-6 grid
-    p = WaterFillProblem((1.0, 8.0), 0.5, 2)
-    f, _alpha = waterfill_closed_form(p)
-    closed = waterfill_objective(p, f)
-    _gf, grid = waterfill_grid_oracle(p, resolution=1e-6)
-    assert abs(closed - grid) <= 1e-4
+    # weights (1, 8), deficit 1/2: one pair, searched coarse to fine down to 1e-6;
+    # a single weight has no pair, so the oracle keeps the only feasible split
+    for p in (WaterFillProblem((1.0, 8.0), 0.5, 2), WaterFillProblem((3.0,), 0.25, 3)):
+        f, _alpha = waterfill_closed_form(p)
+        closed = waterfill_objective(p, f)
+        gf, grid = waterfill_grid_oracle(p, resolution=1e-6)
+        assert abs(closed - grid) <= 1e-4
+        assert sum(1.0 - v for v in gf) == pytest.approx(p.budget, abs=1e-12)
+    assert waterfill_grid_oracle(WaterFillProblem((3.0,), 0.25, 3)) == ([0.75], 3.0 * 0.75 ** 3)
+
+
+def test_pair_grid_search_finds_rebalance_argmin():
+    # the oracle's pair search may not call rebalance_pair; the test may
+    rng = np.random.default_rng(29)
+    cases = [(float(a1), float(a2), float(s), int(k)) for a1, a2, s, k in zip(
+        rng.uniform(0.2, 9.0, 300), rng.uniform(0.2, 9.0, 300), rng.uniform(0.0, 2.0, 300),
+        rng.integers(2, 5, 300))]
+    cases += [(1.0, 9.0, 1.2, 2),  # clamped at 1
+              (9.0, 0.2, 1.5, 3),  # clamped at s - 1
+              (2.0, 3.0, 0.0, 2),  # s = 0: only f = 0 is feasible
+              (2.0, 3.0, 2.0, 4)]  # s = 2: only f = 1 is feasible
+    ends = set()
+    for a1, a2, s, k in cases:
+        want, _ = rebalance_pair(a1, a2, s, k)
+        ends.update(e for e, at in (("0", 0.0), ("1", 1.0), ("s-1", s - 1.0)) if want == at)
+        for resolution in (1e-6, 1e-7):
+            got = bounds._pair_line_grid(a1, a2, s, k, resolution)
+            assert max(0.0, s - 1.0) <= got <= min(1.0, s)
+            assert abs(got - want) <= resolution, (a1, a2, s, k, resolution)
+    assert ends == {"0", "1", "s-1"}
 
 
 def test_waterfill_random_instances_vs_grid():

@@ -188,6 +188,12 @@ def test_crash_bad_treasure_exits_2(capsys):
     assert "treasure index must be >= 1" in err
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_verify_bounds_bad_instances_exits_2(capsys, instances):
+    err = usage_error(capsys, "verify-bounds", "--instances", instances, "--skip-theta")
+    assert "--instances must be >= 1" in err
+
+
 def test_verify_bounds_passes_k2(capsys):
     code, out = run_cli(capsys, "verify-bounds", "--k", "2", "--instances", "5",
                         "--skip-theta", "--seed", "123")

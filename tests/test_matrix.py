@@ -309,7 +309,7 @@ def test_speedup_curve_sums_each_block_once(monkeypatch):
     assert far.truncation_t == theta(p, 10 ** 8).truncation_t
 
 
-def test_theta_rejects_bad_args():
+def test_theta_rejects_bad_args(monkeypatch):
     p = SearchParams(2)
     with pytest.raises(ValueError):
         theta(p, 0)
@@ -319,8 +319,9 @@ def test_theta_rejects_bad_args():
         theta(p, 10, fleet=0)
     with pytest.raises(ValueError):
         theta(SearchParams(5), 10, fleet=1)  # survival tail too heavy for a mean
+    monkeypatch.setattr(matrix, "_MAX_STEPS", 1_000)
     with pytest.raises(RuntimeError):
-        theta(p, 10_000, epsilon=1e-9, max_steps=1_000)
+        theta(p, 10_000, epsilon=1e-9)
 
 
 def test_speedup_curve_limits():

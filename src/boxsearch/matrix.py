@@ -157,33 +157,29 @@ class SurvivalMatrix:
         return _nested_steps(self.params, row, len(row), t)
 
     def support_limit(self, t: int) -> int:
-        """Largest x with N(x, t) possibly below 1."""
-        if t == 0:
-            return 0
-        name = self.kind.name
-        if name == NESTED:
-            return self.params.pool_limit(t)
-        if name == BLOCK_RANDOM:
-            b = self.kind.block_len
-            return b * ((t + b - 1) // b)
-        if name == SOLO:
+        """Largest x with N(x, t) possibly below 1, 0 at t = 0: the pool
+        limit of :meth:`StrategyKind.pool_limit` for the samplers, the last
+        box opened for solo and coordinated."""
+        kind = self.kind
+        if kind.randomized:
+            return kind.pool_limit(self.params, t)
+        if kind.name == SOLO:
             return t
-        return self.kind.searcher_id + (t - 1) * self.params.k
+        return kind.searcher_id + (t - 1) * self.params.k if t else 0
 
-    def column_sum_residual(self, t: int, x_max: int) -> Prob:
-        """|sum_{x<=x_max} (1 - N(x, t)) - t|; zero for a non-revisiting strategy."""
+    def column_sum_residual(self, t: int) -> Prob:
+        """|sum_x (1 - N(x, t)) - t| over the support; zero for a
+        non-revisiting strategy."""
         if t < 0:
             raise ValueError(f"step count must be >= 0, got {t}")
         support = self.support_limit(t)
-        if x_max < support:
-            raise ValueError(f"x_max={x_max} below support bound {support} at t={t}")
         total = Fraction(0) if self.exact else 0.0
         if self.kind.name == NESTED:
             width = self.params.block_size
-            for block in range(1, (t + 1) // 2 + 1):
+            for block in range(1, support // width + 1):
                 total += width * (1 - self._nested_row(block, t)[t])
         else:
-            for x in range(1, x_max + 1):
+            for x in range(1, support + 1):
                 total += 1 - self.value(x, t)
         return abs(total - t)
 
@@ -413,8 +409,7 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
         return float(x)
     if name == BLOCK_RANDOM:
         b = kind.block_len
-        j = (x + b - 1) // b
         inblock = math.fsum(((b - i) / b) ** n_fleet for i in range(1, b))
-        return (j - 1) * b + 1 + inblock
+        return kind.entry_step(params, x) + inblock
     # coordinated partition with searchers 1..fleet
     return float((x - 1) // n_fleet + 1)

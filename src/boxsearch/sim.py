@@ -5,6 +5,10 @@ one box.  Searchers never communicate; each one owns a private random stream
 derived from (trial seed, searcher id), which makes every trial a
 deterministic function of its config and embarrassingly parallel across
 trial indices.
+
+Both randomized samplers run through one hit-time function: it reads the
+pool rule from :class:`StrategyKind` and replays only the draws that can
+touch the treasure, so it draws uniforms and never reads N(x, t).
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .strategy import (
-    BLOCK_RANDOM,
-    NESTED,
     SOLO,
     SearchParams,
     StrategyKind,
@@ -130,7 +132,6 @@ class TrialConfig:
     kind: StrategyKind
     treasure: int
     seed: int
-    step_cap: int = 0  # 0 selects the default 50 * treasure * (k+1)
     crashes: CrashSchedule = field(default_factory=CrashSchedule)
     perturbations: tuple[Perturbation, ...] = ()
     searchers: int = 0  # 0 selects params.k
@@ -138,8 +139,6 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.treasure < 1:
             raise ValueError(f"treasure index must be >= 1, got {self.treasure}")
-        if self.step_cap < 0:
-            raise ValueError(f"step_cap must be >= 1 (or 0 for the default), got {self.step_cap}")
         n = self.fleet_size
         if n < 1:
             raise ValueError(f"fleet size must be >= 1, got {n}")
@@ -156,9 +155,8 @@ class TrialConfig:
         return self.searchers if self.searchers else self.params.k
 
     @property
-    def effective_step_cap(self) -> int:
-        if self.step_cap:
-            return self.step_cap
+    def step_cap(self) -> int:
+        """Steps a trial runs before it counts as not discovered."""
         return 50 * self.treasure * self.params.block_size
 
 
@@ -209,15 +207,27 @@ def _skipped_generator(seed_seq, skip: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _nested_hit_time(width: int, target: int, seed_seq, limit: int) -> int | None:
-    """First step <= limit at which the nested sampler draws ``target``.
+@functools.lru_cache(maxsize=16)
+def _list_sizes(kind: StrategyKind, params: SearchParams, t: int, n: int) -> np.ndarray:
+    """Candidate-list lengths pool_limit(s) - (s - 1) at steps s = t..t+n-1
+    (read-only).  The trials of one experiment share the treasure, hence the
+    chunks, so the few in use are kept rather than computed per searcher run."""
+    steps = np.arange(t, t + n)
+    m = kind.pool_limit(params, steps) - steps + 1
+    m.flags.writeable = False
+    return m
 
-    Equals replaying strategy.next_box_nested on the same seed.  The list
-    holds m(t) = ceil(t/2) * width - (t - 1) boxes at step t whatever the
-    draws, and ``target`` joins it in slot target - first at step ``first``,
-    the odd step that appends its block; earlier draws cannot touch it.
+
+def _pool_hit_time(kind: StrategyKind, params: SearchParams, target: int, seed_seq,
+                   limit: int) -> int | None:
+    """First step <= limit at which the pool sampler ``kind`` draws ``target``.
+
+    Equals replaying strategy.next_box on the same seed.  The candidate list
+    holds m(t) = pool_limit(t) - (t - 1) boxes at step t whatever the draws,
+    and ``target`` joins it in slot target - first at step ``first``, the
+    step that appends it; earlier draws cannot touch it.
     """
-    first = 2 * -(-target // width) - 1
+    first = kind.entry_step(params, target)
     if limit < first:
         return None
     rng = _skipped_generator(seed_seq, first - 1)
@@ -225,42 +235,21 @@ def _nested_hit_time(width: int, target: int, seed_seq, limit: int) -> int | Non
     t = first
     size = CHUNK_FIRST
     while t <= limit:
-        steps = np.arange(t, min(t + size, limit + 1))
-        hit, p = _follow_treasure(rng.random(steps.size),
-                                  (steps + 1) // 2 * width - steps + 1, p)
+        n = min(size, limit + 1 - t)
+        hit, p = _follow_treasure(rng.random(n), _list_sizes(kind, params, t, size)[:n], p)
         if hit >= 0:
             return t + hit
-        t += steps.size
+        t += n
         size = min(4 * size, CHUNK_MAX)
     return None
 
 
-def _block_hit_time(block_len: int, target: int, seed_seq, limit: int) -> int | None:
-    """First step <= limit at which the block sampler draws ``target``.
-
-    Equals replaying strategy.next_box_block_random on the same seed: each
-    earlier block takes exactly ``block_len`` steps, and the treasure's own
-    list shrinks from ``block_len`` boxes to one.
-    """
-    done = (-(-target // block_len) - 1) * block_len
-    n = min(block_len, limit - done)
-    if n <= 0:
-        return None
-    u = _skipped_generator(seed_seq, done).random(n)
-    hit, _ = _follow_treasure(u, np.arange(block_len, block_len - n, -1),
-                              target - done - 1)
-    return done + hit + 1 if hit >= 0 else None
-
-
 def _hit_time(config: TrialConfig, sid: int, target: int, limit: int) -> int | None:
-    name = config.kind.name
-    if name == NESTED:
-        return _nested_hit_time(config.params.block_size, target,
-                                searcher_seed(config.seed, sid), limit)
-    if name == BLOCK_RANDOM:
-        return _block_hit_time(config.kind.block_len, target,
-                               searcher_seed(config.seed, sid), limit)
-    if name == SOLO:
+    kind = config.kind
+    if kind.randomized:
+        return _pool_hit_time(kind, config.params, target,
+                              searcher_seed(config.seed, sid), limit)
+    if kind.name == SOLO:
         return target if target <= limit else None
     # coordinated partition over the fleet: searcher sid opens sid + (t-1)*n
     n = config.fleet_size
@@ -277,7 +266,7 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     far as it could still improve on the best hit so far; the outcome equals
     a fully step-synchronous simulation.
     """
-    cap = config.effective_step_cap
+    cap = config.step_cap
     perts = config.perturbations
     best_t: int | None = None
     finder: int | None = None
@@ -444,6 +433,8 @@ def robustness_experiment(params: SearchParams, x: int,
     the others is low-variance.  An entry is flagged when its speed-up falls
     more than ``tolerance`` (relative) below the baseline.
     """
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     template = TrialConfig(params=params, kind=StrategyKind.nested(), treasure=x, seed=base_seed)
     baseline = estimate_speedup(template, trials)
     entries = []

@@ -7,6 +7,13 @@ searcher's run an index is never emitted twice.
 Strategies are pure state machines.  A :class:`SearcherState` belongs to one
 searcher; distinct searchers never share state, so fleets need no
 synchronization.
+
+The two randomized samplers are one pool sampler with two pool rules: at step
+t the searcher draws uniformly among the unvisited boxes of the pool
+1..pool_limit(t), which is ceil(t/2)*(k+1) for the nested sampler and
+b*ceil(t/b) for block-random.  :class:`StrategyKind` alone knows the rules;
+the stepper here, the simulator's hit time and the exact support limit all
+read them from it.
 """
 
 from __future__ import annotations
@@ -57,15 +64,10 @@ class SearchParams:
             raise ValueError("delta requires k >= 2")
         return Fraction(2, self.k - 1)
 
-    def pool_limit(self, t: int) -> int:
-        """Largest box index in the sampling pool at step t >= 1."""
-        if t < 1:
-            raise ValueError(f"step index must be >= 1, got {t}")
-        return ((t + 1) // 2) * (self.k + 1)
-
     def pool_size(self, t: int) -> int:
-        """Unvisited pool members at step t >= 1, pool_limit(t) - (t - 1) >= 1;
-        written out because every step of every N(x, t) row calls it."""
+        """Unvisited nested-pool members at step t >= 1, pool_limit(t) - (t - 1)
+        >= 1 with the nested rule of :meth:`StrategyKind.pool_limit`; written
+        out because every step of every N(x, t) row calls it."""
         if t < 1:
             raise ValueError(f"step index must be >= 1, got {t}")
         return ((t + 1) // 2) * (self.k + 1) - (t - 1)
@@ -110,6 +112,27 @@ class StrategyKind:
     @property
     def randomized(self) -> bool:
         return self.name in (NESTED, BLOCK_RANDOM)
+
+    def pool_limit(self, params: SearchParams, t):
+        """Largest box in the sampling pool at step t >= 0 (0 at t = 0):
+        ceil(t/2)*(k+1) for nested, b*ceil(t/b) for block-random.  t may be
+        an integer array; the result is then elementwise."""
+        if self.name == NESTED:
+            return (t + 1) // 2 * params.block_size
+        if self.name == BLOCK_RANDOM:
+            b = self.block_len
+            return (t + b - 1) // b * b
+        raise ValueError(f"strategy {self.name!r} has no sampling pool")
+
+    def entry_step(self, params: SearchParams, x: int) -> int:
+        """The step that appends box x >= 1 to the pool, the least t with
+        pool_limit(t) >= x: 2*ceil(x/(k+1)) - 1 for nested, x - (x-1) mod b
+        for block-random."""
+        if self.name == NESTED:
+            return 2 * -(-x // params.block_size) - 1
+        if self.name == BLOCK_RANDOM:
+            return x - (x - 1) % self.block_len
+        raise ValueError(f"strategy {self.name!r} has no sampling pool")
 
     def describe(self) -> str:
         if self.name == BLOCK_RANDOM:
@@ -159,7 +182,8 @@ class SearcherState:
     """Mutable bookkeeping for one searcher.
 
     ``candidates`` holds the unvisited members of the current sampling pool in
-    an indexable list, so each uniform draw is O(1) with no rejection loop.
+    an indexable list, so each uniform draw is O(1) with no rejection loop;
+    ``pool_level`` is the last box appended to it.
     ``len(visited) == step_count`` at all times.
     """
 
@@ -180,55 +204,6 @@ def make_state(kind: StrategyKind, params: SearchParams, stream: UniformStream |
     return SearcherState(params=params, kind=kind, stream=stream)
 
 
-def next_box_nested(state: SearcherState) -> int:
-    """One step of the nested-pool sampler.
-
-    At step t the candidate pool is 1..ceil(t/2)*(k+1); the emitted index is
-    uniform over the pool members not yet visited.  The pool grows by k+1
-    boxes on every odd step, so it always holds at least one candidate.
-    """
-    params = state.params
-    t = state.step_count + 1
-    cand = state.candidates
-    if t & 1:
-        lo = state.pool_level * params.block_size + 1
-        state.pool_level += 1
-        cand.extend(range(lo, state.pool_level * params.block_size + 1))
-    m = len(cand)
-    j = state.stream.pick(m)
-    box = cand[j]
-    last = cand.pop()
-    if j < m - 1:
-        cand[j] = last
-    state.visited.add(box)
-    state.step_count = t
-    return box
-
-
-def next_box_block_random(state: SearcherState) -> int:
-    """One step of the block-by-block sampler.
-
-    Works through consecutive blocks of ``block_len`` boxes; within the
-    current block the next box is uniform over the not-yet-visited ones, and
-    the next block opens only once the current one is exhausted.
-    """
-    b = state.kind.block_len
-    cand = state.candidates
-    if not cand:
-        lo = state.pool_level * b + 1
-        state.pool_level += 1
-        cand.extend(range(lo, lo + b))
-    m = len(cand)
-    j = state.stream.pick(m)
-    box = cand[j]
-    last = cand.pop()
-    if j < m - 1:
-        cand[j] = last
-    state.visited.add(box)
-    state.step_count += 1
-    return box
-
-
 def next_box_coordinated(searcher_id: int, t: int, params: SearchParams) -> int:
     """Deterministic partition baseline: searcher i opens i + (t-1)*k."""
     if not 1 <= searcher_id <= params.k:
@@ -246,17 +221,30 @@ def next_box_solo(t: int) -> int:
 
 
 def next_box(state: SearcherState) -> int:
-    """Step whichever sampler ``state.kind`` selects."""
-    name = state.kind.name
-    if name == NESTED:
-        return next_box_nested(state)
-    if name == BLOCK_RANDOM:
-        return next_box_block_random(state)
+    """Step whichever strategy ``state.kind`` selects.
+
+    The pool sampler extends its candidate list to ``kind.pool_limit(t)``, so
+    at step t the list holds pool_limit(t) - (t - 1) >= 1 boxes whatever the
+    draws; the emitted box is uniform over them, and its slot is refilled
+    with the list's last box (swap-pop).
+    """
+    kind = state.kind
     t = state.step_count + 1
-    if name == SOLO:
+    if kind.randomized:
+        cand = state.candidates
+        limit = kind.pool_limit(state.params, t)
+        cand.extend(range(state.pool_level + 1, limit + 1))
+        state.pool_level = limit
+        m = len(cand)
+        j = state.stream.pick(m)
+        box = cand[j]
+        last = cand.pop()
+        if j < m - 1:
+            cand[j] = last
+    elif kind.name == SOLO:
         box = next_box_solo(t)
     else:
-        box = next_box_coordinated(state.kind.searcher_id, t, state.params)
+        box = next_box_coordinated(kind.searcher_id, t, state.params)
     state.visited.add(box)
     state.step_count = t
     return box

@@ -104,6 +104,8 @@ def test_speedup_mc_requires_trials(capsys):
     (("--x", "5", "--mode", "mc", "--trials", "1"), "need at least 2 trials"),
     (("--x", "0", "--window"), "box index must be >= 1"),
     (("--x", "10", "--epsilon", "0", "--window"), "epsilon must be positive"),
+    (("--x", "5", "--mode", "mc", "--trials", "10", "--window"),
+     "--window applies to --mode exact only"),
 ])
 def test_speedup_bad_input_exits_2(capsys, argv, message):
     assert message in usage_error(capsys, "speedup", *argv)
@@ -162,6 +164,13 @@ def test_robustness_violation_exit_code(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["failures"] == ["shift:400"]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+def test_robustness_bad_tolerance_exits_2(capsys, tolerance):
+    err = usage_error(capsys, "robustness", "--k", "2", "--x", "200", "--trials", "200",
+                      "--seed", "5", "--perturbation", "shift:400", f"--tolerance={tolerance}")
+    assert "tolerance must be finite" in err
 
 
 def test_crash_report(capsys):

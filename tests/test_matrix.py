@@ -37,7 +37,7 @@ def test_nested_survival_reference_table_k2():
     assert nested_survival(p, 4, 4, exact=True) == F(1, 2)
     # outside the pool the box is untouched: N = 1 whenever x > ceil(t/2)*(k+1)
     for t in range(0, 9):
-        assert nested_survival(p, p.pool_limit(max(t, 1)) + 1, t, exact=True) == 1
+        assert nested_survival(p, math.ceil(t / 2) * 3 + 1, t, exact=True) == 1
 
 
 def test_nested_survival_k1_pool_exhaustion():
@@ -55,12 +55,13 @@ def test_nested_survival_rejects_bad_args():
 def test_nested_survival_monte_carlo_oracle():
     # k=3, x=8, t=6 checked against 10^6 simulated searchers
     p = SearchParams(3)
+    nested = StrategyKind.nested()
     exact = nested_survival(p, 8, 6)
     assert nested_survival(p, 8, 6, exact=True) == F(1, 2)
     trials = 1_000_000
     hits = 0
     for seed in range(trials):
-        t = sim._nested_hit_time(p.block_size, 8, searcher_seed(seed, 1), 6)
+        t = sim._pool_hit_time(nested, p, 8, searcher_seed(seed, 1), 6)
         if t is not None:
             hits += 1
     unvisited = 1 - hits / trials
@@ -116,17 +117,14 @@ def test_column_identity_exact():
         p = SearchParams(k)
         view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
         for t in range(0, 51):
-            x_max = p.pool_limit(t) if t else 1
-            assert view.column_sum_residual(t, x_max) == 0
+            assert view.column_sum_residual(t) == 0
 
 
 def test_column_identity_example_k2_t4():
     p = SearchParams(2)
     view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
     # column t=4: 3*(1 - 1/6) + 3*(1 - 1/2) = 4
-    assert view.column_sum_residual(4, 6) == 0
-    with pytest.raises(ValueError):
-        view.column_sum_residual(4, 5)
+    assert view.column_sum_residual(4) == 0
 
 
 def test_column_identity_other_strategies():
@@ -135,7 +133,7 @@ def test_column_identity_other_strategies():
                  StrategyKind.coordinated(2)):
         view = SurvivalMatrix(kind, p, exact=True)
         for t in range(0, 30):
-            assert view.column_sum_residual(t, max(1, view.support_limit(t))) == 0
+            assert view.column_sum_residual(t) == 0
 
 
 def test_column_residual_sees_a_revisiting_map(monkeypatch):
@@ -144,7 +142,7 @@ def test_column_residual_sees_a_revisiting_map(monkeypatch):
     view = SurvivalMatrix(StrategyKind.coordinated(2), SearchParams(2), exact=True)
     monkeypatch.setattr(matrix, "coordinated_survival",
                         lambda sid, params, x, t, exact=False: F(int(x > 1 or t == 0)))
-    assert view.column_sum_residual(10, view.support_limit(10)) == 9
+    assert view.column_sum_residual(10) == 9
 
 
 def test_coordinated_survival_values():

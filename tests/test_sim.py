@@ -61,18 +61,17 @@ def reference_hit_time(kind, params, target, seed, sid, limit):
 
 
 def test_hit_time_matches_strategy_reference():
-    # (kind, params, target, hit-time function, grow, step the treasure joins)
+    # (kind, params, target, step the treasure joins)
     cases = []
     for k in (1, 2, 3, 5):
         w = k + 1
         for x in (1, w, w + 1, 2 * w, 2 * w + 1, 173, 400):
-            cases.append((StrategyKind.nested(), SearchParams(k), x,
-                          sim._nested_hit_time, w, 2 * -(-x // w) - 1))
+            cases.append((StrategyKind.nested(), SearchParams(k), x, 2 * -(-x // w) - 1))
     for b in (1, 3, 5):
         for x in (1, b, b + 1, 40, 101):
             cases.append((StrategyKind.block_random(b), SearchParams(2), x,
-                          sim._block_hit_time, b, (-(-x // b) - 1) * b + 1))
-    for kind, params, x, hit_time, grow, join in cases:
+                          (-(-x // b) - 1) * b + 1))
+    for kind, params, x, join in cases:
         for seed in range(12):
             sid = 1 + seed % 3
             full = reference_hit_time(kind, params, x, seed, sid, 100_000)
@@ -80,7 +79,8 @@ def test_hit_time_matches_strategy_reference():
             for limit in (100_000, full, full - 1, join - 1):
                 want = reference_hit_time(kind, params, x, seed, sid, limit)
                 assert want == (full if limit >= full else None)
-                assert hit_time(grow, x, searcher_seed(seed, sid), limit) == want
+                assert sim._pool_hit_time(kind, params, x, searcher_seed(seed, sid),
+                                          limit) == want
 
 
 def test_mc_matches_exact_expected_time_x1():
@@ -124,8 +124,9 @@ def test_monotone_in_fleet_size():
         assert b <= a + 3 * math.hypot(sa, sb)
 
 
-def test_non_discovery_reported_not_raised_when_allowed():
-    cfg = config(k=2, x=1000, seed=3, step_cap=5)
+def test_non_discovery_reported_not_raised_when_allowed(monkeypatch):
+    monkeypatch.setattr(TrialConfig, "step_cap", property(lambda self: 5))
+    cfg = config(k=2, x=1000, seed=3)
     out = run_trial(cfg)
     assert out.time is None and not out.discovered
     with pytest.raises(NonDiscoveryError):
@@ -145,7 +146,7 @@ def test_crash_schedule_validation():
 
 def test_crashed_searcher_makes_no_peeks():
     # everyone crashed at t=1: nothing is ever found
-    cfg = config(k=2, x=5, seed=9, crashes=CrashSchedule(((1, 1), (2, 1))), step_cap=100)
+    cfg = config(k=2, x=5, seed=9, crashes=CrashSchedule(((1, 1), (2, 1))))
     assert run_trial(cfg).time is None
 
 

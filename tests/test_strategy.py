@@ -126,12 +126,37 @@ def test_no_revisit_long_runs():
 
 def test_nested_coverage_invariant():
     # visited stays inside the current pool and fills it on schedule
-    p = SearchParams(2)
-    st = fresh_state(StrategyKind.nested(), p, seed=11)
-    for t in range(1, 2_000):
-        next_box(st)
-        assert len(st.visited) == t
-        assert max(st.visited) <= p.pool_limit(t)
+    for kind, limit in ((StrategyKind.nested(), lambda t: math.ceil(t / 2) * 3),
+                        (StrategyKind.block_random(3), lambda t: math.ceil(t / 3) * 3)):
+        st = fresh_state(kind, SearchParams(2), seed=11)
+        for t in range(1, 2_000):
+            next_box(st)
+            assert len(st.visited) == t
+            assert max(st.visited) <= limit(t)
+
+
+def test_pool_rule():
+    # the rules written out: pool limit ceil(t/2)*(k+1) nested, ceil(t/b)*b block
+    rules = [(StrategyKind.nested(), SearchParams(k), lambda t, k=k: math.ceil(t / 2) * (k + 1))
+             for k in (1, 2, 3, 5)]
+    rules += [(StrategyKind.block_random(b), SearchParams(2), lambda t, b=b: math.ceil(t / b) * b)
+              for b in (1, 2, 3, 5)]
+    steps = np.arange(0, 401)
+    for kind, params, limit in rules:
+        want = [limit(t) for t in range(401)]
+        assert [kind.pool_limit(params, t) for t in range(401)] == want
+        assert kind.pool_limit(params, steps).tolist() == want
+        for t in range(1, 401):
+            assert want[t] - (t - 1) >= 1  # the candidate list is never empty
+            assert want[t] >= want[t - 1]
+        for x in range(1, 201):
+            first = next(t for t in range(1, 401) if limit(t) >= x)
+            assert kind.entry_step(params, x) == first
+    for kind in (StrategyKind.solo(), StrategyKind.coordinated(1)):
+        with pytest.raises(ValueError):
+            kind.pool_limit(SearchParams(2), 1)
+        with pytest.raises(ValueError):
+            kind.entry_step(SearchParams(2), 1)
 
 
 def test_nested_k1_fills_pools_exactly():

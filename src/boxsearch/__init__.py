@@ -11,17 +11,13 @@ from .strategy import (
     UniformStream,
     make_state,
     next_box,
-    next_box_coordinated,
-    next_box_solo,
 )
 from .matrix import (
     SurvivalMatrix,
     ThetaEstimate,
     block_random_survival,
-    coordinated_survival,
     expected_discovery_time,
     nested_survival,
-    solo_survival,
     speedup_curve,
     survival_row_exact,
     theta,

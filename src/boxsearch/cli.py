@@ -7,8 +7,8 @@ returns an :class:`Output`; :func:`main` alone renders it in the chosen
 format, writes it and sets the exit status: 0 when every requested check
 passed, 1 when a check failed, 2 on bad input, an unwritable --output
 included (usage and the error on stderr), and 3 when a result could not be
-certified: a series tail still above its bound at the step cap, or Monte
-Carlo trials that hit their step cap (the message on stderr).
+certified: a series tail still above its bound at the step cap (the message
+on stderr).
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treasure index (repeatable)")
     p.add_argument("--x-range", type=_parse_x_range, default=None, metavar="LO:HI:STEP")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--epsilon", type=float, default=1e-6,
-                   help="certified truncation error on theta (exact mode)")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="certified truncation error on theta (exact mode; 1e-6 if not given)")
     p.add_argument("--trials", type=int, default=None, help="trial count (mc mode)")
     p.add_argument("--window", action="store_true",
                    help="report max-over-window theta (window 2(k+1))")
@@ -233,12 +233,16 @@ def _cmd_speedup(args, seed: int) -> Output:
         raise ValueError("speedup needs --x or --x-range")
     if args.mode == "mc" and not args.trials:
         raise ValueError("--trials is required when --mode mc")
-    if args.mode == "mc" and args.window:
-        raise ValueError("--window applies to --mode exact only")
+    for flag, given, mode in (("--window", args.window, "exact"),
+                              ("--epsilon", args.epsilon is not None, "exact"),
+                              ("--trials", args.trials is not None, "mc")):
+        if given and args.mode != mode:
+            raise ValueError(f"{flag} applies to --mode {mode} only")
+    epsilon = 1e-6 if args.epsilon is None else args.epsilon  # echoed in both modes
     params = SearchParams(args.k)
     rows = []  # one value per SPEEDUP_COLUMNS entry
     if args.mode == "exact":
-        for p in matrix.speedup_curve(params, xs, args.epsilon, window=args.window):
+        for p in matrix.speedup_curve(params, xs, epsilon, window=args.window):
             rows.append((p.k, p.x, NESTED, "exact", p.theta, p.speedup, None, None,
                          p.truncation_t, p.tail_bound))
     else:
@@ -249,7 +253,7 @@ def _cmd_speedup(args, seed: int) -> Output:
             rows.append((args.k, x, NESTED, "mc", stats.mean_time / x, stats.speedup_point,
                          stats.stderr, stats.trials, None, None))
     options = {"k": args.k, "x": sorted(xs), "mode": args.mode,
-               "epsilon": args.epsilon, "trials": args.trials, "window": args.window}
+               "epsilon": epsilon, "trials": args.trials, "window": args.window}
     return Output(options, [dict(zip(SPEEDUP_COLUMNS, r)) for r in rows], SPEEDUP_COLUMNS,
                   rows, None)
 

@@ -13,7 +13,7 @@ one pass per pool block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -22,7 +22,6 @@ import numpy as np
 from .strategy import (
     BLOCK_RANDOM,
     NESTED,
-    SOLO,
     SearchParams,
     StrategyKind,
 )
@@ -89,27 +88,6 @@ def block_random_survival(block_len: int, x: int, t: int, exact: bool = False) -
     return (block_len - done) / block_len
 
 
-def solo_survival(x: int, t: int, exact: bool = False) -> Prob:
-    _validate_xt(x, t)
-    alive = t < x
-    if exact:
-        return Fraction(1) if alive else Fraction(0)
-    return 1.0 if alive else 0.0
-
-
-def coordinated_survival(searcher_id: int, params: SearchParams, x: int, t: int,
-                         exact: bool = False) -> Prob:
-    """0/1 indicator that the partition searcher has not reached x by step t."""
-    _validate_xt(x, t)
-    if not 1 <= searcher_id <= params.k:
-        raise ValueError(f"searcher_id {searcher_id} out of range 1..{params.k}")
-    k = params.k
-    visited = (x - searcher_id) % k == 0 and searcher_id + (t - 1) * k >= x >= searcher_id
-    if exact:
-        return Fraction(0) if visited else Fraction(1)
-    return 0.0 if visited else 1.0
-
-
 def survival_row_exact(params: SearchParams, x: int, t_max: int) -> list[Fraction]:
     """Exact nested-sampler row [N(x, 0), ..., N(x, t_max)]."""
     _validate_xt(x, t_max)
@@ -132,6 +110,8 @@ class SurvivalMatrix:
         self._rows: dict[int, list[Prob]] = {}
 
     def value(self, x: int, t: int) -> Prob:
+        """N(x, t); for a partition member, the 0/1 indicator that it has not
+        opened x by step t (a Fraction when exact, else a float)."""
         _validate_xt(x, t)
         name = self.kind.name
         if name == NESTED:
@@ -142,9 +122,11 @@ class SurvivalMatrix:
             return row[t]
         if name == BLOCK_RANDOM:
             return block_random_survival(self.kind.block_len, x, t, self.exact)
-        if name == SOLO:
-            return solo_survival(x, t, self.exact)
-        return coordinated_survival(self.kind.searcher_id, self.params, x, t, self.exact)
+        step = self.kind.visit_step(self.params, x)
+        alive = step is None or t < step
+        if self.exact:
+            return Fraction(1) if alive else Fraction(0)
+        return 1.0 if alive else 0.0
 
     def _nested_row(self, block: int, t: int) -> list[Prob]:
         """The cached row [N(x, 0), ..., N(x, t), ...] for x in the block."""
@@ -159,13 +141,12 @@ class SurvivalMatrix:
     def support_limit(self, t: int) -> int:
         """Largest x with N(x, t) possibly below 1, 0 at t = 0: the pool
         limit of :meth:`StrategyKind.pool_limit` for the samplers, the last
-        box opened for solo and coordinated."""
+        box :meth:`StrategyKind.partition_box` opened for a partition
+        member."""
         kind = self.kind
         if kind.randomized:
             return kind.pool_limit(self.params, t)
-        if kind.name == SOLO:
-            return t
-        return kind.searcher_id + (t - 1) * self.params.k if t else 0
+        return kind.partition_box(self.params, t) if t else 0
 
     def column_sum_residual(self, t: int) -> Prob:
         """|sum_x (1 - N(x, t)) - t| over the support; zero for a
@@ -397,19 +378,19 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
                             fleet: int | None = None, epsilon: float = 1e-8) -> float:
     """Exact fleet expected discovery time sum_t N(x, t)**fleet.
 
-    For deterministic strategies the time itself is deterministic; for the
-    samplers the sum is evaluated exactly (block-random) or with a certified
-    truncation (nested).
+    For a partition the time is the first visit step of x among its fleet,
+    fleet member sid running partition member sid; for the samplers the sum
+    is evaluated exactly (block-random) or with a certified truncation
+    (nested).
     """
     n_fleet = _checked_fleet(params, x, fleet)
-    name = kind.name
-    if name == NESTED:
+    kind.check_fleet(params, n_fleet)
+    if kind.name == NESTED:
         return theta(params, x, epsilon, fleet=n_fleet).theta * x
-    if name == SOLO:
-        return float(x)
-    if name == BLOCK_RANDOM:
+    if kind.name == BLOCK_RANDOM:
         b = kind.block_len
         inblock = math.fsum(((b - i) / b) ** n_fleet for i in range(1, b))
         return kind.entry_step(params, x) + inblock
-    # coordinated partition with searchers 1..fleet
-    return float((x - 1) // n_fleet + 1)
+    steps = (replace(kind, searcher_id=sid).visit_step(params, x)
+             for sid in range(1, n_fleet + 1))
+    return float(min(s for s in steps if s is not None))

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .strategy import (
-    SOLO,
     SearchParams,
     StrategyKind,
     searcher_seed,
@@ -142,6 +141,7 @@ class TrialConfig:
         n = self.fleet_size
         if n < 1:
             raise ValueError(f"fleet size must be >= 1, got {n}")
+        self.kind.check_fleet(self.params, n)
         if self.perturbations and len(self.perturbations) != n:
             raise ValueError(
                 f"perturbations must be empty or one per searcher ({n}), "
@@ -156,13 +156,14 @@ class TrialConfig:
 
     @property
     def step_cap(self) -> int:
-        """Steps a trial runs before it counts as not discovered."""
+        """The first horizon of :func:`run_trial`, doubled while nothing is found."""
         return 50 * self.treasure * self.params.block_size
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Discovery step and finder; time None means the cap was hit (not an error)."""
+    """Discovery step and finder; time None (not an error) means every searcher
+    crashed first, or a partition opens the treasure only past the first horizon."""
 
     time: int | None
     first_finder: int | None
@@ -245,18 +246,14 @@ def _pool_hit_time(kind: StrategyKind, params: SearchParams, target: int, seed_s
 
 
 def _hit_time(config: TrialConfig, sid: int, target: int, limit: int) -> int | None:
+    """First step <= limit at which fleet member ``sid`` opens ``target``, or
+    None; in a partition, fleet member sid is partition member sid."""
     kind = config.kind
     if kind.randomized:
         return _pool_hit_time(kind, config.params, target,
                               searcher_seed(config.seed, sid), limit)
-    if kind.name == SOLO:
-        return target if target <= limit else None
-    # coordinated partition over the fleet: searcher sid opens sid + (t-1)*n
-    n = config.fleet_size
-    if (target - sid) % n:
-        return None
-    t = (target - sid) // n + 1
-    return t if 1 <= t <= limit else None
+    t = replace(kind, searcher_id=sid).visit_step(config.params, target)
+    return t if t is not None and t <= limit else None
 
 
 def run_trial(config: TrialConfig) -> TrialOutcome:
@@ -264,27 +261,35 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
 
     Searchers are independent, so each one is run on its own stream only as
     far as it could still improve on the best hit so far; the outcome equals
-    a fully step-synchronous simulation.
+    a fully step-synchronous simulation.  If none hits within the horizon and
+    a pool-sampler searcher stopped at it rather than at its crash, the fleet
+    reruns on the same streams with the horizon doubled (it opens every box).
     """
-    cap = config.step_cap
     perts = config.perturbations
-    best_t: int | None = None
-    finder: int | None = None
-    for sid in range(1, config.fleet_size + 1):
-        limit = cap
-        crash = config.crashes.crash_time(sid)
-        if crash is not None and crash - 1 < limit:
-            limit = crash - 1
-        if best_t is not None and best_t - 1 < limit:
-            limit = best_t - 1
-        if limit <= 0:
-            continue
-        target = perts[sid - 1].map_index(config.treasure) if perts else config.treasure
-        t = _hit_time(config, sid, target, limit)
-        if t is not None:
-            best_t = t
-            finder = sid
-    return TrialOutcome(best_t, finder)
+    horizon = config.step_cap
+    while True:
+        best_t: int | None = None
+        finder: int | None = None
+        capped = False
+        for sid in range(1, config.fleet_size + 1):
+            limit = horizon
+            crash = config.crashes.crash_time(sid)
+            if crash is not None and crash - 1 < limit:
+                limit = crash - 1
+            if best_t is not None and best_t - 1 < limit:
+                limit = best_t - 1
+            if limit <= 0:
+                continue
+            target = perts[sid - 1].map_index(config.treasure) if perts else config.treasure
+            t = _hit_time(config, sid, target, limit)
+            if t is not None:
+                best_t = t
+                finder = sid
+            elif limit == horizon:
+                capped = True
+        if best_t is not None or not (capped and config.kind.randomized):
+            return TrialOutcome(best_t, finder)
+        horizon *= 2
 
 
 def trial_seed(base_seed: int, index: int) -> int:
@@ -294,16 +299,16 @@ def trial_seed(base_seed: int, index: int) -> int:
 
 
 class NonDiscoveryError(RuntimeError):
-    """Raised when a mean is requested but some trials hit the step cap."""
+    """Raised when a mean is requested but some trials found nothing."""
 
 
 @dataclass(frozen=True)
 class RunStats:
     """Aggregate over independent trials.
 
-    ``mean_time``/``stderr`` cover discovering trials only; trials that hit
-    the step cap are counted in ``non_discovery_count``, never dropped
-    silently.  The 95% interval uses the normal approximation.
+    ``mean_time``/``stderr`` cover discovering trials only; trials that found
+    nothing (see :class:`TrialOutcome`) are counted in ``non_discovery_count``,
+    never dropped silently.  The 95% interval uses the normal approximation.
     """
 
     trials: int
@@ -340,7 +345,7 @@ def estimate_speedup(template: TrialConfig, trials: int,
             found += 1
     if missing and not allow_non_discovery:
         raise NonDiscoveryError(
-            f"{missing} of {trials} trials hit the step cap; no mean reported")
+            f"{missing} of {trials} trials did not find the treasure; no mean reported")
     if not found:
         return RunStats(trials, math.nan, math.nan, math.nan, (math.nan, math.nan), missing)
     mean = total / found

@@ -11,9 +11,11 @@ synchronization.
 The two randomized samplers are one pool sampler with two pool rules: at step
 t the searcher draws uniformly among the unvisited boxes of the pool
 1..pool_limit(t), which is ceil(t/2)*(k+1) for the nested sampler and
-b*ceil(t/b) for block-random.  :class:`StrategyKind` alone knows the rules;
-the stepper here, the simulator's hit time and the exact support limit all
-read them from it.
+b*ceil(t/b) for block-random.  The two deterministic baselines are one
+partition rule: member i of n opens box i + (t-1)*n at step t, coordinated
+searcher i being member i of k and solo member 1 of 1.  :class:`StrategyKind`
+alone knows the rules; the stepper here, the simulator's hit time and the
+exact survival table all read them from it.
 """
 
 from __future__ import annotations
@@ -134,6 +136,32 @@ class StrategyKind:
             return x - (x - 1) % self.block_len
         raise ValueError(f"strategy {self.name!r} has no sampling pool")
 
+    def partition(self, params: SearchParams) -> tuple[int, int]:
+        """(i, n): member i of an n-way partition; (1, 1) solo, (searcher_id, k) coordinated."""
+        if self.name == SOLO:
+            return 1, 1
+        if self.name != COORDINATED:
+            raise ValueError(f"strategy {self.name!r} is not a partition")
+        if self.searcher_id > params.k:
+            raise ValueError(f"searcher_id {self.searcher_id} out of range 1..{params.k}")
+        return self.searcher_id, params.k
+
+    def partition_box(self, params: SearchParams, t: int) -> int:
+        """The box the partition opens at step t >= 1: i + (t-1)*n."""
+        i, n = self.partition(params)
+        return i + (t - 1) * n
+
+    def visit_step(self, params: SearchParams, x: int) -> int | None:
+        """The step at which the partition opens box x >= 1, or None if it never does."""
+        i, n = self.partition(params)
+        steps, off = divmod(x - i, n)
+        return steps + 1 if off == 0 and steps >= 0 else None
+
+    def check_fleet(self, params: SearchParams, fleet: int) -> None:
+        """Raise ValueError unless a coordinated fleet is the whole k-way partition."""
+        if self.name == COORDINATED and fleet != params.k:
+            raise ValueError(f"a coordinated fleet has k = {params.k} searchers, got {fleet}")
+
     def describe(self) -> str:
         if self.name == BLOCK_RANDOM:
             return f"{self.name}({self.block_len})"
@@ -197,27 +225,11 @@ class SearcherState:
 
 
 def make_state(kind: StrategyKind, params: SearchParams, stream: UniformStream | None = None) -> SearcherState:
-    if kind.randomized and stream is None:
+    if not kind.randomized:
+        kind.partition(params)  # raises for a searcher_id outside 1..k
+    elif stream is None:
         raise ValueError(f"strategy {kind.name!r} needs a UniformStream")
-    if kind.name == COORDINATED and kind.searcher_id > params.k:
-        raise ValueError(f"searcher_id {kind.searcher_id} out of range 1..{params.k}")
     return SearcherState(params=params, kind=kind, stream=stream)
-
-
-def next_box_coordinated(searcher_id: int, t: int, params: SearchParams) -> int:
-    """Deterministic partition baseline: searcher i opens i + (t-1)*k."""
-    if not 1 <= searcher_id <= params.k:
-        raise ValueError(f"searcher_id {searcher_id} out of range 1..{params.k}")
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
-    return searcher_id + (t - 1) * params.k
-
-
-def next_box_solo(t: int) -> int:
-    """Exhaustive baseline: open box t at step t."""
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
-    return t
 
 
 def next_box(state: SearcherState) -> int:
@@ -226,7 +238,8 @@ def next_box(state: SearcherState) -> int:
     The pool sampler extends its candidate list to ``kind.pool_limit(t)``, so
     at step t the list holds pool_limit(t) - (t - 1) >= 1 boxes whatever the
     draws; the emitted box is uniform over them, and its slot is refilled
-    with the list's last box (swap-pop).
+    with the list's last box (swap-pop).  A partition member opens
+    ``kind.partition_box(t)``.
     """
     kind = state.kind
     t = state.step_count + 1
@@ -241,10 +254,8 @@ def next_box(state: SearcherState) -> int:
         last = cand.pop()
         if j < m - 1:
             cand[j] = last
-    elif kind.name == SOLO:
-        box = next_box_solo(t)
     else:
-        box = next_box_coordinated(kind.searcher_id, t, state.params)
+        box = kind.partition_box(state.params, t)
     state.visited.add(box)
     state.step_count = t
     return box

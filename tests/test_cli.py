@@ -106,6 +106,9 @@ def test_speedup_mc_requires_trials(capsys):
     (("--x", "10", "--epsilon", "0", "--window"), "epsilon must be positive"),
     (("--x", "5", "--mode", "mc", "--trials", "10", "--window"),
      "--window applies to --mode exact only"),
+    (("--x", "5", "--mode", "mc", "--trials", "10", "--epsilon", "0"),
+     "--epsilon applies to --mode exact only"),
+    (("--x", "5", "--mode", "exact", "--trials", "7"), "--trials applies to --mode mc only"),
 ])
 def test_speedup_bad_input_exits_2(capsys, argv, message):
     assert message in usage_error(capsys, "speedup", *argv)

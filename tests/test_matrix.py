@@ -12,10 +12,8 @@ from boxsearch.matrix import (
     ThetaEstimate,
     _tail_certificate,
     block_random_survival,
-    coordinated_survival,
     expected_discovery_time,
     nested_survival,
-    solo_survival,
     speedup_curve,
     survival_row_exact,
     theta,
@@ -140,18 +138,26 @@ def test_column_residual_sees_a_revisiting_map(monkeypatch):
     # the 0/1 strategies sum 1 - N down the column like the others, so a map
     # that opens box 1 at every step leaves a residual of t - 1
     view = SurvivalMatrix(StrategyKind.coordinated(2), SearchParams(2), exact=True)
-    monkeypatch.setattr(matrix, "coordinated_survival",
-                        lambda sid, params, x, t, exact=False: F(int(x > 1 or t == 0)))
+    monkeypatch.setattr(StrategyKind, "visit_step",
+                        lambda self, params, x: 1 if x == 1 else None)
     assert view.column_sum_residual(10) == 9
 
 
 def test_coordinated_survival_values():
     p = SearchParams(3)
     # searcher 2 opens 2, 5, 8, ... at times 1, 2, 3, ...
-    assert coordinated_survival(2, p, 8, 2) == 1.0
-    assert coordinated_survival(2, p, 8, 3) == 0.0
-    assert coordinated_survival(2, p, 7, 100) == 1.0  # never on its arithmetic path
-    assert solo_survival(5, 4) == 1.0 and solo_survival(5, 5) == 0.0
+    view = SurvivalMatrix(StrategyKind.coordinated(2), p)
+    assert view.value(8, 2) == 1.0
+    assert view.value(8, 3) == 0.0
+    assert view.value(7, 100) == 1.0  # never on its arithmetic path
+    solo = SurvivalMatrix(StrategyKind.solo(), p)
+    assert solo.value(5, 4) == 1.0 and solo.value(5, 5) == 0.0
+    assert all(type(view.value(x, 3)) is float for x in (7, 8))
+    exact = SurvivalMatrix(StrategyKind.coordinated(2), p, exact=True)
+    assert [exact.value(8, t) for t in (2, 3)] == [F(1), F(0)]
+    assert all(type(exact.value(x, 3)) is F for x in (7, 8))
+    with pytest.raises(ValueError):
+        SurvivalMatrix(StrategyKind.coordinated(4), p).value(1, 1)
 
 
 def test_product_formula_agreement():

@@ -124,15 +124,51 @@ def test_monotone_in_fleet_size():
         assert b <= a + 3 * math.hypot(sa, sb)
 
 
-def test_non_discovery_reported_not_raised_when_allowed(monkeypatch):
-    monkeypatch.setattr(TrialConfig, "step_cap", property(lambda self: 5))
-    cfg = config(k=2, x=1000, seed=3)
+def test_non_discovery_reported_not_raised_when_allowed():
+    # the whole fleet crashes at step 5, long before box 1000 joins the pool
+    cfg = config(k=2, x=1000, seed=3, crashes=CrashSchedule(((1, 5), (2, 5))))
     out = run_trial(cfg)
     assert out.time is None and not out.discovered
     with pytest.raises(NonDiscoveryError):
         estimate_speedup(cfg, 50)
     stats = estimate_speedup(cfg, 50, allow_non_discovery=True)
-    assert stats.non_discovery_count > 0
+    assert stats.non_discovery_count == 50
+
+
+def test_outcome_does_not_depend_on_first_horizon(monkeypatch):
+    # a pool-sampler fleet that hits nothing within the horizon reruns with
+    # it doubled, so a horizon of 5 steps changes no outcome
+    shifted = (Perturbation(kind="shift", shift=3), Perturbation(kind="extra-boxes"))
+    cases = [config(k=2, x=40), config(k=3, x=7), config(k=5, x=60),
+             config(k=2, kind=StrategyKind.block_random(4), x=30),
+             config(k=3, x=25, crashes=CrashSchedule(((1, 1), (3, 9)))),
+             config(k=2, x=30, crashes=CrashSchedule(((1, 20), (2, 25)))),
+             config(k=2, x=20, perturbations=shifted)]
+    seeds = [sim.trial_seed(2718, i) for i in range(40)]
+    want = [run_trial(replace(c, seed=s)) for c in cases for s in seeds]
+    monkeypatch.setattr(TrialConfig, "step_cap", property(lambda self: 5))
+    assert [run_trial(replace(c, seed=s)) for c in cases for s in seeds] == want
+    times = [o.time for o in want]
+    assert None in times and max(t for t in times if t is not None) > 5 * 2 ** 3
+
+
+def test_trial_past_the_first_horizon_is_found():
+    # trial 31 of `robustness --k 3 --x 27 --trials 150 --seed 1515142311`
+    # under extra-boxes: no searcher hits within 50*x*(k+1) steps
+    cfg = config(k=3, x=27, seed=sim.trial_seed(1515142311, 31),
+                 perturbations=(Perturbation(kind="extra-boxes"),) * 3)
+    out = run_trial(cfg)
+    assert out.discovered and out.time > cfg.step_cap
+
+
+def test_coordinated_fleet_is_the_whole_partition():
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError):
+            config(k=3, kind=StrategyKind.coordinated(1), x=8, searchers=n)
+        with pytest.raises(ValueError):
+            expected_discovery_time(StrategyKind.coordinated(1), SearchParams(3), 8, fleet=n)
+    cfg = config(k=3, kind=StrategyKind.coordinated(1), x=8, searchers=3)
+    assert run_trial(cfg).time == expected_discovery_time(cfg.kind, cfg.params, 8, fleet=3) == 3
 
 
 def test_crash_schedule_validation():
@@ -148,6 +184,10 @@ def test_crashed_searcher_makes_no_peeks():
     # everyone crashed at t=1: nothing is ever found
     cfg = config(k=2, x=5, seed=9, crashes=CrashSchedule(((1, 1), (2, 1))))
     assert run_trial(cfg).time is None
+    # box 8 is member 2's in the 3-way partition, and no other member opens it
+    cfg = config(k=3, kind=StrategyKind.coordinated(1), x=8,
+                 crashes=CrashSchedule(((2, 1),)))
+    assert run_trial(cfg) == sim.TrialOutcome(None, None)
 
 
 def test_crash_experiment_kprime_zero_identical():

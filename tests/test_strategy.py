@@ -12,8 +12,6 @@ from boxsearch.strategy import (
     UniformStream,
     make_state,
     next_box,
-    next_box_coordinated,
-    next_box_solo,
     searcher_seed,
 )
 
@@ -51,23 +49,49 @@ def test_strategy_kind_validation():
     assert StrategyKind.block_random(4).describe() == "block-random(4)"
 
 
+def opened(kind, params, steps):
+    state = make_state(kind, params)
+    return [next_box(state) for _ in range(steps)]
+
+
 def test_coordinated_examples():
     p3 = SearchParams(3)
-    assert next_box_coordinated(1, 1, p3) == 1
-    assert next_box_coordinated(2, 3, p3) == 8
-    assert next_box_coordinated(3, 1, p3) == 3
+    assert opened(StrategyKind.coordinated(1), p3, 1) == [1]
+    assert opened(StrategyKind.coordinated(2), p3, 3)[2] == 8
+    assert opened(StrategyKind.coordinated(3), p3, 1) == [3]
     with pytest.raises(ValueError):
-        next_box_coordinated(0, 1, p3)
+        StrategyKind.coordinated(0)
     with pytest.raises(ValueError):
-        next_box_coordinated(4, 1, p3)
+        make_state(StrategyKind.coordinated(4), p3)
 
 
 def test_solo_prefix():
-    assert next_box_solo(1) == 1
-    assert next_box_solo(7) == 7
-    assert [next_box_solo(t) for t in range(1, 6)] == [1, 2, 3, 4, 5]
-    st = make_state(StrategyKind.solo(), SearchParams(1))
-    assert [next_box(st) for _ in range(5)] == [1, 2, 3, 4, 5]
+    assert opened(StrategyKind.solo(), SearchParams(1), 7) == [1, 2, 3, 4, 5, 6, 7]
+    assert opened(StrategyKind.solo(), SearchParams(3), 5) == [1, 2, 3, 4, 5]
+
+
+def test_partition_rule():
+    # the rule written out: member i of an n-way partition opens i + (t-1)*n at
+    # step t; coordinated searcher i is member i of k, solo is member 1 of 1
+    for k in (1, 2, 3, 5):
+        params = SearchParams(k)
+        members = [(StrategyKind.solo(), 1, 1)]
+        members += [(StrategyKind.coordinated(i), i, k) for i in range(1, k + 1)]
+        for kind, i, n in members:
+            boxes = opened(kind, params, 200)
+            assert boxes == [i + (t - 1) * n for t in range(1, 201)]
+            for x in range(1, 201):
+                want = boxes.index(x) + 1 if x in boxes else None
+                assert kind.visit_step(params, x) == want
+        with pytest.raises(ValueError):
+            StrategyKind.coordinated(k + 1).visit_step(params, 1)
+        with pytest.raises(ValueError):
+            make_state(StrategyKind.coordinated(k + 1), params)
+    for kind in (StrategyKind.nested(), StrategyKind.block_random(3)):
+        with pytest.raises(ValueError):
+            kind.partition(SearchParams(2))
+        with pytest.raises(ValueError):
+            kind.visit_step(SearchParams(2), 1)
 
 
 def test_nested_first_step_uniform_over_first_pool():

@@ -144,8 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--k", type=int, default=2, help="fleet design parameter")
     p.add_argument("--strategy", choices=_STRATEGY_CHOICES, default=NESTED)
-    p.add_argument("--block", type=int, default=3, help="block length (block-random)")
-    p.add_argument("--searcher-id", type=int, default=1, help="searcher id (coordinated)")
+    p.add_argument("--block", type=int, default=None,
+                   help="block length (block-random only; 3 if not given)")
+    p.add_argument("--searcher-id", type=int, default=None,
+                   help="searcher id (coordinated only; 1 if not given)")
     p.add_argument("--xmax", type=int, required=True, help="rows 1..xmax")
     p.add_argument("--tmax", type=int, required=True, help="columns 0..tmax")
     p.add_argument("--exact", action="store_true", help="rational values like 2/3")
@@ -213,12 +215,15 @@ def _cmd_matrix(args, seed: int) -> Output:
         raise ValueError(
             f"--xmax {args.xmax} x --tmax {args.tmax} is {cells} cells, "
             f"above --max-cells {args.max_cells}")
-    params = SearchParams(args.k)
-    kind = StrategyKind(args.strategy, block_len=args.block, searcher_id=args.searcher_id)
-    view = matrix.SurvivalMatrix(kind, params, exact=args.exact)
+    for flag, value, strategy in (("--block", args.block, BLOCK_RANDOM),
+                                  ("--searcher-id", args.searcher_id, COORDINATED)):
+        if value is not None and args.strategy != strategy:
+            raise ValueError(f"{flag} applies to --strategy {strategy} only")
+    given = {"block_len": args.block, "searcher_id": args.searcher_id}
+    kind = StrategyKind(args.strategy, **{f: v for f, v in given.items() if v is not None})
+    view = matrix.SurvivalMatrix(kind, SearchParams(args.k), exact=args.exact)
     cell = str if args.exact else float  # JSON has no rationals: "p/q" text, made once
-    rows = [[x] + [cell(view.value(x, t)) for t in range(args.tmax + 1)]
-            for x in range(1, args.xmax + 1)]
+    rows = [[x, *map(cell, view.row(x, args.tmax))] for x in range(1, args.xmax + 1)]
     options = {"k": args.k, "strategy": kind.describe(), "xmax": args.xmax,
                "tmax": args.tmax, "exact": args.exact}
     return Output(options, [{"x": row[0], "n": row[1:]} for row in rows],
@@ -375,12 +380,13 @@ def _verify_entries(args, seed: int) -> list[dict]:
             continue
         params = SearchParams(k)
         delta = params.delta
+        view = matrix.SurvivalMatrix(StrategyKind.nested(), params)
         worst_rel = 0.0
         for xp in range(1, 41):
+            row = view.row((k + 1) * xp, 80)
             for tp in range(xp, 41):
-                a = matrix.nested_survival(params, (k + 1) * xp, 2 * tp)
                 b = bounds.gamma_ratio_product(xp, tp, delta)
-                worst_rel = max(worst_rel, abs(a - b) / b)
+                worst_rel = max(worst_rel, abs(row[2 * tp] - b) / b)
         add("product-formula-agreement(x',t'<=40)", worst_rel, 1e-12, worst_rel <= 1e-12, k=k)
 
     for k in ks:

@@ -4,6 +4,8 @@ N(x, t) is the probability that a single searcher has not opened box x within
 its first t steps.  A fleet of f independent searchers misses x with
 probability N(x, t)**f, so the expected discovery time is sum_t N(x, t)**f and
 the expected-time ratio theta = that sum divided by x.  Speed-up is 1/theta.
+Both pool samplers' tables come from one recurrence in
+:class:`SurvivalMatrix`, which reads the pool rule from :class:`StrategyKind`.
 
 Two arithmetic modes: exact ``Fraction`` values (identities that must hold
 exactly) and float64 with chunked pairwise summation (long-horizon sums),
@@ -19,12 +21,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .strategy import (
-    BLOCK_RANDOM,
-    NESTED,
-    SearchParams,
-    StrategyKind,
-)
+from .strategy import BLOCK_RANDOM, NESTED, SearchParams, StrategyKind
 
 Prob = Union[Fraction, float]
 
@@ -47,96 +44,83 @@ def block_of(params: SearchParams, x: int) -> int:
     return (x + params.k) // (params.k + 1)
 
 
-def _nested_steps(params: SearchParams, row: list[Prob], u: int, t: int) -> list[Prob]:
-    """Append N(x, u), ..., N(x, t) to row, whose last entry is N(x, u - 1).
-
-    x must be in the nested pool by step u, i.e. u >= 2*block - 1 for its
-    block.  Each step then multiplies N by (1 - 1/m) where
-    m = ceil(u/2)*(k+1) - (u-1) is the number of unvisited pool members.  The
-    same line is exact for Fraction (it gives 0 once m = 1) and float64 for
-    float.
-    """
-    while u <= t:
-        m = params.pool_size(u)
-        row.append(row[-1] * (m - 1) / m)
-        u += 1
-    return row
-
-
 def nested_survival(params: SearchParams, x: int, t: int, exact: bool = False) -> Prob:
-    """N(x, t) for the nested-pool sampler: 1 until the pool reaches x, then
-    multiplied by (1 - 1/m) per step; see :func:`_nested_steps`."""
-    _validate_xt(x, t)
-    one = Fraction(1) if exact else 1.0
-    return _nested_steps(params, [one], 2 * block_of(params, x) - 1, t)[-1]
+    """N(x, t) for the nested-pool sampler; see :class:`SurvivalMatrix`."""
+    return SurvivalMatrix(StrategyKind.nested(), params, exact).value(x, t)
 
 
 def block_random_survival(block_len: int, x: int, t: int, exact: bool = False) -> Prob:
-    """N(x, t) for the block-by-block sampler (closed form)."""
-    if block_len < 1:
-        raise ValueError(f"block_len must be >= 1, got {block_len}")
-    _validate_xt(x, t)
-    j = (x + block_len - 1) // block_len
-    start = (j - 1) * block_len  # steps completed before block j opens
-    if t <= start:
-        return Fraction(1) if exact else 1.0
-    done = t - start
-    if done >= block_len:
-        return Fraction(0) if exact else 0.0
-    if exact:
-        return Fraction(block_len - done, block_len)
-    return (block_len - done) / block_len
+    """N(x, t) for the block-by-block sampler, (b - done)/b once block x's
+    first box is appended; see :class:`SurvivalMatrix`."""
+    kind = StrategyKind.block_random(block_len)
+    return SurvivalMatrix(kind, SearchParams(1), exact).value(x, t)
 
 
 def survival_row_exact(params: SearchParams, x: int, t_max: int) -> list[Fraction]:
     """Exact nested-sampler row [N(x, 0), ..., N(x, t_max)]."""
-    _validate_xt(x, t_max)
-    view = SurvivalMatrix(StrategyKind.nested(), params, exact=True)
-    return view._nested_row(block_of(params, x), t_max)
+    return SurvivalMatrix(StrategyKind.nested(), params, exact=True).row(x, t_max)
 
 
 class SurvivalMatrix:
     """Lazily evaluated N(x, t) table for one strategy.
 
-    Nested-sampler rows depend on x only through its pool block, so rows are
-    cached per block.  Cache fills are idempotent and deterministic, hence
-    concurrent readers observe the same values a serial evaluation produces.
+    For a pool sampler N(x, t) is 1 until ``kind.entry_step`` appends x to
+    the pool and is then multiplied by (1 - 1/m) at each step t, where
+    m = pool_limit(t) - (t - 1) is the number of unvisited pool members.  The
+    same line is exact for Fraction (it gives 0 once m = 1) and float64 for
+    float.  Rows depend on x only through its entry step, so they are cached
+    per entry step, and m is read from one list of candidate-list sizes.
+    Cache fills are idempotent and deterministic, hence concurrent readers
+    observe the same values a serial evaluation produces.
     """
 
     def __init__(self, kind: StrategyKind, params: SearchParams, exact: bool = False) -> None:
         self.kind = kind
         self.params = params
         self.exact = exact
+        self._one: Prob = Fraction(1) if exact else 1.0
         self._rows: dict[int, list[Prob]] = {}
+        self._sizes: list[int] = [0]  # m at steps 1, 2, ...; index 0 unused
 
     def value(self, x: int, t: int) -> Prob:
         """N(x, t); for a partition member, the 0/1 indicator that it has not
         opened x by step t (a Fraction when exact, else a float)."""
         _validate_xt(x, t)
-        name = self.kind.name
-        if name == NESTED:
-            block = block_of(self.params, x)
-            row = self._rows.get(block)
-            if row is None or len(row) <= t:
-                row = self._nested_row(block, t)
-            return row[t]
-        if name == BLOCK_RANDOM:
-            return block_random_survival(self.kind.block_len, x, t, self.exact)
-        step = self.kind.visit_step(self.params, x)
+        kind = self.kind
+        if kind.randomized:
+            first = kind.entry_step(self.params, x)
+            return self._one if t < first else self._row(first, t)[t]
+        step = kind.visit_step(self.params, x)
         alive = step is None or t < step
         if self.exact:
             return Fraction(1) if alive else Fraction(0)
         return 1.0 if alive else 0.0
 
-    def _nested_row(self, block: int, t: int) -> list[Prob]:
-        """The cached row [N(x, 0), ..., N(x, t), ...] for x in the block."""
-        row = self._rows.get(block)
+    def row(self, x: int, t_max: int) -> list[Prob]:
+        """[N(x, 0), ..., N(x, t_max)], equal to :meth:`value` cell by cell."""
+        _validate_xt(x, t_max)
+        kind = self.kind
+        if not kind.randomized:
+            return [self.value(x, t) for t in range(t_max + 1)]
+        first = kind.entry_step(self.params, x)
+        if t_max < first:
+            return [self._one] * (t_max + 1)
+        return self._row(first, t_max)[:t_max + 1]
+
+    def _row(self, first: int, t: int) -> list[Prob]:
+        """The cached row [N(x, 0), ..., N(x, t), ...] for x entering at step
+        first <= t."""
+        row = self._rows.get(first)
         if row is None:
-            row = self._rows[block] = [Fraction(1) if self.exact else 1.0]
-        first = 2 * block - 1  # N stays at row[0] = 1 until the pool reaches x
-        if len(row) < first:
-            row.extend([row[0]] * (min(first, t + 1) - len(row)))
-        return _nested_steps(self.params, row, len(row), t)
+            row = self._rows[first] = [self._one] * first
+        if len(row) <= t:
+            sizes = self._sizes
+            if len(sizes) <= t:  # grown by doubling, so its fills stay few
+                steps = np.arange(len(sizes), max(t + 1, 2 * len(sizes)))
+                sizes += (self.kind.pool_limit(self.params, steps) - steps + 1).tolist()
+            for m in sizes[len(row):t + 1]:
+                row.append(row[-1] * (m - 1) / m)
+        return row
 
     def support_limit(self, t: int) -> int:
         """Largest x with N(x, t) possibly below 1, 0 at t = 0: the pool
@@ -150,17 +134,18 @@ class SurvivalMatrix:
 
     def column_sum_residual(self, t: int) -> Prob:
         """|sum_x (1 - N(x, t)) - t| over the support; zero for a
-        non-revisiting strategy."""
+        non-revisiting strategy.  A sampler's boxes are summed by entry
+        step: the boxes appended at one step share a row."""
         if t < 0:
             raise ValueError(f"step count must be >= 0, got {t}")
-        support = self.support_limit(t)
         total = Fraction(0) if self.exact else 0.0
-        if self.kind.name == NESTED:
-            width = self.params.block_size
-            for block in range(1, support // width + 1):
-                total += width * (1 - self._nested_row(block, t)[t])
+        if self.kind.randomized:
+            limits = self.kind.pool_limit(self.params, np.arange(t + 1))
+            for first, joined in enumerate(np.diff(limits).tolist(), start=1):
+                if joined:
+                    total += joined * (1 - self._row(first, t)[t])
         else:
-            for x in range(1, support + 1):
+            for x in range(1, self.support_limit(t) + 1):
                 total += 1 - self.value(x, t)
         return abs(total - t)
 
@@ -380,17 +365,17 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
 
     For a partition the time is the first visit step of x among its fleet,
     fleet member sid running partition member sid; for the samplers the sum
-    is evaluated exactly (block-random) or with a certified truncation
-    (nested).
+    is evaluated in full (block-random, whose rows reach 0) or with a
+    certified truncation (nested).
     """
     n_fleet = _checked_fleet(params, x, fleet)
     kind.check_fleet(params, n_fleet)
     if kind.name == NESTED:
         return theta(params, x, epsilon, fleet=n_fleet).theta * x
-    if kind.name == BLOCK_RANDOM:
-        b = kind.block_len
-        inblock = math.fsum(((b - i) / b) ** n_fleet for i in range(1, b))
-        return kind.entry_step(params, x) + inblock
+    if kind.name == BLOCK_RANDOM:  # N reaches 0 block_len - 1 steps after x enters
+        first = kind.entry_step(params, x)
+        row = SurvivalMatrix(kind, params).row(x, first + kind.block_len - 1)
+        return first + math.fsum(v ** n_fleet for v in row[first:])
     steps = (replace(kind, searcher_id=sid).visit_step(params, x)
              for sid in range(1, n_fleet + 1))
     return float(min(s for s in steps if s is not None))

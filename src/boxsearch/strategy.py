@@ -15,7 +15,8 @@ b*ceil(t/b) for block-random.  The two deterministic baselines are one
 partition rule: member i of n opens box i + (t-1)*n at step t, coordinated
 searcher i being member i of k and solo member 1 of 1.  :class:`StrategyKind`
 alone knows the rules; the stepper here, the simulator's hit time and the
-exact survival table all read them from it.
+exact survival table (one recurrence for both pool rules) all read them from
+it.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ class SearchParams:
         if self.k < 2:
             raise ValueError("delta requires k >= 2")
         return Fraction(2, self.k - 1)
-
-    def pool_size(self, t: int) -> int:
-        """Unvisited nested-pool members at step t >= 1, pool_limit(t) - (t - 1)
-        >= 1 with the nested rule of :meth:`StrategyKind.pool_limit`; written
-        out because every step of every N(x, t) row calls it."""
-        if t < 1:
-            raise ValueError(f"step index must be >= 1, got {t}")
-        return ((t + 1) // 2) * (self.k + 1) - (t - 1)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Command-line surfaces: schemas, reference tables, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from boxsearch import matrix
-from boxsearch.cli import main
+from boxsearch.cli import SEED_ENV_VAR, main
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +63,67 @@ def test_matrix_cell_cap_names_flags(capsys):
 def test_matrix_bad_slab_names_flags(capsys):
     err = usage_error(capsys, "matrix", "--xmax", "0", "--tmax", "3")
     assert "--xmax" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--strategy", "nested", "--searcher-id", "9", "--block", "0"),
+     "--block applies to --strategy block-random only"),
+    (("--strategy", "nested", "--block", "3"), "--block applies to --strategy block-random only"),
+    (("--strategy", "coordinated", "--block", "3"),
+     "--block applies to --strategy block-random only"),
+    (("--strategy", "solo", "--searcher-id", "9"),
+     "--searcher-id applies to --strategy coordinated only"),
+    (("--strategy", "block-random", "--searcher-id", "4"),
+     "--searcher-id applies to --strategy coordinated only"),
+    (("--strategy", "block-random", "--block", "0"), "block_len must be >= 1"),
+    (("--strategy", "coordinated", "--searcher-id", "9"), "searcher_id 9 out of range 1..2"),
+])
+def test_matrix_bad_input_exits_2(capsys, argv, message):
+    assert message in usage_error(capsys, "matrix", "--k", "2", "--xmax", "2", "--tmax", "2",
+                                  *argv)
+
+
+# SHA-256 of the stdout of `matrix` slabs: every strategy, float and exact,
+# CSV and JSON.  The cells are pure Python arithmetic, so any change to a
+# recurrence, a default or a format shows here.  Block-random float cells are
+# the telescoped product of the pool recurrence, so JSON prints the rounding
+# of (b - done)/b in full (0.6000000000000001 at b = 5, done = 2).
+MATRIX_STDOUT_SHA256 = [
+    ("--k 2 --xmax 12 --tmax 12",
+     "19e3992bb10f2605013d5c735953a37e6dc894c5324a914e110953e5d9e7609f"),
+    ("--k 3 --xmax 20 --tmax 24 --exact",
+     "9ecc1b42d82156cbacd3ff850f89eb0cd8a74ad14fa059453fff2796bff4e6e6"),
+    ("--k 1 --xmax 9 --tmax 9 --format json",
+     "e666a7b2a9d9e453acc2ab82089c49808554556f5b428751e9feae7826f947cc"),
+    ("--k 5 --xmax 14 --tmax 14 --exact --format json",
+     "670a040e6f9c6b1601133fa377c77a36ce2ef5df78fd68225d3e033af1b8a230"),
+    ("--strategy block-random --xmax 12 --tmax 12",
+     "7ba0536c33c0a6203235bfa40d501a8091b50939259e9b6b8244df5e249a56c2"),
+    ("--strategy block-random --block 5 --xmax 12 --tmax 12 --exact",
+     "c354ffe0fe07504dd2dda0ffc7a045720108ae388fcff4434d92e19618c9f04a"),
+    ("--strategy block-random --block 3 --xmax 9 --tmax 9 --format json",
+     "8cd91cd97be9c2c584848f610b456ff40aa4fe88deba5738e0421428d8139dd6"),
+    ("--strategy block-random --block 5 --xmax 12 --tmax 12 --format json",
+     "19950fb7166eedbcb2a583f4fcd6d9eae289ac7b488cec2f02526d6612556f98"),
+    ("--strategy block-random --block 7 --xmax 15 --tmax 15 --exact --format json",
+     "f2a15871910a637d3ca4315ff57dabc53024f70350812dc899260ff4d92e92d7"),
+    ("--strategy solo --k 3 --xmax 8 --tmax 8",
+     "b61029e34ec52e4fe6da9cbfb5724fbdf7282b29226d11f92c534bacfa338482"),
+    ("--strategy solo --xmax 8 --tmax 8 --exact --format json",
+     "54331a89000e30a45be502bdd30679dd085618325953b11f657421523ecbe742"),
+    ("--strategy coordinated --k 3 --searcher-id 2 --xmax 10 --tmax 5",
+     "2e61855957853cca4c6acd185c7596307e64e50281fa519797893879ddde5bf8"),
+    ("--strategy coordinated --k 3 --xmax 10 --tmax 5 --exact --format json",
+     "d4f309143e8dc800871ca98daf5e4294a521a0c8248d1f8734dc424e5a59992d"),
+]
+
+
+def test_matrix_stdout_pinned(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)  # JSON echoes the seed
+    for argv, digest in MATRIX_STDOUT_SHA256:
+        code, out = run_cli(capsys, "matrix", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_matrix_json_format(capsys):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -68,18 +69,61 @@ def test_nested_survival_monte_carlo_oracle():
 
 
 def test_one_nested_recurrence_float_and_exact():
-    # nested_survival, survival_row_exact and the cached SurvivalMatrix rows
-    # come from one recurrence, so they agree bit for bit
-    for k in (1, 2, 3, 5):
-        p = SearchParams(k)
-        view = SurvivalMatrix(StrategyKind.nested(), p)
-        exact_view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
-        for x in (1, k + 1, k + 2, 3 * (k + 1), 5 * (k + 1) + 1, 17 * (k + 1), 40 * (k + 1)):
+    # the module functions and the cached SurvivalMatrix rows come from one
+    # recurrence for both pool samplers, so they agree bit for bit
+    cases = [(StrategyKind.nested(), SearchParams(k), k + 1,
+              partial(nested_survival, SearchParams(k))) for k in (1, 2, 3, 5)]
+    cases += [(StrategyKind.block_random(b), SearchParams(2), b,
+               partial(block_random_survival, b)) for b in (1, 2, 3, 5)]
+    for kind, p, w, single in cases:
+        view = SurvivalMatrix(kind, p)
+        exact_view = SurvivalMatrix(kind, p, exact=True)
+        for x in (1, w, w + 1, 3 * w, 5 * w + 1, 17 * w, 40 * w):
             for t in range(121):
-                assert nested_survival(p, x, t).hex() == view.value(x, t).hex()
-            row = survival_row_exact(p, x, 120)
+                assert single(x, t).hex() == view.value(x, t).hex()
+            row = exact_view.row(x, 120)
             assert row == [exact_view.value(x, t) for t in range(121)]
-            assert row[120] == nested_survival(p, x, 120, exact=True)
+            assert row[120] == single(x, 120, exact=True)
+            if kind == StrategyKind.nested():
+                assert survival_row_exact(p, x, 120) == row
+
+
+def test_block_random_rows_match_closed_form():
+    # oracle: block j = ceil(x/b) opens after (j-1)*b steps, and each of its
+    # next b steps opens one of its boxes uniformly, so after done of them
+    # N(x, t) = (b - done)/b; the recurrence telescopes to that exactly, and
+    # its float rows round to within 1e-15 relative
+    for b in (1, 2, 3, 5, 7):
+        kind = StrategyKind.block_random(b)
+        exact = SurvivalMatrix(kind, SearchParams(2), exact=True)
+        approx = SurvivalMatrix(kind, SearchParams(2))
+        for x in range(1, 61):
+            start = (x + b - 1) // b * b - b
+            want = [F(max(0, b - max(0, t - start)), b) for t in range(61)]
+            assert exact.row(x, 60) == want
+            for got, w in zip(approx.row(x, 60), want):
+                assert abs(got - w) <= 1e-15 * w
+
+
+def test_row_equals_value_for_every_strategy():
+    p = SearchParams(3)
+    kinds = [StrategyKind.nested(), StrategyKind.block_random(1), StrategyKind.block_random(4),
+             StrategyKind.solo(), *(StrategyKind.coordinated(i) for i in (1, 2, 3))]
+    for kind in kinds:
+        for exact in (False, True):
+            rows, cells = SurvivalMatrix(kind, p, exact), SurvivalMatrix(kind, p, exact)
+            for x in (1, 2, 4, 5, 9, 13, 30):
+                for t_max in (0, 1, 6, 40):
+                    row = rows.row(x, t_max)
+                    want = [cells.value(x, t) for t in range(t_max + 1)]
+                    assert [type(v) for v in row] == [type(v) for v in want]
+                    assert row == want
+                    if not exact:
+                        assert [v.hex() for v in row] == [v.hex() for v in want]
+    with pytest.raises(ValueError):
+        SurvivalMatrix(StrategyKind.nested(), p).row(0, 3)
+    with pytest.raises(ValueError):
+        SurvivalMatrix(StrategyKind.solo(), p).row(1, -1)
 
 
 def test_block_random_survival_reference_table():
@@ -127,7 +171,7 @@ def test_column_identity_example_k2_t4():
 
 def test_column_identity_other_strategies():
     p = SearchParams(2)
-    for kind in (StrategyKind.block_random(3), StrategyKind.solo(),
+    for kind in (*map(StrategyKind.block_random, (1, 2, 3, 5)), StrategyKind.solo(),
                  StrategyKind.coordinated(2)):
         view = SurvivalMatrix(kind, p, exact=True)
         for t in range(0, 30):
@@ -261,7 +305,7 @@ def test_tail_certificate_brackets_directly_summed_tail():
     big_t = 20_000
     for k, fleets in ((2, (2, 3, 8)), (3, (2, 12)), (5, (3, 4))):
         p = SearchParams(k)
-        row = SurvivalMatrix(StrategyKind.nested(), p)._nested_row(1, 2 * big_t)
+        row = SurvivalMatrix(StrategyKind.nested(), p).row(1, 2 * big_t)
         delta = p.delta_exact
         for fleet in fleets:
             tail_of = _tail_certificate(delta, fleet)

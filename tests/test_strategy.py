@@ -30,15 +30,6 @@ def test_params_validation():
         SearchParams(1).delta
 
 
-def test_pool_size_formula():
-    # m(t) = ceil(t/2)*(k+1) - (t-1), never below 1
-    for k in (1, 2, 3, 7):
-        p = SearchParams(k)
-        for t in range(1, 50):
-            assert p.pool_size(t) == math.ceil(t / 2) * (k + 1) - (t - 1)
-            assert p.pool_size(t) >= 1
-
-
 def test_strategy_kind_validation():
     with pytest.raises(ValueError):
         StrategyKind("bogus")
@@ -162,7 +153,7 @@ def test_nested_coverage_invariant():
 def test_pool_rule():
     # the rules written out: pool limit ceil(t/2)*(k+1) nested, ceil(t/b)*b block
     rules = [(StrategyKind.nested(), SearchParams(k), lambda t, k=k: math.ceil(t / 2) * (k + 1))
-             for k in (1, 2, 3, 5)]
+             for k in (1, 2, 3, 5, 7)]
     rules += [(StrategyKind.block_random(b), SearchParams(2), lambda t, b=b: math.ceil(t / b) * b)
               for b in (1, 2, 3, 5)]
     steps = np.arange(0, 401)

@@ -426,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         seed = args.seed if args.seed is not None else _default_seed()
+        if seed < 0:  # numpy's own message would name no option
+            source = "--seed" if args.seed is not None else SEED_ENV_VAR
+            raise ValueError(f"{source} must be >= 0, got {seed}")
         out = _COMMANDS[args.subcommand](args, seed)
     except ValueError as exc:  # bad input: usage and message on stderr, exit 2
         parser.error(str(exc))

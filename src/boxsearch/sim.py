@@ -6,15 +6,26 @@ derived from (trial seed, searcher id), which makes every trial a
 deterministic function of its config and embarrassingly parallel across
 trial indices.
 
-Both randomized samplers run through one hit-time function: it reads the
-pool rule from :class:`StrategyKind` and replays only the draws that can
-touch the treasure, so it draws uniforms and never reads N(x, t).
+Both randomized samplers run through one engine, :func:`_fleet_block`: it
+reads the pool rule from :class:`StrategyKind` and replays only the draws
+that can touch the treasure, so it draws uniforms and never reads N(x, t).
+It runs every (trial, searcher) row of a block of trials at once on numpy
+uint64 arrays: SeedSequence hashing and PCG64 seeding, the jump to the step
+at which the treasure joins the row's pool (F. Brown's LCG jump-ahead, as in
+``PCG64.advance``), and a first chunk of draws.  A row still running after it
+hands its PCG64 state to a native generator through ``.state`` (it is not
+re-seeded) and draws on there.  All three reproduce numpy's streams bit for
+bit, so each trial's outcome is the one its searchers' own
+``Generator(PCG64(searcher_seed(trial seed, sid)))`` streams give.
+:func:`run_trial` is the same engine at one trial.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -23,7 +34,7 @@ import numpy as np
 from .strategy import (
     SearchParams,
     StrategyKind,
-    searcher_seed,
+    searcher_seed,  # row (trial, sid) draws the stream of searcher_seed(trial seed, sid)
 )
 
 PERTURBATION_KINDS = ("identity", "shift", "extra-boxes", "local-shuffle")
@@ -176,8 +187,157 @@ class TrialOutcome:
 # Uniforms are drawn in chunks that start small (runs that end within a few
 # steps draw little) and grow to amortize numpy's per-call cost.  A uniform is
 # one PCG64 output whatever the chunk sizes, so they change no hit time.
+# BATCH_CHUNK uniforms per row are drawn for all rows of a block at once;
+# rows still running after them continue CHUNK_FIRST, then 4x more, at a time.
+BATCH_CHUNK = 16
 CHUNK_FIRST = 64
 CHUNK_MAX = 16384
+# Rows (trial, searcher) run together: this bounds the memory of a block.
+BLOCK_ROWS = 1024
+
+# numpy's SeedSequence and PCG64 on uint64 arrays, one element per row.  The
+# 32-bit words of SeedSequence live in uint64 lanes (or plain ints when every
+# row shares them) and are masked after each product; 128-bit PCG64 values are
+# (hi, lo) pairs of uint64 arrays.  Each result equals numpy's bit for bit.
+_M32 = 0xFFFF_FFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_NEVER = np.iinfo(np.int64).max  # no hit, or no crash
+
+
+def _entropy_words(n: int) -> list[int]:
+    """numpy's 32-bit words of the entropy n >= 0, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _seed_pool(entropy: list) -> list:
+    """The four mixed pool words of a SeedSequence whose assembled entropy is
+    ``entropy`` (each word an int shared by every row or a per-row array)."""
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _generate_state64(pool: list, n: int) -> list:
+    """SeedSequence.generate_state(n, np.uint64) from the pool words."""
+    hash_const = _HASH_INIT_B
+    words = []
+    for i in range(2 * n):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 2 * n, 2)]
+
+
+def _seed_words(seed) -> list:
+    """The run entropy of a SeedSequence spawned from ``seed``: its words,
+    zero-padded to four (numpy pads whenever there is a spawn key).  ``seed``
+    is an int or a uint64 array of seeds, one per row."""
+    if isinstance(seed, np.ndarray):
+        return [seed & _M32, seed >> 32, 0, 0]
+    words = _entropy_words(seed)
+    return words + [0] * (4 - len(words))
+
+
+def trial_seeds(base_seed: int, start: int, stop: int) -> np.ndarray:
+    """``trial_seed(base_seed, i)`` for i in start..stop-1, as uint64."""
+    if stop > 1 << 32:
+        raise ValueError(f"trial index must be below 2**32, got {stop - 1}")
+    index = np.arange(start, stop, dtype=np.uint64)
+    return _generate_state64(_seed_pool(_seed_words(base_seed) + [index]), 1)[0]
+
+
+def _mulhi(a, c):
+    """High 64 bits of the 128-bit products a * c of uint64 values."""
+    a0, a1 = a & _M32, a >> 32
+    c0, c1 = c & _M32, c >> 32
+    p01, p10 = a0 * c1, a1 * c0
+    mid = (a0 * c0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _affine(s, inc, a, g):
+    """a * s + g * inc mod 2**128; each a (hi, lo) pair of uint64 values that
+    broadcast together."""
+    (s_hi, s_lo), (i_hi, i_lo), (a_hi, a_lo), (g_hi, g_lo) = s, inc, a, g
+    x = s_lo * a_lo
+    lo = x + i_lo * g_lo
+    hi = (_mulhi(s_lo, a_lo) + s_hi * a_lo + s_lo * a_hi
+          + _mulhi(i_lo, g_lo) + i_hi * g_lo + i_lo * g_hi + (lo < x))
+    return hi, lo
+
+
+def _seeded_streams(words: list, sids: np.ndarray):
+    """State and increment of PCG64(SeedSequence(entropy=trial seed,
+    spawn_key=(sid,))) per row: ``words`` from _seed_words, ``sids`` uint64."""
+    w = _generate_state64(_seed_pool(words + [sids]), 4)
+    inc = (w[2] << 1 | w[3] >> 63, w[3] << 1 | 1)
+    # pcg64 srandom: state 0, one step, add the seed, one step
+    lo = inc[1] + w[1]
+    start = (inc[0] + w[0] + (lo < w[1]), lo)
+    return _affine(start, inc, (_PCG_MULT >> 64, _PCG_MULT & _M64), (0, 1)), inc
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_table(skip: int, n: int):
+    """(A, G) as (hi, lo) read-only uint64 arrays whose column j - 1 holds
+    skip + j steps of the LCG, which take s to A s + G inc (j = 1..n).  The
+    skip is F. Brown's jump-ahead, as in PCG64.advance."""
+    a, g = 1, 0
+    mult, plus = _PCG_MULT, 1
+    while skip:
+        if skip & 1:
+            a, g = a * mult & _M128, (g * mult + plus) & _M128
+        mult, plus = mult * mult & _M128, (mult + 1) * plus & _M128
+        skip >>= 1
+    cols = []
+    for _ in range(n):
+        a, g = a * _PCG_MULT & _M128, (g * _PCG_MULT + 1) & _M128
+        cols.append((a >> 64, a & _M64, g >> 64, g & _M64))
+    table = np.array(cols, dtype=np.uint64).T
+    table.flags.writeable = False
+    a_hi, a_lo, g_hi, g_lo = table
+    return (a_hi, a_lo), (g_hi, g_lo)
+
+
+def _uniforms(state) -> np.ndarray:
+    """Generator.random's doubles from PCG64 states (XSL-RR output)."""
+    hi, lo = state
+    x = hi ^ lo
+    rot = hi >> 58
+    out = x >> rot | x << (64 - rot & 63)
+    return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _follow_treasure(u: np.ndarray, m: np.ndarray, p: int) -> tuple[int, int]:
@@ -201,101 +361,238 @@ def _follow_treasure(u: np.ndarray, m: np.ndarray, p: int) -> tuple[int, int]:
         i += 1
 
 
-def _skipped_generator(seed_seq, skip: int) -> np.random.Generator:
-    """The searcher's Generator with its first ``skip`` uniforms consumed."""
-    bits = np.random.PCG64(seed_seq)
-    bits.advance(skip)
-    return np.random.Generator(bits)
-
-
 @functools.lru_cache(maxsize=16)
 def _list_sizes(kind: StrategyKind, params: SearchParams, t: int, n: int) -> np.ndarray:
     """Candidate-list lengths pool_limit(s) - (s - 1) at steps s = t..t+n-1
     (read-only).  The trials of one experiment share the treasure, hence the
-    chunks, so the few in use are kept rather than computed per searcher run."""
+    chunks, so the few in use are kept rather than computed per row."""
     steps = np.arange(t, t + n)
     m = kind.pool_limit(params, steps) - steps + 1
     m.flags.writeable = False
     return m
 
 
-def _pool_hit_time(kind: StrategyKind, params: SearchParams, target: int, seed_seq,
-                   limit: int) -> int | None:
-    """First step <= limit at which the pool sampler ``kind`` draws ``target``.
+def _first_chunk(kind: StrategyKind, params: SearchParams, target: int, words: list,
+                 sids: np.ndarray, limits: np.ndarray):
+    """Seed the rows that share ``target``, jump each to the step that
+    appends it to the pool, and replay their first draws together.
 
-    Equals replaying strategy.next_box on the same seed.  The candidate list
-    holds m(t) = pool_limit(t) - (t - 1) boxes at step t whatever the draws,
-    and ``target`` joins it in slot target - first at step ``first``, the
-    step that appends it; earlier draws cannot touch it.
+    The treasure joins every row's candidate list in slot target - first at
+    step ``first``; earlier draws cannot touch it.  Each row follows it
+    through BATCH_CHUNK draws, or to its limit if that comes first: rounds of
+    _follow_treasure's event search run on all rows at once, one round per
+    move of the treasure.  Returns (column of each row's hit or -1, the step
+    after the chunk, the treasure's slot then, the PCG64 state then, inc).
     """
     first = kind.entry_step(params, target)
-    if limit < first:
-        return None
-    rng = _skipped_generator(seed_seq, first - 1)
-    p = target - first
-    t = first
+    n = min(BATCH_CHUNK, int(limits.max()) - first + 1)
+    m = _list_sizes(kind, params, first, n)
+    s, inc = _seeded_streams(words, sids)
+    a, g = _jump_table(first - 1, n)
+    state = _affine((s[0][:, None], s[1][:, None]), (inc[0][:, None], inc[1][:, None]), a, g)
+    j = (_uniforms(state) * m).astype(np.int64)
+    cols = np.arange(n)
+    end = np.minimum(limits - first + 1, n)
+    p = np.full(len(j), target - first)
+    start = np.zeros(len(j), np.int64)
+    hit = np.full(len(j), -1)
+    live = np.arange(len(j))
+    while live.size:
+        slot = p[live, None]
+        events = (j[live] == slot) | (m == slot + 1)
+        events &= (cols >= start[live, None]) & (cols < end[live, None])
+        col = events.argmax(1)
+        has = events[np.arange(live.size), col]
+        live, col = live[has], col[has]
+        drawn = j[live, col]
+        found = drawn == p[live]
+        hit[live[found]] = col[found]
+        live, col, drawn = live[~found], col[~found], drawn[~found]
+        p[live] = drawn
+        start[live] = col + 1
+    return hit, first + n, p, (state[0][:, -1].copy(), state[1][:, -1].copy()), inc
+
+
+def _follow_stream(rng: np.random.Generator, kind: StrategyKind, params: SearchParams,
+                   t: int, p: int, stop: int) -> tuple[int, int, int]:
+    """Draw from step t, the treasure in slot p, through step ``stop`` at most;
+    returns (the hit step or 0, the next step, the slot)."""
     size = CHUNK_FIRST
-    while t <= limit:
-        n = min(size, limit + 1 - t)
+    while t <= stop:
+        n = min(size, stop + 1 - t)
         hit, p = _follow_treasure(rng.random(n), _list_sizes(kind, params, t, size)[:n], p)
         if hit >= 0:
-            return t + hit
+            return t + hit, t, p
         t += n
         size = min(4 * size, CHUNK_MAX)
-    return None
+    return 0, t, p
 
 
-def _hit_time(config: TrialConfig, sid: int, target: int, limit: int) -> int | None:
-    """First step <= limit at which fleet member ``sid`` opens ``target``, or
-    None; in a partition, fleet member sid is partition member sid."""
-    kind = config.kind
-    if kind.randomized:
-        return _pool_hit_time(kind, config.params, target,
-                              searcher_seed(config.seed, sid), limit)
-    t = replace(kind, searcher_id=sid).visit_step(config.params, target)
-    return t if t is not None and t <= limit else None
+def _finish_trial(kind: StrategyKind, params: SearchParams, rows: list, best: int,
+                  finder: int, horizon: int, bits: np.random.PCG64) -> tuple[int, int]:
+    """Run one trial's unfinished rows [sid, t, p, state, inc, limit], in sid
+    order, on the native ``bits``; returns the trial's (best, finder).
+
+    A row only runs while it could still win: to best - 1, or to best if its
+    id is below the finder's.  While nothing is found, rows run to a horizon
+    that doubles each pass, so no single heavy-tailed searcher runs far ahead
+    of its fleet.
+    """
+    def bound(row):
+        return min(row[5], best - (row[0] > finder))
+
+    rng = np.random.Generator(bits)
+    while rows:
+        for row in rows:
+            sid, t, p, state, inc, _ = row
+            stop = min(bound(row), horizon)
+            if t > stop:
+                continue
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            hit, row[1], row[2] = _follow_stream(rng, kind, params, t, p, stop)
+            if hit:
+                best, finder, row[1] = hit, sid, _NEVER
+            elif stop < bound(row):  # stopped at the horizon: draws on in a later pass
+                row[3] = bits.state["state"]["state"]
+        rows = [r for r in rows if r[1] <= bound(r)]
+        horizon *= 2
+    return best, finder
+
+
+def _fleet_block(kind: StrategyKind, params: SearchParams, plan: list, words: list,
+                 trials: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes of ``trials`` trials of the fleet ``plan``, a list of (sid,
+    target, limit) in sid order: (times, finders), int64, 0 where none hit.
+
+    ``words`` are the trials' seed words (_seed_words).  Searcher sid of a
+    trial owns the stream searcher_seed(trial seed, sid); every row of the
+    block is seeded, jumped and run through its first chunk at once, then a
+    trial still open continues its rows on one native PCG64 (_finish_trial).
+    The earliest hit wins and the lowest id breaks ties, exactly as when the
+    searchers run one after another to the best hit so far.
+    """
+    if not plan:
+        return np.zeros(trials, np.int64), np.zeros(trials, np.int64)
+    times = np.full((len(plan), trials), _NEVER)
+    groups: dict[int, list[int]] = {}
+    for i, (_, target, _) in enumerate(plan):
+        groups.setdefault(target, []).append(i)
+    chunks = []
+    for target, idx in groups.items():
+        sids = np.repeat([plan[i][0] for i in idx], trials).astype(np.uint64)
+        limits = np.repeat([plan[i][2] for i in idx], trials)
+        rows_words = [w if isinstance(w, int) else np.tile(w, len(idx)) for w in words]
+        hit, t, p, state, inc = _first_chunk(kind, params, target, rows_words, sids, limits)
+        first = kind.entry_step(params, target)
+        times[idx] = np.where(hit >= 0, first + hit, _NEVER).reshape(len(idx), trials)
+        chunks.append((np.tile(np.arange(trials), len(idx)), sids.astype(np.int64), limits,
+                       hit, t, p, state, inc))
+    best = times.min(0)
+    sid_of = np.array([sid for sid, _, _ in plan])
+    finder = np.where(best < _NEVER, sid_of[times.argmin(0)], 0)
+    open_rows = []
+    for trial, sids, limits, hit, t, p, state, inc in chunks:
+        bound = np.minimum(limits, best[trial] - (sids > finder[trial]))
+        for r in np.flatnonzero((hit < 0) & (t <= bound)).tolist():
+            open_rows.append((int(trial[r]), int(sids[r]), [
+                int(sids[r]), t, int(p[r]), int(state[0][r]) << 64 | int(state[1][r]),
+                int(inc[0][r]) << 64 | int(inc[1][r]), int(limits[r])]))
+    if open_rows:
+        open_rows.sort(key=lambda r: r[:2])
+        bits = np.random.PCG64(0)
+        for trial, rows in itertools.groupby(open_rows, key=lambda r: r[0]):
+            best[trial], finder[trial] = _finish_trial(
+                kind, params, [row for _, _, row in rows], int(best[trial]),
+                int(finder[trial]), horizon, bits)
+    found = best < _NEVER
+    return np.where(found, best, 0), np.where(found, finder, 0)
+
+
+def _target(config: TrialConfig, sid: int) -> int:
+    """The index at which searcher ``sid`` sees the treasure."""
+    perts = config.perturbations
+    return perts[sid - 1].map_index(config.treasure) if perts else config.treasure
+
+
+def _pool_plan(config: TrialConfig) -> list[tuple[int, int, int]]:
+    """(sid, target, limit) of each searcher that can hit: limit is the last
+    step before its crash, and not before the step that appends its target."""
+    plan = []
+    for sid in range(1, config.fleet_size + 1):
+        crash = config.crashes.crash_time(sid)
+        limit = _NEVER if crash is None else crash - 1
+        target = _target(config, sid)
+        if limit >= config.kind.entry_step(config.params, target):
+            plan.append((sid, target, limit))
+    return plan
+
+
+def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
+                    seeds: np.ndarray, sid: int, limit: int) -> np.ndarray:
+    """First step <= limit at which searcher ``sid`` of each trial seed in
+    ``seeds`` (uint64) draws ``target``, 0 where none; the engine of
+    _fleet_block with a one-searcher fleet, in blocks of BLOCK_ROWS rows."""
+    plan = [(sid, target, limit)] if limit >= kind.entry_step(params, target) else []
+    blocks = [seeds[i:i + BLOCK_ROWS] for i in range(0, len(seeds), BLOCK_ROWS)]
+    return np.concatenate([_fleet_block(kind, params, plan, _seed_words(b), len(b), limit)[0]
+                           for b in blocks])
+
+
+def _partition_trial(config: TrialConfig) -> TrialOutcome:
+    """A partition fleet: member sid opens the target at its visit_step."""
+    best_t: int | None = None
+    finder: int | None = None
+    for sid in range(1, config.fleet_size + 1):
+        limit = config.step_cap
+        crash = config.crashes.crash_time(sid)
+        if crash is not None:
+            limit = min(limit, crash - 1)
+        t = replace(config.kind, searcher_id=sid).visit_step(config.params, _target(config, sid))
+        if t is not None and t <= limit and (best_t is None or t < best_t):
+            best_t, finder = t, sid
+    return TrialOutcome(best_t, finder)
 
 
 def run_trial(config: TrialConfig) -> TrialOutcome:
     """Simulate one fleet trial; earliest hit wins, lowest id breaks ties.
 
-    Searchers are independent, so each one is run on its own stream only as
-    far as it could still improve on the best hit so far; the outcome equals
-    a fully step-synchronous simulation.  If none hits within the horizon and
-    a pool-sampler searcher stopped at it rather than at its crash, the fleet
-    reruns on the same streams with the horizon doubled (it opens every box).
+    A pool-sampler trial is a block of one trial of _fleet_block, the engine
+    of estimate_speedup.  A partition member's hit step is known in closed
+    form; a partition that opens the treasure only past the first horizon
+    finds nothing.
     """
-    perts = config.perturbations
-    horizon = config.step_cap
-    while True:
-        best_t: int | None = None
-        finder: int | None = None
-        capped = False
-        for sid in range(1, config.fleet_size + 1):
-            limit = horizon
-            crash = config.crashes.crash_time(sid)
-            if crash is not None and crash - 1 < limit:
-                limit = crash - 1
-            if best_t is not None and best_t - 1 < limit:
-                limit = best_t - 1
-            if limit <= 0:
-                continue
-            target = perts[sid - 1].map_index(config.treasure) if perts else config.treasure
-            t = _hit_time(config, sid, target, limit)
-            if t is not None:
-                best_t = t
-                finder = sid
-            elif limit == horizon:
-                capped = True
-        if best_t is not None or not (capped and config.kind.randomized):
-            return TrialOutcome(best_t, finder)
-        horizon *= 2
+    if not config.kind.randomized:
+        return _partition_trial(config)
+    times, finders = _fleet_block(config.kind, config.params, _pool_plan(config),
+                                  _seed_words(config.seed), 1, config.step_cap)
+    if not times[0]:
+        return TrialOutcome(None, None)
+    return TrialOutcome(int(times[0]), int(finders[0]))
 
 
 def trial_seed(base_seed: int, index: int) -> int:
     """Per-trial seed derived from the experiment base seed."""
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _trial_blocks(template: TrialConfig, trials: int):
+    """Yield (times, finders) of trials 0..trials-1 of ``template`` in
+    blocks of about BLOCK_ROWS rows; trial i runs with trial_seed(base, i),
+    and 0 marks a trial that found nothing."""
+    base = template.seed
+    if not template.kind.randomized:  # the outcome does not depend on the seed
+        _entropy_words(base)  # numpy's check of the base seed
+        out = _partition_trial(template)
+        yield np.full(trials, out.time or 0), np.full(trials, out.first_finder or 0)
+        return
+    plan = _pool_plan(template)
+    per_block = max(1, BLOCK_ROWS // max(1, len(plan)))
+    for start in range(0, trials, per_block):
+        seeds = trial_seeds(base, start, min(trials, start + per_block))
+        yield _fleet_block(template.kind, template.params, plan, _seed_words(seeds),
+                           len(seeds), template.step_cap)
 
 
 class NonDiscoveryError(RuntimeError):
@@ -324,25 +621,20 @@ def estimate_speedup(template: TrialConfig, trials: int,
     """Run ``trials`` independent seeded trials of ``template``.
 
     ``template.seed`` acts as the experiment base seed; trial i runs with
-    trial_seed(base, i).  Aggregation uses exact integer moments, so results
-    do not depend on reduction order.
+    trial_seed(base, i), and its outcome equals run_trial's.  Aggregation
+    uses exact integer moments, so results do not depend on reduction order.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    base = template.seed
-    x = template.treasure
     total = 0
     total_sq = 0
     found = 0
-    missing = 0
-    for i in range(trials):
-        outcome = run_trial(replace(template, seed=trial_seed(base, i)))
-        if outcome.time is None:
-            missing += 1
-        else:
-            total += outcome.time
-            total_sq += outcome.time * outcome.time
-            found += 1
+    for times, _ in _trial_blocks(template, trials):
+        hits = times[times > 0].tolist()
+        found += len(hits)
+        total += sum(hits)
+        total_sq += sum(t * t for t in hits)
+    missing = trials - found
     if missing and not allow_non_discovery:
         raise NonDiscoveryError(
             f"{missing} of {trials} trials did not find the treasure; no mean reported")
@@ -356,7 +648,8 @@ def estimate_speedup(template: TrialConfig, trials: int,
     else:
         stderr = math.nan
     half = 1.96 * stderr
-    return RunStats(trials, mean, stderr, x / mean, (mean - half, mean + half), missing)
+    return RunStats(trials, mean, stderr, template.treasure / mean, (mean - half, mean + half),
+                    missing)
 
 
 def cis_overlap(a: RunStats, b: RunStats) -> bool:

@@ -126,6 +126,47 @@ def test_matrix_stdout_pinned(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# SHA-256 and exit status of Monte Carlo stdouts, computed with the engine
+# that ran each searcher on its own numpy Generator: the batched engine
+# reproduces numpy's streams bit for bit, so every per-trial time and every
+# printed digit stays the same.  The last speedup seed is above 2**64.
+MC_STDOUT_SHA256 = [
+    ("speedup --mode mc --k 1 --x 9 --x 30 --trials 200", 0,
+     "07ef9dd8ec11413fe0873d642bb6b6246980877fb71b4ca5be449b805a273ab6"),
+    ("speedup --mode mc --k 2 --x-range 1:50:7 --trials 300 --seed 5", 0,
+     "4e51fa7266b40e85f5bfefd58e20420ec47701bbd5c8a8e112143c211bc43819"),
+    ("speedup --mode mc --k 3 --x 20 --x 400 --trials 200 --format json --seed 99", 0,
+     "5daa52faa6d7a1f358709b716e2eef2252508482900c119db7f81151abc6deed"),
+    ("speedup --mode mc --k 5 --x 45 --trials 300 --seed 2024", 0,
+     "dc946a9c72f0beb4398e9350dc144200523fbdcbe31c47e62bc493d9dc04f0b9"),
+    ("speedup --mode mc --k 2 --x 2000 --trials 16 --format json --seed 3", 0,
+     "07eb7b8ebcb3f4c28d11c61d651b63a9f5bcb5a6527f7ad4155bfa015b4d041c"),
+    ("crash --k 2 --k-prime 1 --x 1000 --trials 40 --seed 9", 0,
+     "de0a14fac53d9abb653fec21f1dcab97484b34a659b97bb62bbf56a876467827"),
+    ("crash --k 3 --k-prime 1 --x 30 --trials 300 --seed 7", 0,
+     "86e43d2bf3c8d2362a30fa15fd535e5ddb0c92ed7b5720c9b4ffb400a803eba4"),
+    ("crash --k 5 --k-prime 2 --x 25 --trials 150 --format csv --seed 8", 0,
+     "013d20a593a5f7fec379ce54755087ba6fc0aebed3f9314603254109a0f5100c"),
+    ("robustness --k 2 --x 35 --trials 200 --perturbation identity --perturbation shift:4"
+     " --perturbation extra-boxes --perturbation local-shuffle:5"
+     " --perturbation local-shuffle:3:11 --seed 1234", 1,
+     "d695ac9af3b1726a6177028c33257657ff8d2489aca755fda44a2ac53db4e7be"),
+    ("robustness --k 3 --x 27 --trials 150 --perturbation extra-boxes --format csv"
+     " --seed 1515142311", 1,
+     "9564a5a79409fe86c2e1a05fbbc8f8b137e7c53f748ecdfb36fc95a59d320bc8"),
+    ("speedup --mode mc --k 2 --x 12 --trials 200 --seed 18446744073709551616", 0,
+     "01fcd9156942393946592b86923a3d5e4953d5ba52f9f54e3e638798679e030d"),
+]
+
+
+def test_mc_stdout_pinned(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    for argv, status, digest in MC_STDOUT_SHA256:
+        code, out = run_cli(capsys, *argv.split())
+        assert code == status, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_matrix_json_format(capsys):
     code, out = run_cli(capsys, "matrix", "--k", "2", "--xmax", "2", "--tmax", "2",
                         "--exact", "--format", "json")
@@ -316,6 +357,20 @@ def test_seed_env_var_not_integer_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("BOXSEARCH_SEED", "abc")
     err = usage_error(capsys, "matrix", "--xmax", "2", "--tmax", "2")
     assert "BOXSEARCH_SEED" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("speedup", "--mode", "mc", "--k", "2", "--x", "5", "--trials", "10"),
+    ("crash", "--k", "3", "--k-prime", "1", "--x", "5", "--trials", "10"),
+    ("robustness", "--k", "2", "--x", "5", "--trials", "10"),
+    ("verify-bounds", "--instances", "1", "--skip-theta"),
+])
+def test_negative_seed_exits_2(capsys, monkeypatch, argv):
+    err = usage_error(capsys, *argv, "--seed", "-1")
+    assert "--seed must be >= 0, got -1" in err
+    monkeypatch.setenv(SEED_ENV_VAR, "-5")
+    err = usage_error(capsys, *argv)
+    assert f"{SEED_ENV_VAR} must be >= 0, got -5" in err
 
 
 def test_rerun_byte_identical(capsys):

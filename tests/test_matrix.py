@@ -21,7 +21,7 @@ from boxsearch.matrix import (
     theta_exact_bracket,
     theta_window,
 )
-from boxsearch.strategy import SearchParams, StrategyKind, searcher_seed
+from boxsearch.strategy import SearchParams, StrategyKind
 
 F = Fraction
 
@@ -58,11 +58,8 @@ def test_nested_survival_monte_carlo_oracle():
     exact = nested_survival(p, 8, 6)
     assert nested_survival(p, 8, 6, exact=True) == F(1, 2)
     trials = 1_000_000
-    hits = 0
-    for seed in range(trials):
-        t = sim._pool_hit_time(nested, p, 8, searcher_seed(seed, 1), 6)
-        if t is not None:
-            hits += 1
+    seeds = np.arange(trials, dtype=np.uint64)  # trial seeds 0..trials-1, searcher 1
+    hits = np.count_nonzero(sim._pool_hit_times(nested, p, 8, seeds, 1, 6))
     unvisited = 1 - hits / trials
     se = math.sqrt(exact * (1 - exact) / trials)
     assert abs(unvisited - exact) < 4 * se

@@ -1,5 +1,6 @@
 """Trial engine: baselines, MC/exact agreement, crashes, perturbations."""
 
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -79,8 +80,9 @@ def test_hit_time_matches_strategy_reference():
             for limit in (100_000, full, full - 1, join - 1):
                 want = reference_hit_time(kind, params, x, seed, sid, limit)
                 assert want == (full if limit >= full else None)
-                assert sim._pool_hit_time(kind, params, x, searcher_seed(seed, sid),
-                                          limit) == want
+                got = sim._pool_hit_times(kind, params, x, np.array([seed], np.uint64), sid,
+                                          limit)
+                assert got.tolist() == [want or 0]
 
 
 def test_mc_matches_exact_expected_time_x1():
@@ -135,21 +137,114 @@ def test_non_discovery_reported_not_raised_when_allowed():
     assert stats.non_discovery_count == 50
 
 
-def test_outcome_does_not_depend_on_first_horizon(monkeypatch):
-    # a pool-sampler fleet that hits nothing within the horizon reruns with
-    # it doubled, so a horizon of 5 steps changes no outcome
+def horizon_cases():
+    """Fleets with crashes, per-searcher perturbations, block-random, k = 2, 3, 5."""
     shifted = (Perturbation(kind="shift", shift=3), Perturbation(kind="extra-boxes"))
-    cases = [config(k=2, x=40), config(k=3, x=7), config(k=5, x=60),
-             config(k=2, kind=StrategyKind.block_random(4), x=30),
-             config(k=3, x=25, crashes=CrashSchedule(((1, 1), (3, 9)))),
-             config(k=2, x=30, crashes=CrashSchedule(((1, 20), (2, 25)))),
-             config(k=2, x=20, perturbations=shifted)]
+    return [config(k=2, x=40), config(k=3, x=7), config(k=5, x=60),
+            config(k=2, kind=StrategyKind.block_random(4), x=30),
+            config(k=3, x=25, crashes=CrashSchedule(((1, 1), (3, 9)))),
+            config(k=2, x=30, crashes=CrashSchedule(((1, 20), (2, 25)))),
+            config(k=2, x=20, perturbations=shifted)]
+
+
+def test_outcome_does_not_depend_on_first_horizon(monkeypatch):
+    # a pool-sampler fleet that hits nothing within the horizon runs on with
+    # it doubled, so a horizon of 5 steps changes no outcome
+    cases = horizon_cases()
     seeds = [sim.trial_seed(2718, i) for i in range(40)]
     want = [run_trial(replace(c, seed=s)) for c in cases for s in seeds]
     monkeypatch.setattr(TrialConfig, "step_cap", property(lambda self: 5))
     assert [run_trial(replace(c, seed=s)) for c in cases for s in seeds] == want
     times = [o.time for o in want]
     assert None in times and max(t for t in times if t is not None) > 5 * 2 ** 3
+
+
+def batch_outcomes(template, trials):
+    return [sim.TrialOutcome(t or None, f or None)
+            for times, finders in sim._trial_blocks(template, trials)
+            for t, f in zip(times.tolist(), finders.tolist())]
+
+
+def test_batch_outcomes_equal_run_trial(monkeypatch):
+    # the engine at any block size gives each trial run_trial's outcome; the
+    # x = 1e8 + 1 block-random trials jump past 1e8 draws first
+    cases = [replace(c, seed=2718) for c in horizon_cases()]
+    cases.append(config(k=1, kind=StrategyKind.block_random(2), x=10 ** 8 + 1, seed=3))
+    for rows in (sim.BLOCK_ROWS, 7, 1):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+        for c in cases:
+            want = [run_trial(replace(c, seed=sim.trial_seed(c.seed, i))) for i in range(40)]
+            assert batch_outcomes(c, 40) == want
+
+
+def reference_outcome(cfg):
+    """The fleet rule on strategy.next_box: searchers in id order, each run to
+    the best hit so far; while nothing is found and a searcher stopped at the
+    horizon rather than at its crash, all rerun with the horizon doubled."""
+    perts = cfg.perturbations
+    horizon = cfg.step_cap
+    while True:
+        best = finder = None
+        capped = False
+        for sid in range(1, cfg.fleet_size + 1):
+            limit = horizon
+            crash = cfg.crashes.crash_time(sid)
+            if crash is not None:
+                limit = min(limit, crash - 1)
+            if best is not None:
+                limit = min(limit, best - 1)
+            target = perts[sid - 1].map_index(cfg.treasure) if perts else cfg.treasure
+            t = reference_hit_time(cfg.kind, cfg.params, target, cfg.seed, sid, limit)
+            if t is not None:
+                best, finder = t, sid
+            elif limit == horizon:
+                capped = True
+        if best is not None or not capped:
+            return sim.TrialOutcome(best, finder)
+        horizon *= 2
+
+
+def test_batch_outcomes_equal_strategy_reference():
+    # ties the fleet rule (earliest hit, lowest id on ties, crashes) to next_box
+    for c in horizon_cases():
+        c = replace(c, seed=31)
+        want = [reference_outcome(replace(c, seed=sim.trial_seed(31, i))) for i in range(40)]
+        assert batch_outcomes(c, 40) == want
+
+
+def test_tie_across_a_horizon_pass_goes_to_the_lower_id():
+    # searcher 1, still open after the first chunk, hits at exactly the step
+    # at which searcher 2 hit: the trial is searcher 1's, even when a
+    # horizon pass stops it one step short first
+    kind, params = StrategyKind.nested(), SearchParams(3)
+    seeds = sim.trial_seeds(9, 0, 200)
+    hit, t, p, state, inc = sim._first_chunk(kind, params, 20, sim._seed_words(seeds),
+                                             np.ones(200, np.uint64),
+                                             np.full(200, sim._NEVER))
+    r = int(np.flatnonzero(hit < 0)[0])
+    h = reference_hit_time(kind, params, 20, int(seeds[r]), 1, 10 ** 6)
+    row = [1, t, int(p[r]), int(state[0][r]) << 64 | int(state[1][r]),
+           int(inc[0][r]) << 64 | int(inc[1][r]), sim._NEVER]
+    assert sim._finish_trial(kind, params, [row], h, 2, h - 1, np.random.PCG64(0)) == (h, 1)
+
+
+def test_negative_base_seed_raises_value_error():
+    for kind in (StrategyKind.nested(), StrategyKind.block_random(3), StrategyKind.solo()):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            estimate_speedup(config(k=1, kind=kind, x=5, seed=-1), 10)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_trial(config(k=2, x=5, seed=-3))
+
+
+def test_block_random_stats_pinned():
+    # RunStats reprs from the engine that ran each searcher on its own Generator
+    reprs = []
+    for b, k, x, seed in ((1, 1, 5, 3), (2, 2, 37, 4), (3, 2, 50, 5), (4, 3, 17, 6),
+                          (2, 1, 10 ** 8 + 1, 3)):
+        cfg = config(k=k, kind=StrategyKind.block_random(b), x=x, seed=seed)
+        reprs.append(repr(estimate_speedup(cfg, 200)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == "3af00ee3317dc2da1805cf1828b85a7fd956b65b3eefc6dbe40894473f6765b2"
 
 
 def test_trial_past_the_first_horizon_is_found():

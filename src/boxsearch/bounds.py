@@ -10,6 +10,12 @@ Four families of checks:
 - the continuous optimal survival function and its cutoff curve gamma(t);
 - the closed-form weighted-average lower bound on the expected-time ratio,
   cross-checked by adaptive quadrature.
+
+Only that quadrature (``lowerbound_value`` and
+``weighted_average_quadrature``) needs scipy, and it imports
+``scipy.integrate`` on first use: importing this module loads numpy and
+nothing from scipy, which keeps about half a second off the start of every
+CLI call that does no quadrature.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import matrix
 
@@ -335,6 +340,8 @@ def _piecewise_quad(f: Callable[[float], float], t_max: float,
     The integrands here concentrate near the origin and then decay over many
     decades; a single quad over the whole span loses the head to roundoff.
     """
+    from scipy import integrate  # here: its ~0.5 s import is needed by quadrature only
+
     edges = [0.0, min(scale, t_max)]
     while edges[-1] < t_max:
         edges.append(min(2.0 * edges[-1], t_max))

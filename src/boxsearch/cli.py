@@ -14,6 +14,7 @@ on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -125,7 +126,10 @@ def _parse_x_range(spec: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared by every call of
+    :func:`main` in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="boxsearch",
         description="Uncoordinated parallel box-search: exact analysis, "

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import boxsearch
 from boxsearch import matrix
-from boxsearch.cli import SEED_ENV_VAR, main
+from boxsearch.cli import SEED_ENV_VAR, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -444,3 +448,128 @@ def test_sweep_csv_shapes(capsys):
     for line in lines[1:] + lines2[1:]:
         fields = line.split(",")
         assert len(fields) == 8 and all(float(v) > 0 for v in fields[5:])
+
+
+def shared_parser_between_runs(capsys, monkeypatch) -> None:
+    """Calls that end in SystemExit or change the environment, made between
+    pinned runs so that anything they leave on the shared parser shows."""
+    usage_error(capsys, "crash", "--k", "2", "--k-prime", "2", "--x", "5")
+    for flag, start in (("--help", "usage: boxsearch"), ("--version", "boxsearch ")):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith(start)
+    monkeypatch.setenv(SEED_ENV_VAR, "4242")
+    code, out = run_cli(capsys, "matrix", "--xmax", "1", "--tmax", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["seed"] == 4242
+    monkeypatch.delenv(SEED_ENV_VAR)
+
+
+def test_shared_parser_keeps_pinned_stdout(capsys, monkeypatch):
+    # main parses every call with one parser built per process; calls in any
+    # order, with errors, --help, --version and a seed change in between,
+    # print what each prints alone
+    assert build_parser() is build_parser()
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    runs = [(f"matrix {argv}", 0, digest) for argv, digest in MATRIX_STDOUT_SHA256]
+    runs += MC_STDOUT_SHA256
+    for order in (runs, runs[::-1]):
+        for i, (argv, status, digest) in enumerate(order):
+            if i % 4 == 0:
+                shared_parser_between_runs(capsys, monkeypatch)
+            code, out = run_cli(capsys, *argv.split())
+            assert code == status, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_shared_parser_resets_options(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def options(*argv):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code in (0, 1), argv  # 1: robustness flagged a speed-up loss
+        return json.loads(out)["options"]
+
+    # append actions start from their default on every call
+    assert options("speedup", "--x", "5", "--x", "7")["x"] == [5, 7]
+    assert options("speedup", "--x", "9")["x"] == [9]
+    quick = ("--instances", "1", "--skip-theta")
+    assert options("verify-bounds", "--k", "2", "--k", "3", *quick)["k"] == [2, 3]
+    assert options("verify-bounds", "--k", "3", *quick)["k"] == [3]
+    robust = ("robustness", "--k", "2", "--x", "20", "--trials", "20")
+    assert options(*robust, "--perturbation", "shift:2", "--perturbation",
+                   "identity")["perturbations"] == ["shift:2", "identity"]
+    assert options(*robust, "--perturbation", "extra-boxes")["perturbations"] == [
+        "extra-boxes:ceil-sqrt"]
+    assert options(*robust)["perturbations"] == ["shift:5", "extra-boxes:ceil-sqrt"]
+    # None defaults stay None after a call that set them
+    slab = ("--xmax", "3", "--tmax", "3")
+    options("matrix", "--strategy", "block-random", "--block", "5", *slab)
+    options("matrix", "--strategy", "coordinated", "--k", "3", "--searcher-id", "2", *slab)
+    assert options("matrix", "--strategy", "nested", *slab)["strategy"] == "nested"
+    assert options("speedup", "--x", "5", "--epsilon", "1e-3")["epsilon"] == 1e-3
+    mc = options("speedup", "--x", "5", "--mode", "mc", "--trials", "10")
+    assert mc["epsilon"] == 1e-6 and mc["trials"] == 10
+    assert options("speedup", "--x", "5")["trials"] is None
+    args = build_parser().parse_args(["matrix", *slab])
+    assert args.block is None and args.searcher_id is None
+    args = build_parser().parse_args(["speedup"])
+    assert args.x is None and args.epsilon is None and args.trials is None
+    assert build_parser().parse_args(["verify-bounds"]).k is None
+    assert build_parser().parse_args(["robustness", "--x", "5"]).perturbation is None
+
+
+def checkout_env() -> dict:
+    """This process's environment with the package's source directory first
+    on PYTHONPATH and no seed override."""
+    env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(boxsearch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Every subcommand but verify-bounds, then verify-bounds, in one interpreter;
+# the last line reports exit codes and the scipy modules loaded before and
+# after verify-bounds.
+IMPORT_BOUNDARY_SCRIPT = """
+import json, sys
+import boxsearch, boxsearch.cli as cli
+cli.build_parser()
+codes = [cli.main(argv.split()) for argv in (
+    "matrix --k 3 --xmax 8 --tmax 8 --exact",
+    "speedup --k 2 --x 50",
+    "speedup --mode mc --k 3 --x 20 --trials 50",
+    "crash --k 3 --k-prime 1 --x 20 --trials 50",
+    "robustness --k 2 --x 20 --trials 50 --perturbation identity",
+)]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(cli.main("verify-bounds --instances 1 --k 2".split()))
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_scipy_loaded_by_quadrature_only(tmp_path):
+    # scipy's import is most of a CLI process's start-up; only the quadrature
+    # checks of verify-bounds need it, so no other subcommand may load it
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT], cwd=tmp_path,
+                          env=checkout_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0, 0, 0]
+    assert report["before"] == []
+    assert report["after"] is True
+
+
+def test_python_m_boxsearch(tmp_path, capsys):
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "boxsearch", *argv], cwd=tmp_path,
+                              env=checkout_env(), capture_output=True, text=True,
+                              timeout=120)
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout == f"boxsearch {boxsearch.__version__}\n"
+    proc = run("speedup", "--k", "2", "--x", "5")
+    code, out = run_cli(capsys, "speedup", "--k", "2", "--x", "5")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out and proc.stderr == ""

@@ -8,8 +8,9 @@ Both pool samplers' tables come from one recurrence in
 :class:`SurvivalMatrix`, which reads the pool rule from :class:`StrategyKind`.
 
 Two arithmetic modes: exact ``Fraction`` values (identities that must hold
-exactly) and float64 with chunked pairwise summation (long-horizon sums),
-one pass per pool block.
+exactly; cells kept as lowest-terms integer pairs, sums taken in integers over
+a common denominator) and float64 with chunked pairwise summation
+(long-horizon sums), one pass per pool block.
 """
 
 from __future__ import annotations
@@ -66,12 +67,15 @@ class SurvivalMatrix:
 
     For a pool sampler N(x, t) is 1 until ``kind.entry_step`` appends x to
     the pool and is then multiplied by (1 - 1/m) at each step t, where
-    m = pool_limit(t) - (t - 1) is the number of unvisited pool members.  The
-    same line is exact for Fraction (it gives 0 once m = 1) and float64 for
-    float.  Rows depend on x only through its entry step, so they are cached
-    per entry step, and m is read from one list of candidate-list sizes.
-    Cache fills are idempotent and deterministic, hence concurrent readers
-    observe the same values a serial evaluation produces.
+    m = pool_limit(t) - (t - 1) is the number of unvisited pool members.
+    Float rows apply that factor as ``row[-1] * (m - 1) / m``.  Exact cells
+    are kept as integer pairs in lowest terms (0 once m = 1), reduced by
+    cross-cancelling rather than by a gcd of the product, and served as
+    ``Fraction``s built once per cell.  Rows depend on x only through its
+    entry step, so they are cached per entry step, and m is read from one
+    list of candidate-list sizes.  Cache fills are idempotent and
+    deterministic, hence concurrent readers observe the same values a serial
+    evaluation produces.
     """
 
     def __init__(self, kind: StrategyKind, params: SearchParams, exact: bool = False) -> None:
@@ -80,7 +84,8 @@ class SurvivalMatrix:
         self.exact = exact
         self._one: Prob = Fraction(1) if exact else 1.0
         self._rows: dict[int, list[Prob]] = {}
-        self._sizes: list[int] = [0]  # m at steps 1, 2, ...; index 0 unused
+        self._cells: dict[int, tuple[list[int], list[int]]] = {}
+        self._sizes: list[int] = []  # m at steps 0, 1, ...; 1 at step 0
 
     def value(self, x: int, t: int) -> Prob:
         """N(x, t); for a partition member, the 0/1 indicator that it has not
@@ -107,6 +112,15 @@ class SurvivalMatrix:
             return [self._one] * (t_max + 1)
         return self._row(first, t_max)[:t_max + 1]
 
+    def _sizes_to(self, t: int) -> list[int]:
+        """The cached sizes m at steps 0..t (at least), grown by doubling so
+        its fills stay few."""
+        sizes = self._sizes
+        if len(sizes) <= t:
+            steps = np.arange(len(sizes), max(t + 1, 2 * len(sizes)))
+            sizes += (self.kind.pool_limit(self.params, steps) - steps + 1).tolist()
+        return sizes
+
     def _row(self, first: int, t: int) -> list[Prob]:
         """The cached row [N(x, 0), ..., N(x, t), ...] for x entering at step
         first <= t."""
@@ -114,13 +128,45 @@ class SurvivalMatrix:
         if row is None:
             row = self._rows[first] = [self._one] * first
         if len(row) <= t:
-            sizes = self._sizes
-            if len(sizes) <= t:  # grown by doubling, so its fills stay few
-                steps = np.arange(len(sizes), max(t + 1, 2 * len(sizes)))
-                sizes += (self.kind.pool_limit(self.params, steps) - steps + 1).tolist()
-            for m in sizes[len(row):t + 1]:
-                row.append(row[-1] * (m - 1) / m)
+            if self.exact:
+                nums, dens = self._exact_cells(first, t)
+                row += map(Fraction, nums[len(row):t + 1], dens[len(row):t + 1])
+            else:
+                for m in self._sizes_to(t)[len(row):t + 1]:
+                    row.append(row[-1] * (m - 1) / m)
         return row
+
+    def _exact_cells(self, first: int, t: int) -> tuple[list[int], list[int]]:
+        """The cached lowest-terms numerators and denominators of N(x, 0..t, ...)
+        for x entering at step first.  Each step takes n/d to
+        n*(m-1) / (d*m) with the common factors of n and m, and of m-1 and d,
+        cancelled first; n and d are coprime, as are m and m-1, so the result
+        is in lowest terms too."""
+        cells = self._cells.get(first)
+        if cells is None:
+            cells = self._cells[first] = ([1] * first, [1] * first)
+        nums, dens = cells
+        if len(nums) <= t:
+            n, d = nums[-1], dens[-1]
+            for m in self._sizes_to(t)[len(nums):t + 1]:
+                g1, g2 = math.gcd(n, m), math.gcd(m - 1, d)
+                n, d = n // g1 * ((m - 1) // g2), d // g2 * (m // g1)
+                nums.append(n)
+                dens.append(d)
+        return cells
+
+    def power_sum(self, x: int, t_max: int, fleet: int) -> Fraction:
+        """sum_{t <= t_max} N(x, t)**fleet for a pool sampler, as a Fraction
+        in either mode: one integer numerator over lcm(denominators)**fleet."""
+        _validate_xt(x, t_max)
+        nums, dens = self._exact_cells(self.kind.entry_step(self.params, x), t_max)
+        nums, dens = nums[:t_max + 1], dens[:t_max + 1]
+        lcm = 1
+        for d in dens:
+            lcm = lcm // math.gcd(lcm, d) * d
+        common = lcm ** fleet
+        return Fraction(sum(n ** fleet * (common // d ** fleet) for n, d in zip(nums, dens)),
+                        common)
 
     def support_limit(self, t: int) -> int:
         """Largest x with N(x, t) possibly below 1, 0 at t = 0: the pool
@@ -135,19 +181,30 @@ class SurvivalMatrix:
     def column_sum_residual(self, t: int) -> Prob:
         """|sum_x (1 - N(x, t)) - t| over the support; zero for a
         non-revisiting strategy.  A sampler's boxes are summed by entry
-        step: the boxes appended at one step share a row."""
+        step: the boxes appended at step s share a row, and there are
+        m_s - m_{s-1} + 1 of them.  Exact cells are summed in integers over
+        M = m_1*...*m_t, a multiple of every denominator in column t."""
         if t < 0:
             raise ValueError(f"step count must be >= 0, got {t}")
-        total = Fraction(0) if self.exact else 0.0
-        if self.kind.randomized:
-            limits = self.kind.pool_limit(self.params, np.arange(t + 1))
-            for first, joined in enumerate(np.diff(limits).tolist(), start=1):
-                if joined:
-                    total += joined * (1 - self._row(first, t)[t])
-        else:
+        if not self.kind.randomized:
+            total = Fraction(0) if self.exact else 0.0
             for x in range(1, self.support_limit(t) + 1):
                 total += 1 - self.value(x, t)
-        return abs(total - t)
+            return abs(total - t)
+        sizes = self._sizes_to(t)
+        joined = [(first, count) for first in range(1, t + 1)
+                  if (count := sizes[first] - sizes[first - 1] + 1)]
+        if not self.exact:
+            total = 0.0
+            for first, count in joined:
+                total += count * (1 - self._row(first, t)[t])
+            return abs(total - t)
+        big_m = math.prod(sizes[1:t + 1])
+        total = 0
+        for first, count in joined:
+            nums, dens = self._exact_cells(first, t)
+            total += count * (big_m - nums[t] * (big_m // dens[t]))
+        return Fraction(abs(total - t * big_m), big_m)
 
 
 @dataclass(frozen=True)
@@ -173,11 +230,12 @@ class ThetaEstimate:
 
 def _checked_fleet(params: SearchParams, x: int, fleet: int | None,
                    epsilon: float | None = None) -> int:
-    """Validate x (and epsilon, when given); return the fleet size, k by default."""
+    """Validate x (and epsilon, a finite positive number, when given);
+    return the fleet size, k by default."""
     if x < 1:
         raise ValueError(f"box index must be >= 1, got {x}")
-    if epsilon is not None and not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     n_fleet = params.k if fleet is None else fleet
     if n_fleet < 1:
         raise ValueError(f"fleet must be >= 1, got {n_fleet}")
@@ -327,9 +385,9 @@ def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
                         fleet: int | None = None) -> tuple[Fraction, Fraction]:
     """Exact rational bracket [lo, hi] containing theta (k >= 2, even t_max).
 
-    The partial sum over t <= t_max plus the certified rational lower and
-    upper tail bounds of :func:`_tail_certificate`, divided by x, give lo
-    and hi.
+    The partial sum over t <= t_max (:meth:`SurvivalMatrix.power_sum`) plus
+    the certified rational lower and upper tail bounds of
+    :func:`_tail_certificate`, divided by x, give lo and hi.
     """
     n_fleet = _checked_fleet(params, x, fleet)
     if params.k < 2:
@@ -337,9 +395,9 @@ def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
     if t_max % 2 or t_max < 2 * block_of(params, x):
         raise ValueError("t_max must be even and at least the block entry step")
     tail_of = _tail_certificate(params.delta_exact, n_fleet)
-    row = survival_row_exact(params, x, t_max)
-    partial = sum(v ** n_fleet for v in row)
-    tail_lo, tail_hi = tail_of(row[t_max], t_max // 2)
+    view = SurvivalMatrix(StrategyKind.nested(), params, exact=True)
+    partial = view.power_sum(x, t_max, n_fleet)
+    tail_lo, tail_hi = tail_of(view.value(x, t_max), t_max // 2)
     return Fraction(partial + tail_lo, x), Fraction(partial + tail_hi, x)
 
 

@@ -171,6 +171,32 @@ def test_mc_stdout_pinned(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# SHA-256 of verify-bounds stdouts: the benchmark's argv for its seeds 1-6, and
+# the bare check at k = 1, 2, 10.  The column-identity entries sum exact cells.
+VERIFY_STDOUT_SHA256 = [
+    *((f"--instances 1 --theta-x 10000 --k 2 --k 3 --k 5 --seed {seed}", digest)
+      for seed, digest in enumerate([
+          "ac6717f34fcbdb0b07f6f31925ad939ea9baef27df2557257605496b7de7eb7f",
+          "fb3714bfba7e9612b28b78d785a513073b47e6e8170712cc508c397f55ca3cda",
+          "78be4746b22cf30bec033bfeca504506523cdb08441248635bf929eab150da01",
+          "b7e08428a986bbfa9e20708faf3e711e90e96c3b773ed0bbf4972f8ade757da7",
+          "498d6c0df2dad84d3c81dc04ffb129db8c4b1ee2ca7584c205216e11b9dbf2ae",
+          "22b01a4c591537955008fb41a57152d8f9af045b24f560f3a197c2be1bcfc4d0",
+      ], start=1)),
+    ("--k 1 --k 2 --k 10", "331a77cb7e897d9fb14740e3acbbbfdc7406a24c0f40bfbd3f75e267b5c81d20"),
+]
+
+
+def test_verify_bounds_stdout_pinned(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)  # JSON echoes the seed
+    for argv, digest in VERIFY_STDOUT_SHA256:
+        code, out = run_cli(capsys, "verify-bounds", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        identity = [e for e in json.loads(out)["results"] if e["name"] == "column-identity(t<=100)"]
+        assert identity and all(e["value"] == 0.0 and e["status"] == "pass" for e in identity)
+
+
 def test_matrix_json_format(capsys):
     code, out = run_cli(capsys, "matrix", "--k", "2", "--xmax", "2", "--tmax", "2",
                         "--exact", "--format", "json")
@@ -216,6 +242,8 @@ def test_speedup_mc_requires_trials(capsys):
     (("--x", "5", "--mode", "mc", "--trials", "10", "--epsilon", "0"),
      "--epsilon applies to --mode exact only"),
     (("--x", "5", "--mode", "exact", "--trials", "7"), "--trials applies to --mode mc only"),
+    (("--x", "10", "--epsilon", "inf", "--format", "json"), "epsilon must be positive and finite"),
+    (("--x", "10", "--epsilon", "nan"), "epsilon must be positive and finite"),
 ])
 def test_speedup_bad_input_exits_2(capsys, argv, message):
     assert message in usage_error(capsys, "speedup", *argv)

@@ -85,6 +85,47 @@ def test_one_nested_recurrence_float_and_exact():
                 assert survival_row_exact(p, x, 120) == row
 
 
+# the pool rules written out (as in test_strategy.test_pool_rule): the pool
+# limit at step t is ceil(t/2)*(k+1) nested and ceil(t/b)*b block-random
+POOL_RULES = [(StrategyKind.nested(), SearchParams(k), lambda t, k=k: math.ceil(t / 2) * (k + 1))
+              for k in (1, 2, 3, 4, 5, 10)]
+POOL_RULES += [(StrategyKind.block_random(b), SearchParams(2), lambda t, b=b: math.ceil(t / b) * b)
+               for b in (1, 2, 3, 5)]
+
+
+def test_exact_cells_equal_fraction_products():
+    # every exact cell is the product of Fraction(m - 1, m) over the steps
+    # from x's entry step to t, m = limit(t) - (t - 1) unvisited pool members,
+    # and is served as a Fraction
+    for kind, p, limit in POOL_RULES:
+        view = SurvivalMatrix(kind, p, exact=True)
+        for x in range(1, 61):
+            want, cell = [], F(1)
+            for t in range(121):
+                if limit(t) >= x:
+                    m = limit(t) - (t - 1)
+                    cell *= F(m - 1, m)
+                want.append(cell)
+            row = view.row(x, 120)
+            assert row == want, (kind, x)
+            assert all(type(v) is F for v in row)
+            assert [view.value(x, t) for t in (0, 7, 120)] == [want[0], want[7], want[120]]
+
+
+def test_exact_cells_stay_in_lowest_terms():
+    # the cached integer cells of box 1 are coprime pairs below 2**32 (27-28
+    # bits) out to t = 20000 for k = 2, 3; numerators kept over the product of
+    # the sizes m would grow by log2(m) bits a step
+    for k in (2, 3):
+        view = SurvivalMatrix(StrategyKind.nested(), SearchParams(k), exact=True)
+        row = view.row(1, 20_000)
+        nums, dens = view._exact_cells(1, 20_000)
+        assert len(nums) == len(dens) == len(row)
+        assert max(dens).bit_length() <= 32  # below 2**32
+        assert all(math.gcd(n, d) == 1 for n, d in zip(nums, dens))
+        assert [(v.numerator, v.denominator) for v in row] == list(zip(nums, dens))
+
+
 def test_block_random_rows_match_closed_form():
     # oracle: block j = ceil(x/b) opens after (j-1)*b steps, and each of its
     # next b steps opens one of its boxes uniformly, so after done of them
@@ -157,6 +198,37 @@ def test_column_identity_exact():
         view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
         for t in range(0, 51):
             assert view.column_sum_residual(t) == 0
+
+
+def column_residual_by_box(view, t):
+    """|sum_{x <= support_limit(t)} (1 - N(x, t)) - t|, box by box."""
+    return abs(sum(1 - view.value(x, t) for x in range(1, view.support_limit(t) + 1)) - t)
+
+
+def test_column_residual_equals_box_by_box_sum():
+    for kind, p, _ in POOL_RULES:
+        view = SurvivalMatrix(kind, p, exact=True)
+        for t in range(61):
+            got = view.column_sum_residual(t)
+            assert type(got) is F
+            assert got == column_residual_by_box(view, t) == 0, (kind, p.k, t)
+
+
+def test_column_residual_reads_the_cached_cells():
+    # overwrite one cached cell: the residual of its column moves by the
+    # boxes sharing that row times the change, and no other column moves
+    for kind, p, first, t in [(StrategyKind.nested(), SearchParams(2), 3, 9),
+                              (StrategyKind.nested(), SearchParams(5), 1, 20),
+                              (StrategyKind.block_random(3), SearchParams(2), 4, 5)]:
+        view = SurvivalMatrix(kind, p, exact=True)
+        assert view.column_sum_residual(t) == 0
+        nums, dens = view._exact_cells(first, t)
+        nums[t] += 1
+        boxes = [x for x in range(1, view.support_limit(t) + 1)
+                 if kind.entry_step(p, x) == first]
+        assert view.column_sum_residual(t) == F(len(boxes), dens[t])
+        assert view.column_sum_residual(t) == column_residual_by_box(view, t)
+        assert [view.column_sum_residual(s) for s in range(t)] == [0] * t
 
 
 def test_column_identity_example_k2_t4():
@@ -238,6 +310,21 @@ def test_theta_k2_x3_rational_bracket():
     lo, hi = theta_exact_bracket(p, 3, 400)
     est = theta(p, 3, epsilon=1e-12)
     assert lo <= est.theta + est.tail_bound and est.theta <= hi
+
+
+def test_theta_exact_bracket_equals_fraction_sum():
+    # oracle: the partial sum taken cell by cell in Fraction arithmetic
+    for k in (2, 3, 5):
+        p = SearchParams(k)
+        tail_of = _tail_certificate(p.delta_exact, k)
+        for x in (1, 3, 10, 40):
+            for t_max in (2 * matrix.block_of(p, x), 400):
+                row = survival_row_exact(p, x, t_max)
+                partial = sum(v ** k for v in row)
+                lo, hi = tail_of(row[t_max], t_max // 2)
+                assert theta_exact_bracket(p, x, t_max) == (F(partial + lo, x), F(partial + hi, x))
+    view = SurvivalMatrix(StrategyKind.nested(), SearchParams(2))
+    assert view.power_sum(9, 2, 3) == 3  # before x enters the pool every cell is 1
 
 
 def test_theta_k2_large_x_window():
@@ -358,8 +445,10 @@ def test_theta_rejects_bad_args(monkeypatch):
     p = SearchParams(2)
     with pytest.raises(ValueError):
         theta(p, 0)
-    with pytest.raises(ValueError):
-        theta(p, 10, epsilon=0.0)
+    for bad in (0.0, -1e-6, math.inf, math.nan):
+        for fn in (theta, theta_window, lambda p, x, eps: speedup_curve(p, [x], eps)):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                fn(p, 10, bad)
     with pytest.raises(ValueError):
         theta(p, 10, fleet=0)
     with pytest.raises(ValueError):

@@ -240,7 +240,7 @@ def _cmd_speedup(args, seed: int) -> Output:
         xs.extend(args.x_range)
     if not xs:
         raise ValueError("speedup needs --x or --x-range")
-    if args.mode == "mc" and not args.trials:
+    if args.mode == "mc" and args.trials is None:
         raise ValueError("--trials is required when --mode mc")
     for flag, given, mode in (("--window", args.window, "exact"),
                               ("--epsilon", args.epsilon is not None, "exact"),

@@ -9,21 +9,21 @@ trial indices.
 Both randomized samplers run through one engine, :func:`_fleet_block`: it
 reads the pool rule from :class:`StrategyKind` and replays only the draws
 that can touch the treasure, so it draws uniforms and never reads N(x, t).
-It runs every (trial, searcher) row of a block of trials at once on numpy
-uint64 arrays: SeedSequence hashing and PCG64 seeding, the jump to the step
-at which the treasure joins the row's pool (F. Brown's LCG jump-ahead, as in
-``PCG64.advance``), and a first chunk of draws.  A row still running after it
-hands its PCG64 state to a native generator through ``.state`` (it is not
-re-seeded) and draws on there.  All three reproduce numpy's streams bit for
-bit, so each trial's outcome is the one its searchers' own
-``Generator(PCG64(searcher_seed(trial seed, sid)))`` streams give.
-:func:`run_trial` is the same engine at one trial.
+It runs every (trial, searcher) row of a block of trials through one loop of
+lock-step rounds, with one event search and one fleet rule for every round.
+Round 1 runs on numpy uint64 arrays for all rows at once: SeedSequence hashing
+and PCG64 seeding, the jump to the step at which the treasure joins the row's
+pool (F. Brown's LCG jump-ahead, as in ``PCG64.advance``), and the first
+draws.  In each later round a row still running hands its PCG64 state to a
+native generator through ``.state`` (it is not re-seeded) and draws there.
+All of these reproduce numpy's streams bit for bit, so each trial's outcome
+is the one its searchers' own ``Generator(PCG64(searcher_seed(trial seed,
+sid)))`` streams give.  :func:`run_trial` is the same engine at one trial.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -85,6 +85,8 @@ class Perturbation:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
         if self.kind == "local-shuffle" and self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        if self.kind == "local-shuffle" and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def map_index(self, i: int) -> int:
         if i < 1:
@@ -167,14 +169,15 @@ class TrialConfig:
 
     @property
     def step_cap(self) -> int:
-        """The first horizon of :func:`run_trial`, doubled while nothing is found."""
+        """The horizon of a partition trial: a member that opens the target
+        later finds nothing.  A pool-sampler trial has no horizon."""
         return 50 * self.treasure * self.params.block_size
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
     """Discovery step and finder; time None (not an error) means every searcher
-    crashed first, or a partition opens the treasure only past the first horizon."""
+    crashed first, or a partition opens the treasure only past its step_cap."""
 
     time: int | None
     first_finder: int | None
@@ -184,14 +187,19 @@ class TrialOutcome:
         return self.time is not None
 
 
-# Uniforms are drawn in chunks that start small (runs that end within a few
-# steps draw little) and grow to amortize numpy's per-call cost.  A uniform is
-# one PCG64 output whatever the chunk sizes, so they change no hit time.
-# BATCH_CHUNK uniforms per row are drawn for all rows of a block at once;
-# rows still running after them continue CHUNK_FIRST, then 4x more, at a time.
+# Uniforms are drawn in rounds that start narrow (runs that end within a few
+# steps draw little) and widen to amortize numpy's per-call cost.  A uniform is
+# one PCG64 output whatever the widths, so they change no hit time.  Round 1
+# draws BATCH_CHUNK uniforms per row, each later round 4x more, up to
+# CHUNK_MAX.  A round's rows draw in sub-batches of at most DRAW_BUDGET
+# uniforms (no fewer than CHUNK_MAX): a round's memory is bounded, and its
+# width does not shrink while many rows are open.  Of the budgets 2**12, 2**13
+# and 2**14 (CHUNK_MAX equal to each), 2**13 ran the heavy MC commands of
+# BENCH_15.json best on a 2-core Xeon: 2**14 slowed the one that ends almost
+# every trial in round 1, and 2**12 the ones with long tails.
 BATCH_CHUNK = 16
-CHUNK_FIRST = 64
-CHUNK_MAX = 16384
+CHUNK_MAX = 8192
+DRAW_BUDGET = 1 << 13
 # Rows (trial, searcher) run together: this bounds the memory of a block.
 BLOCK_ROWS = 1024
 
@@ -340,69 +348,37 @@ def _uniforms(state) -> np.ndarray:
     return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
-def _follow_treasure(u: np.ndarray, m: np.ndarray, p: int) -> tuple[int, int]:
-    """Replay swap-pop draws against the treasure's slot ``p``.
-
-    Step i draws slot floor(u[i] * m[i]) of an m[i]-box candidate list and
-    moves the list's last box into it.  Only two draws matter: slot ``p``
-    (a hit), or another slot while the treasure is last (it moves there).
-    Returns (index of the hit or -1, slot after the last step).
-    """
-    j = (u * m).astype(np.int64)
-    i = 0
-    while True:
-        events = np.flatnonzero((j[i:] == p) | (m[i:] == p + 1))
-        if not events.size:
-            return -1, p
-        i += int(events[0])
-        if j[i] == p:
-            return i, p
-        p = int(j[i])
-        i += 1
-
-
 @functools.lru_cache(maxsize=16)
 def _list_sizes(kind: StrategyKind, params: SearchParams, t: int, n: int) -> np.ndarray:
     """Candidate-list lengths pool_limit(s) - (s - 1) at steps s = t..t+n-1
     (read-only).  The trials of one experiment share the treasure, hence the
-    chunks, so the few in use are kept rather than computed per row."""
+    rounds, so the few in use are kept rather than computed per row."""
     steps = np.arange(t, t + n)
     m = kind.pool_limit(params, steps) - steps + 1
     m.flags.writeable = False
     return m
 
 
-def _first_chunk(kind: StrategyKind, params: SearchParams, target: int, words: list,
-                 sids: np.ndarray, limits: np.ndarray):
-    """Seed the rows that share ``target``, jump each to the step that
-    appends it to the pool, and replay their first draws together.
+def _event_search(j: np.ndarray, m: np.ndarray, p: np.ndarray, end: np.ndarray):
+    """Follow each row's treasure through its drawn slots ``j`` (rows x width).
 
-    The treasure joins every row's candidate list in slot target - first at
-    step ``first``; earlier draws cannot touch it.  Each row follows it
-    through BATCH_CHUNK draws, or to its limit if that comes first: rounds of
-    _follow_treasure's event search run on all rows at once, one round per
-    move of the treasure.  Returns (column of each row's hit or -1, the step
-    after the chunk, the treasure's slot then, the PCG64 state then, inc).
+    Column c draws slot j[r, c] of an m[c]-box candidate list and moves the
+    list's last box into it.  Only two draws matter: the treasure's slot (a
+    hit), or another slot while the treasure is last (it moves there).  Row r
+    starts with the treasure in slot p[r] and reads columns below end[r]; one
+    pass per move of a treasure serves all rows at once.  Returns (column of
+    each row's hit or -1, each row's slot after its last column).
     """
-    first = kind.entry_step(params, target)
-    n = min(BATCH_CHUNK, int(limits.max()) - first + 1)
-    m = _list_sizes(kind, params, first, n)
-    s, inc = _seeded_streams(words, sids)
-    a, g = _jump_table(first - 1, n)
-    state = _affine((s[0][:, None], s[1][:, None]), (inc[0][:, None], inc[1][:, None]), a, g)
-    j = (_uniforms(state) * m).astype(np.int64)
-    cols = np.arange(n)
-    end = np.minimum(limits - first + 1, n)
-    p = np.full(len(j), target - first)
+    cols = np.arange(j.shape[1])
+    p = p.copy()
     start = np.zeros(len(j), np.int64)
     hit = np.full(len(j), -1)
     live = np.arange(len(j))
     while live.size:
         slot = p[live, None]
-        events = (j[live] == slot) | (m == slot + 1)
-        events &= (cols >= start[live, None]) & (cols < end[live, None])
+        events = ((j[live] == slot) | (m == slot + 1)) & (cols >= start[live, None])
         col = events.argmax(1)
-        has = events[np.arange(live.size), col]
+        has = events[np.arange(live.size), col] & (col < end[live])
         live, col = live[has], col[has]
         drawn = j[live, col]
         found = drawn == p[live]
@@ -410,103 +386,113 @@ def _first_chunk(kind: StrategyKind, params: SearchParams, target: int, words: l
         live, col, drawn = live[~found], col[~found], drawn[~found]
         p[live] = drawn
         start[live] = col + 1
-    return hit, first + n, p, (state[0][:, -1].copy(), state[1][:, -1].copy()), inc
+    return hit, p
 
 
-def _follow_stream(rng: np.random.Generator, kind: StrategyKind, params: SearchParams,
-                   t: int, p: int, stop: int) -> tuple[int, int, int]:
-    """Draw from step t, the treasure in slot p, through step ``stop`` at most;
-    returns (the hit step or 0, the next step, the slot)."""
-    size = CHUNK_FIRST
-    while t <= stop:
-        n = min(size, stop + 1 - t)
-        hit, p = _follow_treasure(rng.random(n), _list_sizes(kind, params, t, size)[:n], p)
-        if hit >= 0:
-            return t + hit, t, p
-        t += n
-        size = min(4 * size, CHUNK_MAX)
-    return 0, t, p
-
-
-def _finish_trial(kind: StrategyKind, params: SearchParams, rows: list, best: int,
-                  finder: int, horizon: int, bits: np.random.PCG64) -> tuple[int, int]:
-    """Run one trial's unfinished rows [sid, t, p, state, inc, limit], in sid
-    order, on the native ``bits``; returns the trial's (best, finder).
-
-    A row only runs while it could still win: to best - 1, or to best if its
-    id is below the finder's.  While nothing is found, rows run to a horizon
-    that doubles each pass, so no single heavy-tailed searcher runs far ahead
-    of its fleet.
-    """
-    def bound(row):
-        return min(row[5], best - (row[0] > finder))
-
+def _native_uniforms(bits: np.random.PCG64, streams: np.ndarray, end: np.ndarray,
+                     width: int) -> np.ndarray:
+    """Generator.random's doubles (rows x width) of the PCG64 ``streams``: row
+    r draws its first end[r] columns on the native ``bits``, handed the row's
+    state and inc through ``.state``; the rest stay 0."""
+    u = np.zeros((len(end), width))
     rng = np.random.Generator(bits)
-    while rows:
-        for row in rows:
-            sid, t, p, state, inc, _ = row
-            stop = min(bound(row), horizon)
-            if t > stop:
-                continue
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            hit, row[1], row[2] = _follow_stream(rng, kind, params, t, p, stop)
-            if hit:
-                best, finder, row[1] = hit, sid, _NEVER
-            elif stop < bound(row):  # stopped at the horizon: draws on in a later pass
-                row[3] = bits.state["state"]["state"]
-        rows = [r for r in rows if r[1] <= bound(r)]
-        horizon *= 2
-    return best, finder
+    for r, (s_hi, s_lo, i_hi, i_lo, e) in enumerate(zip(*streams.tolist(), end.tolist())):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                      "has_uint32": 0, "uinteger": 0}
+        rng.random(out=u[r, :e])
+    return u
+
+
+def _fleet_round(kind: StrategyKind, params: SearchParams, run: tuple, key: np.ndarray,
+                 span: int, width: int, bits: np.random.PCG64 | None) -> tuple | None:
+    """One round of the rows ``run`` that share a target: (t, trial, sid,
+    bound, p, streams) holds the step of the round's first draw and, per row,
+    the trial, searcher id, bound, treasure's slot and PCG64 (state hi, state
+    lo, inc hi, inc lo) in a 4 x rows array.
+
+    A row's bound is the last step at which it could still beat its trial's
+    ``key``: min(bound, (key - sid - 1) // span), starting from the last step
+    before its crash.  A row draws ``width`` steps, or only to its bound, and
+    its hits lower the keys.  Returns the rows that neither hit nor stopped at
+    their bound, at the next round's step, or None.  A row that stopped at
+    its bound leaves with the rows that hit, so its state after the round is
+    never read and it need not draw the whole round.
+
+    With ``bits`` None this is round 1: the streams are as seeded, and the
+    draws, t - 1 steps on, are emulated.  Later rounds draw natively on
+    ``bits``.  Rows draw in sub-batches of at most DRAW_BUDGET uniforms.
+    """
+    t, trial, sid, bound, p, streams = run
+    bound = np.minimum(bound, (key[trial] - sid - 1) // span)
+    rows = bound >= t
+    trial, sid, bound, p, streams = (
+        trial[rows], sid[rows], bound[rows], p[rows], streams[:, rows])
+    skip = t - 1 if bits is None else 0
+    end = np.minimum(bound - t + 1, width)
+    m = _list_sizes(kind, params, t, width)
+    hit = np.empty(len(trial), np.int64)
+    per = max(1, DRAW_BUDGET // width)
+    for i in range(0, len(trial), per):
+        sub = slice(i, i + per)
+        if bits is None:
+            s_hi, s_lo, i_hi, i_lo = streams[:, sub, None]
+            u = _uniforms(_affine((s_hi, s_lo), (i_hi, i_lo), *_jump_table(skip, width)))
+        else:
+            u = _native_uniforms(bits, streams[:, sub], end[sub], width)
+        u *= m
+        hit[sub], p[sub] = _event_search(u.astype(np.int64), m, p[sub], end[sub])
+    found = hit >= 0
+    np.minimum.at(key, trial[found], (t + hit[found]) * span + sid[found])
+    rows = ~found & (end == width)
+    if not rows.any():
+        return None
+    s_hi, s_lo, i_hi, i_lo = streams[:, rows]
+    state = _affine((s_hi, s_lo), (i_hi, i_lo), *_jump_table(skip + width - 1, 1))
+    return (t + width, trial[rows], sid[rows], bound[rows], p[rows],
+            np.stack([*state, i_hi, i_lo]))
 
 
 def _fleet_block(kind: StrategyKind, params: SearchParams, plan: list, words: list,
-                 trials: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+                 trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of ``trials`` trials of the fleet ``plan``, a list of (sid,
     target, limit) in sid order: (times, finders), int64, 0 where none hit.
 
     ``words`` are the trials' seed words (_seed_words).  Searcher sid of a
-    trial owns the stream searcher_seed(trial seed, sid); every row of the
-    block is seeded, jumped and run through its first chunk at once, then a
-    trial still open continues its rows on one native PCG64 (_finish_trial).
-    The earliest hit wins and the lowest id breaks ties, exactly as when the
-    searchers run one after another to the best hit so far.
+    trial owns the stream searcher_seed(trial seed, sid).  Every (trial,
+    searcher) row runs through one loop of lock-step rounds, the rows that
+    share a target together (_fleet_round).  Round 1 seeds every row, jumps
+    it to the step that appends its target (earlier draws cannot touch it)
+    and draws BATCH_CHUNK uniforms, all emulated at once; each later round
+    draws 4x more, up to CHUNK_MAX, per row on one native PCG64.
+
+    A trial's best is one key, hit * span + sid with span above every sid, so
+    the earliest hit wins and the lowest id breaks ties, exactly as when the
+    searchers run one after another to the best hit so far.  A row runs only
+    while it could still win; bounds only fall, so no row is run twice.
     """
-    if not plan:
-        return np.zeros(trials, np.int64), np.zeros(trials, np.int64)
-    times = np.full((len(plan), trials), _NEVER)
-    groups: dict[int, list[int]] = {}
-    for i, (_, target, _) in enumerate(plan):
-        groups.setdefault(target, []).append(i)
-    chunks = []
-    for target, idx in groups.items():
-        sids = np.repeat([plan[i][0] for i in idx], trials).astype(np.uint64)
-        limits = np.repeat([plan[i][2] for i in idx], trials)
-        rows_words = [w if isinstance(w, int) else np.tile(w, len(idx)) for w in words]
-        hit, t, p, state, inc = _first_chunk(kind, params, target, rows_words, sids, limits)
+    key = np.full(trials, _NEVER)
+    span = 1 + max((sid for sid, _, _ in plan), default=0)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for sid, target, limit in plan:
+        groups.setdefault(target, []).append((sid, limit))
+    runs = []
+    for target, members in groups.items():
+        sids, limits = (np.repeat(np.array(col, np.int64), trials) for col in zip(*members))
+        rows_words = [w if isinstance(w, int) else np.tile(w, len(members)) for w in words]
+        state, inc = _seeded_streams(rows_words, sids.astype(np.uint64))
         first = kind.entry_step(params, target)
-        times[idx] = np.where(hit >= 0, first + hit, _NEVER).reshape(len(idx), trials)
-        chunks.append((np.tile(np.arange(trials), len(idx)), sids.astype(np.int64), limits,
-                       hit, t, p, state, inc))
-    best = times.min(0)
-    sid_of = np.array([sid for sid, _, _ in plan])
-    finder = np.where(best < _NEVER, sid_of[times.argmin(0)], 0)
-    open_rows = []
-    for trial, sids, limits, hit, t, p, state, inc in chunks:
-        bound = np.minimum(limits, best[trial] - (sids > finder[trial]))
-        for r in np.flatnonzero((hit < 0) & (t <= bound)).tolist():
-            open_rows.append((int(trial[r]), int(sids[r]), [
-                int(sids[r]), t, int(p[r]), int(state[0][r]) << 64 | int(state[1][r]),
-                int(inc[0][r]) << 64 | int(inc[1][r]), int(limits[r])]))
-    if open_rows:
-        open_rows.sort(key=lambda r: r[:2])
-        bits = np.random.PCG64(0)
-        for trial, rows in itertools.groupby(open_rows, key=lambda r: r[0]):
-            best[trial], finder[trial] = _finish_trial(
-                kind, params, [row for _, _, row in rows], int(best[trial]),
-                int(finder[trial]), horizon, bits)
-    found = best < _NEVER
-    return np.where(found, best, 0), np.where(found, finder, 0)
+        runs.append((first, np.tile(np.arange(trials), len(members)), sids, limits,
+                     np.full(len(sids), target - first), np.stack([*state, *inc])))
+    width, bits = BATCH_CHUNK, None
+    while True:
+        runs = [r for r in (_fleet_round(kind, params, run, key, span, width, bits)
+                            for run in runs) if r is not None]
+        if not runs:
+            break
+        width, bits = min(4 * width, CHUNK_MAX), bits or np.random.PCG64(0)
+    found = key < _NEVER
+    return np.where(found, key // span, 0), np.where(found, key % span, 0)
 
 
 def _target(config: TrialConfig, sid: int) -> int:
@@ -535,7 +521,7 @@ def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
     _fleet_block with a one-searcher fleet, in blocks of BLOCK_ROWS rows."""
     plan = [(sid, target, limit)] if limit >= kind.entry_step(params, target) else []
     blocks = [seeds[i:i + BLOCK_ROWS] for i in range(0, len(seeds), BLOCK_ROWS)]
-    return np.concatenate([_fleet_block(kind, params, plan, _seed_words(b), len(b), limit)[0]
+    return np.concatenate([_fleet_block(kind, params, plan, _seed_words(b), len(b))[0]
                            for b in blocks])
 
 
@@ -558,14 +544,14 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     """Simulate one fleet trial; earliest hit wins, lowest id breaks ties.
 
     A pool-sampler trial is a block of one trial of _fleet_block, the engine
-    of estimate_speedup.  A partition member's hit step is known in closed
-    form; a partition that opens the treasure only past the first horizon
-    finds nothing.
+    of estimate_speedup; it runs until a searcher hits or every searcher has
+    crashed.  A partition member's hit step is known in closed form; a
+    partition that opens the treasure only past step_cap finds nothing.
     """
     if not config.kind.randomized:
         return _partition_trial(config)
     times, finders = _fleet_block(config.kind, config.params, _pool_plan(config),
-                                  _seed_words(config.seed), 1, config.step_cap)
+                                  _seed_words(config.seed), 1)
     if not times[0]:
         return TrialOutcome(None, None)
     return TrialOutcome(int(times[0]), int(finders[0]))
@@ -592,7 +578,7 @@ def _trial_blocks(template: TrialConfig, trials: int):
     for start in range(0, trials, per_block):
         seeds = trial_seeds(base, start, min(trials, start + per_block))
         yield _fleet_block(template.kind, template.params, plan, _seed_words(seeds),
-                           len(seeds), template.step_cap)
+                           len(seeds))
 
 
 class NonDiscoveryError(RuntimeError):

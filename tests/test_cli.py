@@ -244,6 +244,7 @@ def test_speedup_mc_requires_trials(capsys):
     (("--x", "5", "--mode", "exact", "--trials", "7"), "--trials applies to --mode mc only"),
     (("--x", "10", "--epsilon", "inf", "--format", "json"), "epsilon must be positive and finite"),
     (("--x", "10", "--epsilon", "nan"), "epsilon must be positive and finite"),
+    (("--x", "5", "--mode", "mc", "--trials", "0"), "need at least 2 trials, got 0"),
 ])
 def test_speedup_bad_input_exits_2(capsys, argv, message):
     assert message in usage_error(capsys, "speedup", *argv)
@@ -309,6 +310,12 @@ def test_robustness_bad_tolerance_exits_2(capsys, tolerance):
     err = usage_error(capsys, "robustness", "--k", "2", "--x", "200", "--trials", "200",
                       "--seed", "5", "--perturbation", "shift:400", f"--tolerance={tolerance}")
     assert "tolerance must be finite" in err
+
+
+def test_robustness_negative_shuffle_seed_exits_2(capsys):
+    err = usage_error(capsys, "robustness", "--k", "2", "--x", "20", "--trials", "20",
+                      "--perturbation", "local-shuffle:3:-1")
+    assert "bad perturbation spec 'local-shuffle:3:-1': seed must be >= 0" in err
 
 
 def test_crash_report(capsys):

@@ -148,8 +148,8 @@ def horizon_cases():
 
 
 def test_outcome_does_not_depend_on_first_horizon(monkeypatch):
-    # a pool-sampler fleet that hits nothing within the horizon runs on with
-    # it doubled, so a horizon of 5 steps changes no outcome
+    # only a partition trial reads step_cap: a pool-sampler fleet has no
+    # horizon, so a step_cap of 5 changes no outcome
     cases = horizon_cases()
     seeds = [sim.trial_seed(2718, i) for i in range(40)]
     want = [run_trial(replace(c, seed=s)) for c in cases for s in seeds]
@@ -212,20 +212,51 @@ def test_batch_outcomes_equal_strategy_reference():
         assert batch_outcomes(c, 40) == want
 
 
-def test_tie_across_a_horizon_pass_goes_to_the_lower_id():
-    # searcher 1, still open after the first chunk, hits at exactly the step
-    # at which searcher 2 hit: the trial is searcher 1's, even when a
-    # horizon pass stops it one step short first
-    kind, params = StrategyKind.nested(), SearchParams(3)
-    seeds = sim.trial_seeds(9, 0, 200)
-    hit, t, p, state, inc = sim._first_chunk(kind, params, 20, sim._seed_words(seeds),
-                                             np.ones(200, np.uint64),
-                                             np.full(200, sim._NEVER))
-    r = int(np.flatnonzero(hit < 0)[0])
-    h = reference_hit_time(kind, params, 20, int(seeds[r]), 1, 10 ** 6)
-    row = [1, t, int(p[r]), int(state[0][r]) << 64 | int(state[1][r]),
-           int(inc[0][r]) << 64 | int(inc[1][r]), sim._NEVER]
-    assert sim._finish_trial(kind, params, [row], h, 2, h - 1, np.random.PCG64(0)) == (h, 1)
+def test_tie_goes_to_the_lower_id():
+    # searchers 1 and 3 both hit at step 35
+    cfg = config(k=3, x=20, seed=4365786631076934312)
+    assert [reference_hit_time(cfg.kind, cfg.params, 20, cfg.seed, sid, 100)
+            for sid in (1, 2, 3)] == [35, None, 35]
+    assert run_trial(cfg) == sim.TrialOutcome(35, 1)
+
+
+def test_tie_across_target_groups_goes_to_the_lower_id():
+    # searcher 1 (target 23) and searcher 2 (target 25) both hit at step 32;
+    # their targets join the pool at different steps, so the two rows reach
+    # step 32 in different rounds
+    shifted = (Perturbation(kind="shift", shift=3), Perturbation(kind="extra-boxes"))
+    cfg = config(k=2, x=20, seed=12645929693988880703, perturbations=shifted)
+    assert [reference_hit_time(cfg.kind, cfg.params, target, cfg.seed, sid, 100)
+            for sid, target in ((1, 23), (2, 25))] == [32, 32]
+    assert run_trial(cfg) == sim.TrialOutcome(32, 1)
+
+
+def test_rounds_widen_within_the_draw_budget(monkeypatch):
+    # every draw matrix holds at most DRAW_BUDGET uniforms, and a round's
+    # width does not depend on how many rows are open: a full block of long
+    # one-searcher tails draws 1024 wide with hundreds of rows still open,
+    # and a lone open row reaches CHUNK_MAX-wide rounds
+    shapes = []
+    search = sim._event_search
+
+    def record(j, m, p, end):
+        shapes.append(j.shape)
+        return search(j, m, p, end)
+
+    monkeypatch.setattr(sim, "_event_search", record)
+    kind, params = StrategyKind.nested(), SearchParams(5)
+    seeds = sim.trial_seeds(4, 0, sim.BLOCK_ROWS)
+    times = sim._pool_hit_times(kind, params, 1000, seeds, 1, 40_000)
+    assert all(rows * width <= sim.DRAW_BUDGET for rows, width in shapes)
+    widths = list(dict.fromkeys(width for _, width in shapes))
+    assert widths == [min(sim.BATCH_CHUNK * 4 ** i, sim.CHUNK_MAX)
+                      for i in range(len(widths))]
+    assert widths[-1] == sim.CHUNK_MAX
+    assert sum(rows for rows, width in shapes if width == 1024) >= 500
+    lone = seeds[np.flatnonzero(times == 0)[:1]]
+    shapes.clear()
+    assert sim._pool_hit_times(kind, params, 1000, lone, 1, 40_000).tolist() == [0]
+    assert (1, sim.CHUNK_MAX) in shapes
 
 
 def test_negative_base_seed_raises_value_error():
@@ -312,6 +343,8 @@ def test_perturbation_maps():
     assert Perturbation(kind="extra-boxes").describe() == "extra-boxes:ceil-sqrt"
     with pytest.raises(ValueError):
         Perturbation(kind="warp")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        Perturbation(kind="local-shuffle", window=3, seed=-1)
     with pytest.raises(ValueError):
         Perturbation().map_index(0)
 

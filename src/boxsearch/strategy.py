@@ -33,9 +33,12 @@ BLOCK_RANDOM = "block-random"
 
 STRATEGY_NAMES = (NESTED, COORDINATED, SOLO, BLOCK_RANDOM)
 
-# UniformStream refills its buffer this many uniforms at a time.  Each
-# uniform is one PCG64 output, so any chunking yields the same stream; the
-# size only trades buffer waste on short runs against per-call cost.
+# UniformStream's first refill draws UNIFORM_FIRST uniforms and every later
+# refill UNIFORM_CHUNK.  Each uniform is one PCG64 output, so any chunking
+# yields the same stream; the sizes only trade buffer waste against per-call
+# cost.  Most searchers use a handful of uniforms, so the first refill is
+# small.
+UNIFORM_FIRST = 8
 UNIFORM_CHUNK = 256
 
 
@@ -183,7 +186,7 @@ class UniformStream:
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
-            buf = self._buf = self._rng.random(UNIFORM_CHUNK).tolist()
+            buf = self._buf = self._rng.random(UNIFORM_CHUNK if buf else UNIFORM_FIRST).tolist()
             pos = 0
         self._pos = pos + 1
         return buf[pos]

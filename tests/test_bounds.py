@@ -247,13 +247,13 @@ def test_optimal_continuous_N_clipping_and_shape():
 
 
 def test_optimal_continuous_N_column_constraint():
-    # integral of (1 - N(x, t)) over x >= s recovers t
-    from scipy import integrate
-
+    # integral of (1 - N(x, t)) over x >= s recovers t; the Gauss-Legendre rule
+    # of the lower-bound checks integrates it, shifted to start at s
     cfg = LowerBoundConfig(k=3, a=2.7, s=1.0)
     for t in (0.5, 4.0, 20.0):
         g = solve_gamma(cfg.k, cfg.a, cfg.s, t)
-        val, _ = integrate.quad(lambda x: 1.0 - optimal_continuous_N(cfg, x, t), cfg.s, g)
+        missing = np.vectorize(lambda u: 1.0 - optimal_continuous_N(cfg, cfg.s + u, t))
+        val, _ = bounds._piecewise_quad(missing, g - cfg.s, g - cfg.s)
         assert val == pytest.approx(t, rel=1e-8)
 
 
@@ -275,6 +275,39 @@ def test_weighted_average_dominates_closed_form():
     for k in (2, 3):
         cfg = LowerBoundConfig(k=k, a=3.0, s=1.0)
         assert weighted_average_quadrature(cfg) >= lower_bound_closed_form(k, 3.0)
+
+
+def test_quadrature_matches_closed_form():
+    # Gauss-Legendre is a different algorithm from the closed form
+    for k in (2, 3, 5, 8):
+        for a in (2.5, 3.0, 4.0):
+            res = lowerbound_value(LowerBoundConfig(k=k, a=a), tolerance=1e-6)
+            assert res.rel_gap <= 1e-12, (k, a)
+            assert res.quad_error <= 1e-12 * res.value, (k, a)
+
+
+def test_quadrature_cannot_certify_a_jump(monkeypatch):
+    # a jump inside one piece is no polynomial: Q48 and Q24 disagree, and
+    # lowerbound_value refuses to certify the bound
+    def step(t):
+        return np.where(t < 1.3, 1.0, 0.0)
+
+    _, err = bounds._piecewise_quad(step, 4.0, 1.0)
+    assert err > 1e-6
+    smooth_quad = bounds._piecewise_quad
+
+    def with_jump(f, t_max, scale):
+        return smooth_quad(lambda t: f(t) + step(t), t_max, scale)
+
+    monkeypatch.setattr(bounds, "_piecewise_quad", with_jump)
+    with pytest.raises(RuntimeError, match="quadrature did not converge"):
+        lowerbound_value(LowerBoundConfig(k=2, a=3.0), tolerance=1e-6)
+
+
+def test_weighted_average_quadrature_value():
+    # 0.4333329114588 is scipy's adaptive quadrature of the same integral
+    cfg = LowerBoundConfig(k=2, a=3.0, s=1.0)
+    assert weighted_average_quadrature(cfg) == pytest.approx(0.4333329114588, rel=1e-8)
 
 
 def test_lower_bound_config_validation():

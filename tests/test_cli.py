@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import boxsearch
-from boxsearch import matrix
+from boxsearch import bounds, matrix
 from boxsearch.cli import SEED_ENV_VAR, build_parser, main
 
 
@@ -176,14 +176,14 @@ def test_mc_stdout_pinned(capsys, monkeypatch):
 VERIFY_STDOUT_SHA256 = [
     *((f"--instances 1 --theta-x 10000 --k 2 --k 3 --k 5 --seed {seed}", digest)
       for seed, digest in enumerate([
-          "ac6717f34fcbdb0b07f6f31925ad939ea9baef27df2557257605496b7de7eb7f",
-          "fb3714bfba7e9612b28b78d785a513073b47e6e8170712cc508c397f55ca3cda",
-          "78be4746b22cf30bec033bfeca504506523cdb08441248635bf929eab150da01",
-          "b7e08428a986bbfa9e20708faf3e711e90e96c3b773ed0bbf4972f8ade757da7",
-          "498d6c0df2dad84d3c81dc04ffb129db8c4b1ee2ca7584c205216e11b9dbf2ae",
-          "22b01a4c591537955008fb41a57152d8f9af045b24f560f3a197c2be1bcfc4d0",
+          "f7b070663333053a7653b19cd88ab3b8e49c9feb666933f7acfe1d091e0fc037",
+          "21ce3299d9ecf227e05d192566e2123d51a74cfb93760041d385adea9dd04497",
+          "860fba40f869bf7eb45568c686d7bbb7dd086ef40e4ea3a581dcfd907dd7c585",
+          "c4b16bb26db9d2bf7c36e72155441773565b2fa7f733c39e5515d68a3308c466",
+          "3412625e453badf7a4b7723f9ca19efa224d2cc22d58ac1fe26ff8ad8fd840c4",
+          "8e9a67f852b104cae455d8a689f079e1dd8d1a596c5c7c0bbb5443ab830ffd91",
       ], start=1)),
-    ("--k 1 --k 2 --k 10", "331a77cb7e897d9fb14740e3acbbbfdc7406a24c0f40bfbd3f75e267b5c81d20"),
+    ("--k 1 --k 2 --k 10", "4a9d9b38069b603fb1854ba18a5a2f57807a51dfb11433bc3ad737174cb95b81"),
 ]
 
 
@@ -357,6 +357,21 @@ def test_verify_bounds_passes_k2(capsys):
     names = {e["name"] for e in payload["results"]}
     assert "claim1-tail" in names
     assert any(n.startswith("water-filling") for n in names)
+
+
+def test_verify_bounds_fails_when_quadrature_cannot_certify(capsys, monkeypatch):
+    def uncertified(f, t_max, scale):
+        return 0.5, 1.0  # error estimate far above any tolerance
+
+    monkeypatch.setattr(bounds, "_piecewise_quad", uncertified)
+    code, out = run_cli(capsys, "verify-bounds", "--k", "2", "--instances", "1",
+                        "--skip-theta", "--seed", "123", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    entries = [e for e in payload["results"] if e["name"] == "lower-bound-quadrature(a=3)"]
+    assert [e["status"] for e in entries] == ["fail"]
+    assert "quadrature did not converge" in entries[0]["note"]
+    assert payload["failures"]
 
 
 def test_verify_bounds_theta_dominance_entry(capsys):
@@ -562,37 +577,35 @@ def checkout_env() -> dict:
     return env
 
 
-# Every subcommand but verify-bounds, then verify-bounds, in one interpreter;
-# the last line reports exit codes and the scipy modules loaded before and
-# after verify-bounds.
+# Every subcommand in one interpreter; the last line reports each exit code
+# and the scipy modules loaded after it.
 IMPORT_BOUNDARY_SCRIPT = """
 import json, sys
 import boxsearch, boxsearch.cli as cli
 cli.build_parser()
-codes = [cli.main(argv.split()) for argv in (
+report = []
+for argv in (
     "matrix --k 3 --xmax 8 --tmax 8 --exact",
     "speedup --k 2 --x 50",
     "speedup --mode mc --k 3 --x 20 --trials 50",
     "crash --k 3 --k-prime 1 --x 20 --trials 50",
     "robustness --k 2 --x 20 --trials 50 --perturbation identity",
-)]
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-codes.append(cli.main("verify-bounds --instances 1 --k 2".split()))
-print(json.dumps({"codes": codes, "before": before,
-                  "after": "scipy.integrate" in sys.modules}))
+    "verify-bounds --instances 1 --k 2",
+):
+    code = cli.main(argv.split())
+    report.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(report))
 """
 
 
-def test_scipy_loaded_by_quadrature_only(tmp_path):
-    # scipy's import is most of a CLI process's start-up; only the quadrature
-    # checks of verify-bounds need it, so no other subcommand may load it
+def test_no_subcommand_loads_scipy(tmp_path):
+    # the quadrature of verify-bounds runs on numpy alone, so no subcommand,
+    # verify-bounds included, may load any scipy module
     proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT], cwd=tmp_path,
                           env=checkout_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0, 0, 0]
-    assert report["before"] == []
-    assert report["after"] is True
+    assert report == [[0, []]] * 6
 
 
 def test_python_m_boxsearch(tmp_path, capsys):

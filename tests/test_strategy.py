@@ -7,6 +7,7 @@ import pytest
 
 from boxsearch.strategy import (
     UNIFORM_CHUNK,
+    UNIFORM_FIRST,
     SearchParams,
     StrategyKind,
     UniformStream,
@@ -246,9 +247,14 @@ def test_uniform_stream_is_chunking_invariant():
     rng = np.random.Generator(np.random.PCG64(ss))
     parts = np.concatenate([rng.random(5), rng.random(1), rng.random(whole.size - 6)])
     assert np.array_equal(parts, whole)
-    for n in (0, 1, 63, UNIFORM_CHUNK + 1):
+    for n in (0, 1, 7, 8, 9, 63, UNIFORM_CHUNK + 1):
         bits = np.random.PCG64(ss)
         bits.advance(n)
         assert np.array_equal(np.random.Generator(bits).random(whole.size - n), whole[n:])
+    # either side of the stream's first two refill boundaries
+    for n in (UNIFORM_FIRST - 1, UNIFORM_FIRST, UNIFORM_FIRST + 1,
+              UNIFORM_FIRST + UNIFORM_CHUNK, UNIFORM_FIRST + UNIFORM_CHUNK + 1):
+        stream = UniformStream(ss)
+        assert [stream.uniform() for _ in range(n)] == whole[:n].tolist()
     stream = UniformStream(ss)
     assert [stream.uniform() for _ in range(whole.size)] == whole.tolist()

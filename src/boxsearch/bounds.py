@@ -82,7 +82,7 @@ def claim1_tail_sum(x: int, delta: float, k: int, tolerance: float = 1e-6) -> fl
         raise ValueError(f"delta must be positive, got {delta}")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    total, _, _ = matrix._series(x, 1.0, delta, (), k, 0.0, tolerance * x, x + _MAX_TERMS)
+    total, _, _ = matrix._series(x, 1.0, delta, (), k, 0.0, tolerance * x, _MAX_TERMS)
     return total / x
 
 

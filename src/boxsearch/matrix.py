@@ -30,7 +30,9 @@ Prob = Union[Fraction, float]
 # 128 KiB mmap threshold, so they are reused from the heap rather than page-faulted
 # in afresh, and the series stops nearer the step where its tail bracket fits.
 _TAU_CHUNK = 1 << 13
+_TAU_OFFSETS = np.arange(_TAU_CHUNK, dtype=np.float64)
 _MAX_STEPS = 2_000_000_000
+_ULP = 2.0 ** -53  # unit roundoff of float64
 
 
 def _validate_xt(x: int, t: int) -> None:
@@ -213,8 +215,9 @@ class ThetaEstimate:
 
     ``theta`` is the sum over t <= truncation_t of N(x,t)**fleet plus a
     certified lower bound on the rest, divided by x; ``tail_bound`` is the
-    width of the certified bracket on that rest, divided by x.  So the true
-    ratio lies in [theta, theta + tail_bound].
+    width of the certified bracket on that rest, divided by x, both widened
+    for the float rounding of the sum.  So the true ratio lies in
+    [theta, theta + tail_bound].
     """
 
     k: int
@@ -242,61 +245,166 @@ def _checked_fleet(params: SearchParams, x: int, fleet: int | None,
     return n_fleet
 
 
-def _tail_certificate(delta: Prob, fleet: int) -> Callable[[Prob, int], tuple[Prob, Prob]]:
-    """Certified bracket (lo, hi) on the tail of sum_t N(x, t)**fleet for
-    k >= 2, as tail(b, tau0), where b = N(x, 2*tau0) and the tail is the sum
-    over t > 2*tau0.
+def _power_bounds(y: Prob, c: Prob) -> tuple[Prob, Prob]:
+    """Rational (lo, hi) on (1+y)**-c for y > -1, c > 0, in the type of y.
 
-    The even-step survival obeys b(tau) = b(tau-1) * d/(d+2) with
-    d = tau*(k-1), so b(tau)/b(tau0) = prod_{s=tau0+1}^{tau} s/(s+delta) lies
-    between (tau0/tau)**delta (as log(1 + delta/s) <= delta/s) and
-    ((tau0+1+delta)/(tau+1+delta))**delta, and each odd-step term lies
-    between the even-step terms around it.  With c = delta*fleet - 1 > 0:
+    With n = floor(c) and r = c - n in [0, 1), (1+y)**-n is exact, and
+    (1+y)**-r lies between its tangent 1 - r*y (it is convex in y) and
+    1 - r*y/(1+y) (it is w**r, concave in w = 1/(1+y), below its tangent at
+    w = 1).  The two differ by r*y**2/(1+y).
+    """
+    n = math.floor(c)
+    r = c - n
+    base = (1 + y) ** -n
+    return base * (1 - r * y), base * (1 - r * y / (1 + y))
 
-    - hi = 2*b**fleet*(1 + (tau0+1+delta)/c) bounds the tail above;
-    - lo = 2*b**fleet*tau0*max(0, tau0 + 1 - max(c, 1))/((tau0+1)*c) bounds
-      it below: the tail is at least 2*b**fleet*sum_{tau>tau0}
-      (tau0/tau)**(c+1) >= 2*b**fleet*tau0*(tau0/(tau0+1))**c/c (the
-      integral from tau0+1), and (1 - y)**c >= 1 - max(c, 1)*y with
-      y = 1/(tau0+1) makes that rational; lo is 0 while tau0 + 1 <= c.
 
-    Each half of the tail (its even-step terms, its odd-step terms) lies in
-    [lo/2, hi/2]: the even half is at most b**fleet*(tau0+1+delta)/c and the
-    odd half at most b**fleet more.  The width hi - lo <= 2*b**fleet*(1 +
-    (1+delta+max(c, 1))/c) carries no tau0 factor, so summation can stop once
-    b**fleet itself is small.  Works for float and Fraction arguments alike;
-    raises ValueError when c <= 0, where the sum diverges.
+def _exp_upper(x: Prob) -> Prob:
+    """A rational upper bound on e**x for x >= 0: (1 - x/m)**-m with m the
+    integer above 2x, since e**(x/m) <= 1/(1 - x/m); at most e**(2x)."""
+    m = math.floor(2 * x) + 1
+    return (1 - x / m) ** -m
+
+
+def _tail_certificate(delta: Prob, fleet: int, mids: tuple[Prob, ...] | None = None
+                      ) -> Callable[[Prob, int], tuple[Prob, Prob]]:
+    """Certified bracket (lo, hi) on the tail of a pool block's series, as
+    tail(b, tau0): the sum over tau > tau0 of b(tau)**fleet and of
+    (b(tau-1)*(tau+o)/(tau+delta))**fleet for each o in mids, where
+    b(tau) = b * prod_{s=tau0+1}^{tau} s/(s+delta).
+
+    The nested sampler's steps 2*tau and 2*tau - 1 are the sequences o = 0
+    and o = delta/2 (the default mids), so for it the tail is the sum over
+    t > 2*tau0 of N(x, t)**fleet with b = N(x, 2*tau0).  Write every
+    sequence as o in {0, *mids}, 0 <= o < delta, and w = o/delta.
+
+    Second-order product.  With alpha = (1+delta)/2 and u = s + delta/2,
+    log(1 + delta/s) - delta*log((s+alpha)/(s-1+alpha)) = e_s
+    = sum_{j>=1} 2*(delta**(2j+1) - delta)/((2j+1)*(2u)**(2j+1)), from
+    log((u+v)/(u-v)) = 2*artanh(v/u).  Every term has the sign of delta - 1,
+    and |delta**(2j+1) - delta| <= j*|delta**3 - delta|*m**(2j-2) with
+    m = max(delta, 1), so |e_s| <= |delta**3 - delta|*G/(12*u**3) with
+    G = (1 + q**2/2)/(1 - q**2), q = m/(2u) < 1.  As 1/u**3 is convex, the
+    sum over s > tau0 of 1/u**3 is at most the integral from tau0 + 1/2,
+    1/(2*a**2) with a = tau0 + alpha.  Hence
+    prod_{s=tau0+1}^{n} s/(s+delta) = ((tau0+alpha)/(n+alpha))**delta * e**-E
+    with E of the sign of delta - 1 (0 at delta = 1) and
+    |E| <= |delta**3 - delta|*G0/(24*a**2), G0 taken at s = tau0 + 1.
+
+    One step more.  A term is (b*((tau0+alpha)/(tau+g))**delta * e**-F(tau))**fleet
+    with g = alpha - w, F(tau) = E(tau0, tau-1) + R(tau) and
+    R(tau) = log((tau+delta)/(tau+o)) - delta*log((tau+g)/(tau-1+alpha))
+    = 2*artanh(z1) - 2*delta*artanh(z2), where h = (delta-o)/2,
+    z1 = h/v, v = tau + (delta+o)/2, z2 = h/(delta*v'),
+    v' = tau + delta/2 - w/2 <= v.  From z <= artanh(z) <= z + z**3/(3(1-z**2)):
+    -2*h*w*alpha/(v*v') - 2*delta*z2**3/(3(1-z2**2)) <= R <= 2*z1**3/(3(1-z1**2)),
+    both ends shrinking in tau, so taken at tau = tau0 + 1.  This puts F in
+    [F_lo, F_hi] with F_lo <= 0 <= F_hi, all of order 1/a**2.
+
+    Convex power-law tail.  ((tau0+alpha)/(tau+g))**p with
+    p = delta*fleet = c + 1 is convex and decreasing for tau > tau0 (g > -1/2),
+    so the midpoint rule bounds its sum above by the integral from
+    tau0 + 1/2, (a/c)*(1+y)**-c with y = (1/2 - w)/a, and the trapezoid rule
+    bounds it below by the integral from tau0 + 1 plus half the first term,
+    (1+y')**-c*(a/c + 1/(2(1+y'))) with y' = (1 - w)/a.  The powers are
+    replaced by the rational bounds of :func:`_power_bounds`, and e**-F by
+    max(0, 1 - fleet*F_hi) below and :func:`_exp_upper` (-fleet*F_lo) above.
+
+    Width.  With lam = 2a/(2a-1) (1 + y >= 1/lam), n = floor(c), r = c - n,
+    Phi_hi = |delta**3 - delta|*G0/(24a**2) + 2*q0**3/(3(1-q0**2)) >= F_hi,
+    q0 = m/(2a+1), and Phi_lo = |delta**3 - delta|*G0/(24a**2)
+    + delta*alpha/(4a**2) + delta/(12a**3 - 3a) >= -F_lo, each sequence's
+    bracket is at most b**fleet*Q(a)/a wide, where
+    Q(a) = (a**2/c)*lam**(n+1)*fleet*(Phi_hi + 2*Phi_lo*e**(2*fleet*Phi_lo))
+    + p*lam**(p+1)/8 + (r/c)*(lam**(n+1)/4 + 1) + r/(2a),
+    from hi - lo <= (X_hi - X_lo)*S_hi + (S_hi - S_lo) for the factors X and
+    the integral bounds S: S_hi <= (a/c)*lam**(n+1); X_hi - X_lo <=
+    fleet*Phi_hi + (e**(2*fleet*Phi_lo) - 1); the two integral bounds differ
+    by at most (1/4)*((1+y)**-p - (1+y')**-p) <= p*lam**(p+1)/(8a) before
+    the rational powers, which add at most (a/c)*r*(y**2*lam**(n+1) + y'**2)
+    + r*y'**2/2.  Q falls with a toward fleet*(3*|delta**3 - delta|/24
+    + delta*alpha/2)/c + p/8 + 5*r/(4c), so the width is O(b**fleet/tau0)
+    against a tail of about (1 + len(mids))*b**fleet*tau0/c, and a block
+    certifies once b**fleet/tau0 is small: in practice after its first chunk.
+
+    Works for float and Fraction arguments alike (every step is rational);
+    raises ValueError when c <= 0, where the sum diverges.  Float brackets
+    carry the rounding of their own evaluation; :func:`_series` widens them.
     """
     c = delta * fleet - 1
     if c <= 0:
         raise ValueError(f"series diverges: fleet*delta = {float(c + 1):g} <= 1")
-    c_lo = max(c, 1)
+    if mids is None:
+        mids = (delta / 2,)
+    alpha = (1 + delta) / 2
+    cube = abs(delta ** 3 - delta) / 24
+    half = Fraction(1, 2) if isinstance(delta, Fraction) else 0.5
+    ws = [0, *(o / delta for o in mids)]
 
     def tail(b: Prob, tau0: int) -> tuple[Prob, Prob]:
-        scale = 2 * b ** fleet
-        return (scale * tau0 * max(0, tau0 + 1 - c_lo) / ((tau0 + 1) * c),
-                scale * (1 + (tau0 + 1 + delta) / c))
+        a = tau0 + alpha
+        q0 = max(delta, 1) / (2 * a + 1)
+        e_bound = cube * (1 + q0 * q0 / 2) / ((1 - q0 * q0) * a * a)
+        e_lo, e_hi = (0, e_bound) if delta > 1 else (-e_bound, 0)
+        lo = hi = 0
+        for w in ws:
+            h = delta * (1 - w) / 2
+            v, v_mid = a + half + delta * w / 2, a + half * (1 - w)  # at tau = tau0 + 1
+            z1, z2 = h / v, h / (delta * v_mid)
+            f_hi = e_hi + 2 * z1 ** 3 / (3 * (1 - z1 * z1))
+            f_lo = (e_lo - 2 * h * w * alpha / (v * v_mid)
+                    - 2 * delta * z2 ** 3 / (3 * (1 - z2 * z2)))
+            y_top, y_bot = (half - w) / a, (1 - w) / a
+            top = _power_bounds(y_top, c)[1] * a / c
+            bot = _power_bounds(y_bot, c)[0] * (a / c + 1 / (2 * (1 + y_bot)))
+            lo += max(0, 1 - fleet * f_hi) * bot
+            hi += _exp_upper(-fleet * f_lo) * top
+        scale = b ** fleet
+        return scale * lo, scale * hi
 
     return tail
 
 
 def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet: int,
-            head: float, eps_abs: float, max_tau: int) -> tuple[float, float, int]:
+            head: float, eps_abs: float, max_taus: int) -> tuple[float, float, int]:
     """Certified sum of head and, over tau >= start, b(tau)**fleet plus
     (b(tau-1)*(d+o)/(d+gap))**fleet for each o in mids, where d = tau*scale
     and b(tau) = prod_{s=start}^{tau} d_s/(d_s+gap).
 
     With scale = k-1, gap = 2 and mids = (1,) the terms are N(x, 2*tau) and
     N(x, 2*tau-1) for x in pool block start; with scale = 1, gap = delta and
-    no mids they are Claim 1's.  Each of the 1 + len(mids) term sequences
-    has its tail in [lo/2, hi/2] of :func:`_tail_certificate`.  Chunks of
-    _TAU_CHUNK taus are added until the sum of those brackets is at most
-    eps_abs wide.  Returns (the sum plus the bracket's lower end, the bracket
-    width, the last tau summed).
+    no mids they are Claim 1's.  In units of scale these are the sequences
+    of :func:`_tail_certificate` with delta = gap/scale and offsets o/scale.
+    Chunks of _TAU_CHUNK taus are added until that bracket on the rest is
+    at most eps_abs wide, or more than max_taus taus past start have been
+    summed (RuntimeError).  Returns (the sum plus the bracket's lower end,
+    the bracket width, the last tau summed), both widened for rounding.
+
+    Rounding.  With u = 2**-53, b(tau) is j = tau - start + 1 factors, each
+    rounded at most three times (d + gap, the quotient, the product), plus
+    once per chunk, so every term, an odd step's three roundings and the
+    power included, is off by under fleet*(3j + 6) + 2 ulps of it; the
+    pairwise chunk sums (depth below 32) add 32 more.  The tail comes from
+    b(hi - 1) and so carries fleet*(3j + 6) ulps at j = hi - start; its float
+    evaluation adds under 64 + 8p roundings, p = delta*fleet, and the
+    rounded delta = gap/scale moves it by under 8p/c ulps (a term at
+    tau > tau0 moves by about p*log(tau/tau0) times delta's error, and that
+    log averages 1/c over the tail).  err is u times these counts weighted
+    by the terms, the tail's upper end and the total (8 ulps for fsum, the
+    additions and the caller's division by x), plus 1% for second-order
+    terms (every count stays below 1e13): the sum is lowered by err and the
+    width widened by 2*err, so the true sum lies in the returned bracket.
+    A later chunk moves tail mass only to weights above fleet*3j, so once
+    twice err's part from the terms summed, the tail's lower end at that
+    weight and the total exceeds eps_abs, no chunk can certify, and the
+    series raises RuntimeError at once.
     """
-    tail_of = _tail_certificate(gap / scale, fleet)
-    seqs = 1 + len(mids)
+    delta = gap / scale
+    tail_of = _tail_certificate(delta, fleet, tuple(o / scale for o in mids))
+    p = delta * fleet
+    tail_ulps = 64 + 8 * p + 8 * p / (p - 1)
     parts = [head]
+    ulps = 0.0  # the terms so far, each weighted by its count of ulps
     b = 1.0
     tau = start
     while True:
@@ -304,15 +412,26 @@ def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet
         d = np.arange(tau, hi, dtype=np.float64) * scale
         evens = np.cumprod(d / (d + gap)) * b
         odds = [np.concatenate(([b], evens[:-1])) * ((d + o) / (d + gap)) for o in mids]
-        parts.append(float(sum(np.sum(t ** fleet) for t in [*odds, evens])))
+        powered = [t ** fleet for t in [*odds, evens]]
+        parts.append(float(sum(np.sum(t) for t in powered)))
+        # each term's fleet*(3j + 6) + 2 + 32 ulps, with j = tau - start + 1 + offset
+        ulps += (3 * fleet * float(sum(np.dot(t, _TAU_OFFSETS) for t in powered))
+                 + (3 * fleet * (tau - start + 3) + 34) * parts[-1])
         b = float(evens[-1])
-        lo, top = (v * seqs / 2 for v in tail_of(b, hi - 1))
-        if top - lo <= eps_abs:
-            return math.fsum(parts) + lo, top - lo, hi - 1
+        lo, top = tail_of(b, hi - 1)
+        total = math.fsum(parts)
+        walked = 3 * fleet * (hi - start)
+        err = 1.01 * _ULP * (ulps + (walked + 6 * fleet + tail_ulps) * top + 8 * total)
+        if top - lo + 2 * err <= eps_abs:
+            return total + lo - err, top - lo + 2 * err, hi - 1
+        floor = 2 * _ULP * (ulps + walked * lo + 8 * total)
+        if floor > eps_abs:
+            raise RuntimeError(f"tail bound cannot reach {eps_abs:.3g}: the float rounding "
+                               f"of the sum alone is {floor:.3g}")
         tau = hi
-        if tau > max_tau:
-            raise RuntimeError(
-                f"tail bound {top - lo:.3g} still above {eps_abs:.3g} after tau = {max_tau}")
+        if tau - start > max_taus:
+            raise RuntimeError(f"tail bound {top - lo:.3g} still above {eps_abs:.3g} "
+                               f"after {tau - start} taus from tau = {start}")
 
 
 def _curve(params: SearchParams, xs: Sequence[int], epsilon: float, fleet: int,

@@ -172,18 +172,20 @@ def test_mc_stdout_pinned(capsys, monkeypatch):
 
 
 # SHA-256 of verify-bounds stdouts: the benchmark's argv for its seeds 1-6, and
-# the bare check at k = 1, 2, 10.  The column-identity entries sum exact cells.
+# the bare check at k = 1, 2, 10.  The column-identity entries sum exact cells;
+# the claim1-tail and lower-bound-dominance values come from series summed
+# with the second-order tail bracket.
 VERIFY_STDOUT_SHA256 = [
     *((f"--instances 1 --theta-x 10000 --k 2 --k 3 --k 5 --seed {seed}", digest)
       for seed, digest in enumerate([
-          "f7b070663333053a7653b19cd88ab3b8e49c9feb666933f7acfe1d091e0fc037",
-          "21ce3299d9ecf227e05d192566e2123d51a74cfb93760041d385adea9dd04497",
-          "860fba40f869bf7eb45568c686d7bbb7dd086ef40e4ea3a581dcfd907dd7c585",
-          "c4b16bb26db9d2bf7c36e72155441773565b2fa7f733c39e5515d68a3308c466",
-          "3412625e453badf7a4b7723f9ca19efa224d2cc22d58ac1fe26ff8ad8fd840c4",
-          "8e9a67f852b104cae455d8a689f079e1dd8d1a596c5c7c0bbb5443ab830ffd91",
+          "6a636adbb0be08b7ff853856cd3e3cbf64d684e0b95499a3f1ddba9c81a1a2f1",
+          "c46400dfb468094784da4382ec3c508750b95f2f6a2a4e73f0c0649ea70cad33",
+          "5e7df88c876773c383d8f0f88cc08e081330159774c4558452001eeded3e8a05",
+          "8676d8b5eb2bfe266c02539f1521fba9e925dff4dabe14b3bf4a8b4a704fe387",
+          "a909ca130af1cdd1754e50388ffeccc15603b9553d73e33f1c8df066cc52e212",
+          "8c33acbd8245d70e69085026b6397121fbc7854142a128c84c3448e9a18317a4",
       ], start=1)),
-    ("--k 1 --k 2 --k 10", "4a9d9b38069b603fb1854ba18a5a2f57807a51dfb11433bc3ad737174cb95b81"),
+    ("--k 1 --k 2 --k 10", "3764a30146a309cd0ebca0d588d3c9f2a0160ad9c806ef84a9a873484a1a3507"),
 ]
 
 
@@ -262,6 +264,41 @@ def test_uncertified_result_exits_3(capsys, monkeypatch):
         assert captured.out == ""
         assert "could not certify: tail bound 1e-3 still above" in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_exact_ops_sum_one_chunk_per_block(capsys, monkeypatch):
+    # a work count: every series behind the exact speedup op kinds and
+    # verify-bounds (Claim 1's tail, the dominance windows) certifies after
+    # its first chunk of taus
+    walked = []
+
+    def counted(start, *args):
+        total, width, last = series(start, *args)
+        walked.append(last - start + 1)
+        return total, width, last
+
+    series = matrix._series
+    monkeypatch.setattr(matrix, "_series", counted)
+    runs = [(k, x, eps, window) for k, xs, eps, window in (
+        (8, (997, 1000), 1e-5, False), (2, (9997, 10000), 1e-7, False),
+        (5, (997, 1000), 1e-5, True), (3, (9997, 10000), 1e-6, True),
+        (3, (9997, 10000), 1e-7, False), (5, (9997, 10000), 1e-6, False),
+        (2, (99997, 100000), 1e-7, True), (8, (10000,), 1e-7, False)) for x in xs]
+    for k, x, eps, window in runs:
+        argv = ["speedup", "--k", str(k), "--x", str(x), "--epsilon", repr(eps),
+                *(["--window"] if window else [])]
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert run_cli(capsys, "verify-bounds", "--instances", "1")[0] == 0
+    assert len(walked) > len(runs) and set(walked) == {matrix._TAU_CHUNK}
+
+
+def test_block_past_1e9_taus_certifies(capsys):
+    # the step cap counts the taus walked from the block's start
+    code, out = run_cli(capsys, "speedup", "--k", "2", "--x", "10000000000",
+                        "--epsilon", "1e-10", "--format", "json")
+    assert code == 0
+    row, = json.loads(out)["results"]
+    assert row["tail_bound"] <= 1e-10
 
 
 def test_speedup_exact_vs_mc_rows_agree(capsys):

@@ -382,10 +382,11 @@ def test_theta_two_sided_tail_against_k2_closed_form():
 def test_tail_certificate_brackets_directly_summed_tail():
     # rational (lo, hi) at small τ0 against the tail sum_{t > 2τ0} N(1, t)**fleet
     # summed from the float recurrence up to t = 2T: that partial sum is
-    # itself below the tail, so lo <= partial proves lo a lower bound, and T
-    # is far enough out for it to hold.  The pairs cover c = δ*fleet - 1
-    # below 1, at 1, and far above 1, where lo is clamped to 0 while
-    # τ0 + 1 <= c
+    # itself below the tail, so direct <= hi tests hi, and lo is tested
+    # against the partial sum plus a first-order upper bound on the rest,
+    # 2*N(1, 2T)**fleet*(1 + (T+1+δ)/c): each term past 2T is at most
+    # b(τ-1)**fleet with b(τ) <= b(T)*((T+1+δ)/(τ+1+δ))**δ.  The pairs cover
+    # c = δ*fleet - 1 below 1, at 1, and far above 1
     big_t = 20_000
     for k, fleets in ((2, (2, 3, 8)), (3, (2, 12)), (5, (3, 4))):
         p = SearchParams(k)
@@ -395,25 +396,130 @@ def test_tail_certificate_brackets_directly_summed_tail():
             tail_of = _tail_certificate(delta, fleet)
             c = delta * fleet - 1
             terms = np.array(row) ** fleet
+            rest = 2 * terms[-1] * (1 + (big_t + 1 + float(delta)) / float(c))
             for tau0 in (1, 2, 3, 5, 10, 30):
                 b = survival_row_exact(p, 1, 2 * tau0)[-1]
                 lo, hi = tail_of(b, tau0)
                 assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
                 direct = math.fsum(terms[2 * tau0 + 1:])
-                assert 0 <= lo <= direct * (1 + 1e-12)
+                assert 0 <= lo <= (direct + rest) * (1 + 1e-12)
                 assert direct <= hi
                 assert hi - lo <= 2 * b ** fleet * (1 + (1 + delta + max(c, 1)) / c)
-                if tau0 + 1 <= c:
-                    assert lo == 0
+
+
+def _width_constant(delta, fleet, seqs, a):
+    """seqs * Q(a) of :func:`matrix._tail_certificate`'s width bound: the
+    bracket is at most seqs*Q(a)*b**fleet/a wide, with a = τ0 + (1+δ)/2."""
+    c, p, alpha = delta * fleet - 1, delta * fleet, (1 + delta) / 2
+    n, lam = math.floor(c), 2 * a / (2 * a - 1)
+    r = c - n
+    cube = abs(delta ** 3 - delta) / 24
+    q0 = max(delta, 1) / (2 * a + 1)
+    e_term = cube * (1 + q0 * q0 / 2) / ((1 - q0 * q0) * a * a)
+    phi_hi = e_term + 2 * q0 ** 3 / (3 * (1 - q0 * q0))
+    phi_lo = e_term + delta * alpha / (4 * a * a) + delta / (12 * a ** 3 - 3 * a)
+    q = (a * a / c * lam ** (n + 1) * fleet
+         * (phi_hi + 2 * phi_lo * math.exp(2 * fleet * phi_lo))
+         + p * lam ** (p + 1) / 8 + r / c * (lam ** (n + 1) / 4 + 1) + r / (2 * a))
+    return seqs * q
+
+
+def test_second_order_tail_certificate_against_direct_sums():
+    # oracle: with b(τ0) = 1 each sequence's terms, b(τ-1)*(τ+o)/(τ+δ) with
+    # b(τ) = prod_{τ0<s<=τ} s/(s+δ), summed directly for n taus past τ0,
+    # plus a first-order bracket on the rest past N = τ0 + n: for τ > N
+    # b(τ) >= b(N)*(N/τ)**δ (log(1 + δ/s) <= δ/s), every term is at least
+    # b(τ) and at most b(τ-1) <= b(N)*((N+1+δ)/(τ+δ))**δ, so each sequence's
+    # rest lies in [b(N)**f * N**p*(N+1)**-c/c, b(N)**f*(1 + (N+1+δ)/c)],
+    # an interval O(b(N)**f) wide.  The certificate must hold that
+    # bracket in float and in Fraction arithmetic, and be at most
+    # K*b**fleet/τ0 wide with K its proven constant.  The least fleets (c
+    # down to 1/7 at δ = 2/7) make the tail heavy enough that E's sign
+    # shows: a bracket built with E of the wrong sign misses the oracle
+    for k in (2, 3, 4, 5, 8):
+        delta = F(2, k - 1)
+        d = float(delta)
+        offsets = (F(0), delta / 4, delta / 2, 3 * delta / 4)
+        for tau0 in (1, 2, 5, 30, 1000):
+            n = 200 * max(tau0, 100)
+            tau = np.arange(tau0 + 1, tau0 + n + 1, dtype=np.float64)
+            b = np.cumprod(tau / (tau + d))
+            b_prev = np.concatenate(([1.0], b[:-1]))
+            seqs = {o: b_prev * ((tau + float(o)) / (tau + d)) for o in offsets}
+            big_n = tau0 + n
+            for fleet in ((k + 1) // 2, k, k + 1, 4 * k):  # the first has c <= 1
+                c = d * fleet - 1
+                direct = {o: float(np.sum(s ** fleet)) for o, s in seqs.items()}
+                bf = b[-1] ** fleet
+                rest = (bf * big_n ** (c + 1) * (big_n + 1) ** -c / c,
+                        bf * (1 + (big_n + 1 + d) / c))
+                for mids in ((), (delta / 2,), offsets[1:]):
+                    near = sum(direct[o] for o in (F(0), *mids))
+                    true_lo, true_hi = (near + len(mids) * r + r for r in rest)
+                    width_k = _width_constant(d, fleet, 1 + len(mids), tau0 + (1 + d) / 2)
+                    for exact in (True, False):
+                        if exact:
+                            lo, hi = _tail_certificate(delta, fleet, mids)(F(1), tau0)
+                            assert isinstance(lo, F) and isinstance(hi, F)
+                        else:
+                            tail_of = _tail_certificate(d, fleet, tuple(map(float, mids)))
+                            lo, hi = tail_of(1.0, tau0)
+                        slack = 1e-12 * true_hi
+                        assert 0 < lo <= true_hi + slack, (k, tau0, fleet, mids)
+                        assert true_lo - slack <= hi, (k, tau0, fleet, mids)
+                        assert hi - lo <= width_k / tau0, (k, tau0, fleet, mids)
 
 
 def test_theta_work_stays_near_block_entry():
-    # a work count, not a timing: the two-sided tail stops a few chunks after
-    # the row leaves 1 (step 2*block - 1, which is 499 999 for k = 3 at
-    # x = 1e6); a rule that waits for the whole tail to drop below epsilon*x
-    # needs 1.6e8 steps (k = 8) and 7.9e8 steps (k = 3) here
+    # a work count, not a timing: the second-order tail bracket certifies
+    # after the first chunk of each pool block, which starts where the row
+    # leaves 1 (step 2*block - 1, which is 499 999 for k = 3 at x = 1e6); a
+    # rule that waits for the whole tail to drop below epsilon*x needs 1.6e8
+    # steps (k = 8) and 7.9e8 steps (k = 3) here.  The block past 1e9 taus
+    # (k = 2, x = 1e10) still certifies, as the step cap counts taus walked
     assert theta(SearchParams(8), 10_000, 1e-7).truncation_t <= 2 ** 18
     assert theta(SearchParams(3), 1_000_000, 1e-7).truncation_t <= 2 ** 22
+    for k, x, eps in ((8, 10_000, 1e-7), (3, 1_000_000, 1e-7), (2, 10 ** 8, 1e-10),
+                      (3, 10 ** 8, 1e-10), (2, 10 ** 10, 1e-10), (10, 1, 1e-11)):
+        p = SearchParams(k)
+        for est in (theta(p, x, eps), theta_window(p, x, eps)):
+            assert est.truncation_t == 2 * (matrix.block_of(p, est.x) + matrix._TAU_CHUNK - 1)
+            assert est.tail_bound <= eps
+
+
+def _trigamma_bracket(z):
+    """Rational (lo, hi) on sum_{j>=0} 1/(z+j)**2 for a large integer z: the
+    asymptotic series 1/z + 1/(2z**2) + sum_j B_2j/z**(2j+1) through 1/z**7,
+    whose remainder has the sign and at most the size of the next term,
+    -1/(30 z**9)."""
+    z = F(z)
+    head = 1 / z + 1 / (2 * z ** 2) + 1 / (6 * z ** 3) - 1 / (30 * z ** 5) + 1 / (42 * z ** 7)
+    return head - 1 / (30 * z ** 9), head
+
+
+@pytest.mark.parametrize("x", [10 ** 8, 10 ** 9, 10 ** 10])
+def test_theta_window_k2_large_x_against_closed_form(x):
+    # oracle: for k = 2 and fleet 2 the terms past the block entry B are
+    # (B(B+1))**2 over (τ(τ+2))**2 and ((τ+1)(τ+2))**2, τ >= B; by partial
+    # fractions their sum is (ψ1(B) + ψ1(B+2))/4 + ψ1(B+1) + ψ1(B+2)
+    # - 1/(4B) - 1/(4(B+1)) - 2/(B+1) with ψ1 the trigamma function, so
+    # theta(x) = (2B - 1 + (B(B+1))**2 * that)/x, exact up to ψ1's series.
+    # The float bracket is compared in Fraction, with no slack: its width
+    # must cover the rounding of a sum whose tail is about 4x
+    p = SearchParams(2)
+    est = theta_window(p, x, 1e-10)
+    brackets = []
+    for xi in range(x - 5, x + 1):
+        blk = matrix.block_of(p, xi)
+        psi = [_trigamma_bracket(blk + j) for j in range(3)]
+        rest = F(-1, 4 * blk) - F(1, 4 * (blk + 1)) - F(2, blk + 1)
+        ends = [(psi[0][e] + psi[2][e]) / 4 + psi[1][e] + psi[2][e] + rest for e in (0, 1)]
+        brackets.append([(2 * blk - 1 + (blk * (blk + 1)) ** 2 * s) / xi for s in ends])
+    lo, hi = max(b[0] for b in brackets), max(b[1] for b in brackets)
+    assert hi - lo < F(1, 10 ** 30)  # the oracle is tight
+    assert F(est.theta) <= hi and lo <= F(est.theta) + F(est.tail_bound)
+    assert 0 < est.tail_bound <= 1e-10
+    assert est.truncation_t == 2 * (matrix.block_of(p, est.x) + matrix._TAU_CHUNK - 1)
 
 
 def test_speedup_curve_sums_each_block_once(monkeypatch):
@@ -453,9 +559,12 @@ def test_theta_rejects_bad_args(monkeypatch):
         theta(p, 10, fleet=0)
     with pytest.raises(ValueError):
         theta(SearchParams(5), 10, fleet=1)  # survival tail too heavy for a mean
+    # the float rounding of a sum near 8900 alone is above 1e-14 of x = 1e4
+    with pytest.raises(RuntimeError, match="float rounding"):
+        theta(p, 10_000, epsilon=1e-14)
     monkeypatch.setattr(matrix, "_MAX_STEPS", 1_000)
-    with pytest.raises(RuntimeError):
-        theta(p, 10_000, epsilon=1e-9)
+    with pytest.raises(RuntimeError, match="taus from tau"):  # 2 chunks uncapped
+        theta(SearchParams(5), 100_000, epsilon=1e-10)
 
 
 def test_speedup_curve_limits():

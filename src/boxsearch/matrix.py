@@ -22,7 +22,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .strategy import BLOCK_RANDOM, NESTED, SearchParams, StrategyKind
+from .strategy import SearchParams, StrategyKind
 
 Prob = Union[Fraction, float]
 
@@ -40,11 +40,6 @@ def _validate_xt(x: int, t: int) -> None:
         raise ValueError(f"box index must be >= 1, got {x}")
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
-
-
-def block_of(params: SearchParams, x: int) -> int:
-    """1-based index of the pool block containing box x: ceil(x / (k+1))."""
-    return (x + params.k) // (params.k + 1)
 
 
 def nested_survival(params: SearchParams, x: int, t: int, exact: bool = False) -> Prob:
@@ -266,17 +261,18 @@ def _exp_upper(x: Prob) -> Prob:
     return (1 - x / m) ** -m
 
 
-def _tail_certificate(delta: Prob, fleet: int, mids: tuple[Prob, ...] | None = None
+def _tail_certificate(delta: Prob, fleet: int, mids: tuple[Prob, ...]
                       ) -> Callable[[Prob, int], tuple[Prob, Prob]]:
     """Certified bracket (lo, hi) on the tail of a pool block's series, as
     tail(b, tau0): the sum over tau > tau0 of b(tau)**fleet and of
     (b(tau-1)*(tau+o)/(tau+delta))**fleet for each o in mids, where
     b(tau) = b * prod_{s=tau0+1}^{tau} s/(s+delta).
 
-    The nested sampler's steps 2*tau and 2*tau - 1 are the sequences o = 0
-    and o = delta/2 (the default mids), so for it the tail is the sum over
-    t > 2*tau0 of N(x, t)**fleet with b = N(x, 2*tau0).  Write every
-    sequence as o in {0, *mids}, 0 <= o < delta, and w = o/delta.
+    For a pool rule (c, p) with c > p, delta = p/(c-p), the steps p*tau and
+    p*tau - j, 0 < j < p, are the sequences o = 0 and o = j/(c-p), so the tail
+    is the sum over t > p*tau0 of N(x, t)**fleet with b = N(x, p*tau0); the
+    nested sampler's mids are (delta/2,).  Write every sequence as o in
+    {0, *mids}, 0 <= o < delta, and w = o/delta.
 
     Second-order product.  With alpha = (1+delta)/2 and u = s + delta/2,
     log(1 + delta/s) - delta*log((s+alpha)/(s-1+alpha)) = e_s
@@ -334,8 +330,6 @@ def _tail_certificate(delta: Prob, fleet: int, mids: tuple[Prob, ...] | None = N
     c = delta * fleet - 1
     if c <= 0:
         raise ValueError(f"series diverges: fleet*delta = {float(c + 1):g} <= 1")
-    if mids is None:
-        mids = (delta / 2,)
     alpha = (1 + delta) / 2
     cube = abs(delta ** 3 - delta) / 24
     half = Fraction(1, 2) if isinstance(delta, Fraction) else 0.5
@@ -371,9 +365,10 @@ def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet
     (b(tau-1)*(d+o)/(d+gap))**fleet for each o in mids, where d = tau*scale
     and b(tau) = prod_{s=start}^{tau} d_s/(d_s+gap).
 
-    With scale = k-1, gap = 2 and mids = (1,) the terms are N(x, 2*tau) and
-    N(x, 2*tau-1) for x in pool block start; with scale = 1, gap = delta and
-    no mids they are Claim 1's.  In units of scale these are the sequences
+    With scale = c-p, gap = p and mids = (p-1, ..., 1) the terms are
+    N(x, p*tau - j), 0 <= j < p, for x in block start of the pool rule (c, p)
+    (nested: scale = k-1, gap = 2, mids = (1,)); with scale = 1, gap = delta
+    and no mids they are Claim 1's.  In units of scale these are the sequences
     of :func:`_tail_certificate` with delta = gap/scale and offsets o/scale.
     Chunks of _TAU_CHUNK taus are added until that bracket on the rest is
     at most eps_abs wide, or more than max_taus taus past start have been
@@ -434,39 +429,50 @@ def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet
                                f"after {tau - start} taus from tau = {start}")
 
 
-def _curve(params: SearchParams, xs: Sequence[int], epsilon: float, fleet: int,
-           window: bool) -> list[tuple[int, float, int, float]]:
+def _block_sum(kind: StrategyKind, params: SearchParams, blk: int, eps_abs: float,
+               fleet: int) -> tuple[float, float, int]:
+    """(sum, bracket width, truncation_t) of sum_t N(x, t)**fleet for x in
+    block blk = ceil(x/c) of the pool rule (c, p): N is 1 at steps
+    0..p*(blk-1), the head, and then falls by (1 - 1/m) per step.  With
+    c > p the rest is :func:`_series` with scale c-p, gap p and mids
+    (p-1, ..., 1), summed to eps_abs; with c = p the pool runs dry, m falls
+    p, p-1, ..., 1 over the block's p steps, and the sum is finite."""
+    c, p = kind.pool_rule(params)
+    if c == p:
+        rest = math.fsum(((p - j) / p) ** fleet for j in range(1, p))
+        return p * (blk - 1) + 1 + rest, 0.0, p * blk
+    head = p * float(blk) - (p - 1)  # the head p*(blk-1) + 1, from blk in float
+    total, width, tau = _series(blk, c - p, p, tuple(range(p - 1, 0, -1)), fleet, head,
+                                eps_abs, _MAX_STEPS // p)
+    return total, width, p * tau
+
+
+def _curve(kind: StrategyKind, params: SearchParams, xs: Sequence[int], epsilon: float,
+           fleet: int, window: bool) -> list[tuple[int, float, int, float]]:
     """theta (window=False) or theta_window rows for the sorted xs, as
     (x at the max, theta, truncation_t, tail_bound), with one
-    :func:`_series` per pool block.
+    :func:`_block_sum` per pool block of c boxes.
 
-    A window [lo, x] meets at most three pool blocks, and in each theta is
-    largest at the block's first x in the window: those are the candidates.
-    A block is summed to epsilon times the least lo of its rows, and a
-    window's tail_bound reaches every candidate's bracket top.
+    A window [lo, x] of 2c boxes meets at most three pool blocks, and in
+    each theta is largest at the block's first x in the window: those are
+    the candidates.  A block is summed to epsilon times the least lo of its
+    rows, and a window's tail_bound reaches every candidate's bracket top.
     """
-    k, size = params.k, params.block_size
+    c, _ = kind.pool_rule(params)
     rows = []  # each row's candidates
     eps_abs: dict[int, float] = {}  # xs are sorted, so a block's first row has the least lo
     for x in xs:
-        lo = max(1, x - 2 * size + 1) if window else x
-        rows.append([lo, *range(lo + size - (lo - 1) % size, x + 1, size)])
-        for c in rows[-1]:
-            eps_abs.setdefault(block_of(params, c), epsilon * lo)
-    sums = {}  # block -> (series, bracket width, truncation_t)
-    for blk, eps in eps_abs.items():
-        if k == 1:  # the two pool members left at each odd step are forced by step 2*block
-            sums[blk] = (2 * blk - 1 + 0.5 ** fleet, 0.0, 2 * blk)
-        else:
-            total, width, tau = _series(blk, k - 1.0, 2.0, (1.0,), fleet, 2.0 * blk - 1, eps,
-                                        _MAX_STEPS // 2)
-            sums[blk] = (total, width, 2 * tau)
+        lo = max(1, x - 2 * c + 1) if window else x
+        rows.append([lo, *range(lo + c - (lo - 1) % c, x + 1, c)])
+        for y in rows[-1]:
+            eps_abs.setdefault(-(-y // c), epsilon * lo)
+    sums = {blk: _block_sum(kind, params, blk, eps, fleet) for blk, eps in eps_abs.items()}
     out = []
     for cands in rows:
-        est = [sums[block_of(params, c)] for c in cands]
-        th = [total / c for (total, _, _), c in zip(est, cands)]
+        est = [sums[-(-y // c)] for y in cands]
+        th = [total / y for (total, _, _), y in zip(est, cands)]
         j = th.index(max(th))
-        tail = max(width / c + (t - th[j]) for (_, width, _), c, t in zip(est, cands, th))
+        tail = max(width / y + (t - th[j]) for (_, width, _), y, t in zip(est, cands, th))
         out.append((cands[j], th[j], est[j][2], tail))
     return out
 
@@ -482,7 +488,7 @@ def theta(params: SearchParams, x: int, epsilon: float = 1e-6,
     and may differ from it (e.g. survivors of a larger design).
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    [(_, th, trunc, tail)] = _curve(params, [x], epsilon, n_fleet, False)
+    [(_, th, trunc, tail)] = _curve(StrategyKind.nested(), params, [x], epsilon, n_fleet, False)
     return ThetaEstimate(params.k, x, th, trunc, tail)
 
 
@@ -496,7 +502,7 @@ def theta_window(params: SearchParams, x: int, epsilon: float = 1e-6,
     max lies in [theta, theta + tail_bound].
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    [(at, th, trunc, tail)] = _curve(params, [x], epsilon, n_fleet, True)
+    [(at, th, trunc, tail)] = _curve(StrategyKind.nested(), params, [x], epsilon, n_fleet, True)
     return ThetaEstimate(params.k, at, th, trunc, tail)
 
 
@@ -509,14 +515,17 @@ def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
     :func:`_tail_certificate`, divided by x, give lo and hi.
     """
     n_fleet = _checked_fleet(params, x, fleet)
-    if params.k < 2:
+    kind = StrategyKind.nested()
+    c, p = kind.pool_rule(params)
+    if c == p:
         raise ValueError("exact bracket needs k >= 2; k = 1 sums are finite")
-    if t_max % 2 or t_max < 2 * block_of(params, x):
+    if t_max % p or t_max < kind.entry_step(params, x) + p - 1:
         raise ValueError("t_max must be even and at least the block entry step")
-    tail_of = _tail_certificate(params.delta_exact, n_fleet)
-    view = SurvivalMatrix(StrategyKind.nested(), params, exact=True)
+    mids = tuple(Fraction(j, c - p) for j in range(p - 1, 0, -1))
+    tail_of = _tail_certificate(Fraction(p, c - p), n_fleet, mids)
+    view = SurvivalMatrix(kind, params, exact=True)
     partial = view.power_sum(x, t_max, n_fleet)
-    tail_lo, tail_hi = tail_of(view.value(x, t_max), t_max // 2)
+    tail_lo, tail_hi = tail_of(view.value(x, t_max), t_max // p)
     return Fraction(partial + tail_lo, x), Fraction(partial + tail_hi, x)
 
 
@@ -532,7 +541,7 @@ def speedup_curve(params: SearchParams, xs: Sequence[int], epsilon: float = 1e-6
     if not xs:
         return []
     _checked_fleet(params, xs[0], None, epsilon)
-    rows = _curve(params, xs, epsilon, params.k, window)
+    rows = _curve(StrategyKind.nested(), params, xs, epsilon, params.k, window)
     return [ThetaEstimate(params.k, x, *row[1:]) for x, row in zip(xs, rows)]
 
 
@@ -541,18 +550,16 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
     """Exact fleet expected discovery time sum_t N(x, t)**fleet.
 
     For a partition the time is the first visit step of x among its fleet,
-    fleet member sid running partition member sid; for the samplers the sum
-    is evaluated in full (block-random, whose rows reach 0) or with a
-    certified truncation (nested).
+    fleet member sid running partition member sid; for a pool sampler it is
+    the block sum of :func:`_block_sum`, finite for a rule whose pool runs
+    dry (block-random, nested at k = 1) and otherwise certified to
+    epsilon*x.
     """
-    n_fleet = _checked_fleet(params, x, fleet)
+    n_fleet = _checked_fleet(params, x, fleet, epsilon)
     kind.check_fleet(params, n_fleet)
-    if kind.name == NESTED:
-        return theta(params, x, epsilon, fleet=n_fleet).theta * x
-    if kind.name == BLOCK_RANDOM:  # N reaches 0 block_len - 1 steps after x enters
-        first = kind.entry_step(params, x)
-        row = SurvivalMatrix(kind, params).row(x, first + kind.block_len - 1)
-        return first + math.fsum(v ** n_fleet for v in row[first:])
+    if kind.randomized:
+        c, _ = kind.pool_rule(params)
+        return _block_sum(kind, params, -(-x // c), epsilon * x, n_fleet)[0]
     steps = (replace(kind, searcher_id=sid).visit_step(params, x)
              for sid in range(1, n_fleet + 1))
     return float(min(s for s in steps if s is not None))

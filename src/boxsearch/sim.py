@@ -171,7 +171,7 @@ class TrialConfig:
     def step_cap(self) -> int:
         """The horizon of a partition trial: a member that opens the target
         later finds nothing.  A pool-sampler trial has no horizon."""
-        return 50 * self.treasure * self.params.block_size
+        return 50 * self.treasure * (self.params.k + 1)
 
 
 @dataclass(frozen=True)
@@ -503,15 +503,27 @@ def _target(config: TrialConfig, sid: int) -> int:
 
 def _pool_plan(config: TrialConfig) -> list[tuple[int, int, int]]:
     """(sid, target, limit) of each searcher that can hit: limit is the last
-    step before its crash, and not before the step that appends its target."""
-    plan = []
+    step before its crash, and not before the step that appends its target.
+
+    _fleet_block keeps a hit as the int64 key step*span + sid, so a target
+    appended at a step whose key reaches _NEVER could never be recorded:
+    such a treasure raises ValueError, before any draw, rather than read as
+    not found."""
+    kind, params = config.kind, config.params
+    rows = []
     for sid in range(1, config.fleet_size + 1):
         crash = config.crashes.crash_time(sid)
-        limit = _NEVER if crash is None else crash - 1
         target = _target(config, sid)
-        if limit >= config.kind.entry_step(config.params, target):
-            plan.append((sid, target, limit))
-    return plan
+        first = kind.entry_step(params, target)
+        if crash is None or crash > first:
+            rows.append((sid, target, first, _NEVER if crash is None else crash - 1))
+    span = 1 + max((sid for sid, *_ in rows), default=0)
+    for sid, target, first, _ in rows:
+        if first * span + sid >= _NEVER:
+            raise ValueError(f"treasure {config.treasure} is beyond the simulator's range: "
+                             f"searcher {sid} sees it at box {target}, appended at step "
+                             f"{first}, and hit steps must stay below {_NEVER // span}")
+    return [(sid, target, limit) for sid, target, _, limit in rows]
 
 
 def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,

@@ -8,21 +8,20 @@ Strategies are pure state machines.  A :class:`SearcherState` belongs to one
 searcher; distinct searchers never share state, so fleets need no
 synchronization.
 
-The two randomized samplers are one pool sampler with two pool rules: at step
-t the searcher draws uniformly among the unvisited boxes of the pool
-1..pool_limit(t), which is ceil(t/2)*(k+1) for the nested sampler and
-b*ceil(t/b) for block-random.  The two deterministic baselines are one
-partition rule: member i of n opens box i + (t-1)*n at step t, coordinated
-searcher i being member i of k and solo member 1 of 1.  :class:`StrategyKind`
-alone knows the rules; the stepper here, the simulator's hit time and the
-exact survival table (one recurrence for both pool rules) all read them from
-it.
+The two randomized samplers are one pool sampler under one pool rule (c, p):
+at step t the searcher draws uniformly among the unvisited boxes of the pool
+1..c*ceil(t/p), so box x joins it at step p*ceil(x/c) - p + 1.  The nested
+sampler is (k+1, 2) and block-random(b) is (b, b).  The two deterministic
+baselines are one partition rule: member i of n opens box i + (t-1)*n at
+step t, coordinated searcher i being member i of k and solo member 1 of 1.
+:class:`StrategyKind` alone knows the rules; the stepper here, the
+simulator's hit time and the exact survival table and block sums (one
+recurrence and one evaluator for every pool rule) all read them from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,22 +52,11 @@ class SearchParams:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
 
     @property
-    def block_size(self) -> int:
-        """Boxes appended to the sampling pool per phase: k + 1."""
-        return self.k + 1
-
-    @property
     def delta(self) -> float:
         """Two-step survival decay exponent 2/(k-1); defined only for k >= 2."""
         if self.k < 2:
             raise ValueError("delta requires k >= 2")
         return 2.0 / (self.k - 1)
-
-    @property
-    def delta_exact(self) -> Fraction:
-        if self.k < 2:
-            raise ValueError("delta requires k >= 2")
-        return Fraction(2, self.k - 1)
 
 
 @dataclass(frozen=True)
@@ -111,26 +99,27 @@ class StrategyKind:
     def randomized(self) -> bool:
         return self.name in (NESTED, BLOCK_RANDOM)
 
-    def pool_limit(self, params: SearchParams, t):
-        """Largest box in the sampling pool at step t >= 0 (0 at t = 0):
-        ceil(t/2)*(k+1) for nested, b*ceil(t/b) for block-random.  t may be
-        an integer array; the result is then elementwise."""
+    def pool_rule(self, params: SearchParams) -> tuple[int, int]:
+        """(c, p): the pool holds c*ceil(t/p) boxes at step t, (k+1, 2) for
+        nested and (b, b) for block-random."""
         if self.name == NESTED:
-            return (t + 1) // 2 * params.block_size
+            return params.k + 1, 2
         if self.name == BLOCK_RANDOM:
-            b = self.block_len
-            return (t + b - 1) // b * b
+            return self.block_len, self.block_len
         raise ValueError(f"strategy {self.name!r} has no sampling pool")
+
+    def pool_limit(self, params: SearchParams, t):
+        """Largest box in the sampling pool at step t >= 0 (0 at t = 0),
+        c*ceil(t/p).  t may be an integer array; the result is then
+        elementwise."""
+        c, p = self.pool_rule(params)
+        return (t + p - 1) // p * c
 
     def entry_step(self, params: SearchParams, x: int) -> int:
         """The step that appends box x >= 1 to the pool, the least t with
-        pool_limit(t) >= x: 2*ceil(x/(k+1)) - 1 for nested, x - (x-1) mod b
-        for block-random."""
-        if self.name == NESTED:
-            return 2 * -(-x // params.block_size) - 1
-        if self.name == BLOCK_RANDOM:
-            return x - (x - 1) % self.block_len
-        raise ValueError(f"strategy {self.name!r} has no sampling pool")
+        pool_limit(t) >= x: p*ceil(x/c) - p + 1."""
+        c, p = self.pool_rule(params)
+        return p * -(-x // c) - p + 1
 
     def partition(self, params: SearchParams) -> tuple[int, int]:
         """(i, n): member i of an n-way partition; (1, 1) solo, (searcher_id, k) coordinated."""

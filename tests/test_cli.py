@@ -199,6 +199,41 @@ def test_verify_bounds_stdout_pinned(capsys, monkeypatch):
         assert identity and all(e["value"] == 0.0 and e["status"] == "pass" for e in identity)
 
 
+# SHA-256 of exact speedup stdouts: dense curves at k = 1 (whose pool runs
+# dry, a finite sum), 2, 3 and 5, with and without windows, and two blocks
+# far out at a tight epsilon.  Each row is a pool block's certified series.
+EXACT_SPEEDUP_STDOUT_SHA256 = [
+    ("--k 1 --x-range 1:300:1 --format json",
+     "78d9eae2df2acc614669b115eef5d645d48f98476d6b29adc4fec96cd29352a1"),
+    ("--k 1 --x-range 1:300:1 --format json --window",
+     "f5c40b590ba77e9075364004b9e0c57ff03da4d3944a6adf94687cc77e632ece"),
+    ("--k 2 --x-range 1:300:1 --format json",
+     "e28906db2159de624d5af96f3509d8455db4c9c159d5a4f373fdf9d6290e5bf9"),
+    ("--k 2 --x-range 1:300:1 --format json --window",
+     "f3e82b3b01def447b74e8f85b3957508394af3b30b5d555174215ba0b51378a2"),
+    ("--k 3 --x-range 1:300:1 --format json",
+     "4a9060d267b6114ee81ffe7e73139762d5de5ea48fb54abcd073b0300b9d715f"),
+    ("--k 3 --x-range 1:300:1 --format json --window",
+     "f37a5055c3a9a0264cc0af0586f33635c119496f1efe7745eaf1e0dc39c824fd"),
+    ("--k 5 --x-range 1:300:1 --format json",
+     "88b40b87c9ed91467fe42cc70757a6faf7e56fedbba9c23d74e4b78720de8547"),
+    ("--k 5 --x-range 1:300:1 --format json --window",
+     "cee65ac2ac80470088cff455ed9b36820475e4e76882603ff5117a87215e90c9"),
+    ("--k 3 --x 100000000 --epsilon 1e-10",
+     "ddd1c4a6958f512b35f1753d268cd9d653b2476d914f5e7096860de99cdd7386"),
+    ("--k 2 --x 10000000000 --epsilon 1e-10",
+     "f759055e48c43d1de145fec46c5f9bb4987c5a7bf8f00a0d34a616e7459336fd"),
+]
+
+
+def test_exact_speedup_stdout_pinned(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)  # JSON echoes the seed
+    for argv, digest in EXACT_SPEEDUP_STDOUT_SHA256:
+        code, out = run_cli(capsys, "speedup", *argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_matrix_json_format(capsys):
     code, out = run_cli(capsys, "matrix", "--k", "2", "--xmax", "2", "--tmax", "2",
                         "--exact", "--format", "json")
@@ -247,6 +282,11 @@ def test_speedup_mc_requires_trials(capsys):
     (("--x", "10", "--epsilon", "inf", "--format", "json"), "epsilon must be positive and finite"),
     (("--x", "10", "--epsilon", "nan"), "epsilon must be positive and finite"),
     (("--x", "5", "--mode", "mc", "--trials", "0"), "need at least 2 trials, got 0"),
+    # a hit past the simulator's int64 keys could never be recorded
+    (("--k", "2", "--x", "4611686018427387904", "--mode", "mc", "--trials", "2"),
+     "treasure 4611686018427387904 is beyond the simulator's range"),
+    (("--k", "2", "--x", "99999999999999999999", "--mode", "mc", "--trials", "2"),
+     "treasure 99999999999999999999 is beyond the simulator's range"),
 ])
 def test_speedup_bad_input_exits_2(capsys, argv, message):
     assert message in usage_error(capsys, "speedup", *argv)

@@ -278,7 +278,7 @@ def test_product_formula_agreement():
     # rationals and to 1e-12 relative in floats
     for k in (2, 3, 5):
         p = SearchParams(k)
-        delta = p.delta_exact
+        delta = F(2, k - 1)
         for xp in range(1, 16):
             row = survival_row_exact(p, (k + 1) * xp, 50)
             for tp in range(xp, 26):
@@ -316,9 +316,9 @@ def test_theta_exact_bracket_equals_fraction_sum():
     # oracle: the partial sum taken cell by cell in Fraction arithmetic
     for k in (2, 3, 5):
         p = SearchParams(k)
-        tail_of = _tail_certificate(p.delta_exact, k)
+        tail_of = _tail_certificate(F(2, k - 1), k, (F(1, k - 1),))
         for x in (1, 3, 10, 40):
-            for t_max in (2 * matrix.block_of(p, x), 400):
+            for t_max in (2 * -(-x // (k + 1)), 400):
                 row = survival_row_exact(p, x, t_max)
                 partial = sum(v ** k for v in row)
                 lo, hi = tail_of(row[t_max], t_max // 2)
@@ -335,7 +335,7 @@ def test_theta_k2_large_x_window():
 
 
 def test_theta_two_sided_tail_against_k2_closed_form():
-    # oracle: for k = 2 the survival telescopes.  With B = block_of(x),
+    # oracle: for k = 2 the survival telescopes.  With B = ceil(x/3),
     # N(x, t) = 1 for t <= 2B-2, N(x, 2τ-1) = B(B+1)/(τ(τ+2)) and
     # N(x, 2τ) = B(B+1)/((τ+1)(τ+2)) for τ >= B, so the series is summed
     # directly, without the recurrence or the tail certificate, to τ = T;
@@ -391,9 +391,9 @@ def test_tail_certificate_brackets_directly_summed_tail():
     for k, fleets in ((2, (2, 3, 8)), (3, (2, 12)), (5, (3, 4))):
         p = SearchParams(k)
         row = SurvivalMatrix(StrategyKind.nested(), p).row(1, 2 * big_t)
-        delta = p.delta_exact
+        delta = F(2, k - 1)
         for fleet in fleets:
-            tail_of = _tail_certificate(delta, fleet)
+            tail_of = _tail_certificate(delta, fleet, (delta / 2,))
             c = delta * fleet - 1
             terms = np.array(row) ** fleet
             rest = 2 * terms[-1] * (1 + (big_t + 1 + float(delta)) / float(c))
@@ -483,7 +483,7 @@ def test_theta_work_stays_near_block_entry():
                       (3, 10 ** 8, 1e-10), (2, 10 ** 10, 1e-10), (10, 1, 1e-11)):
         p = SearchParams(k)
         for est in (theta(p, x, eps), theta_window(p, x, eps)):
-            assert est.truncation_t == 2 * (matrix.block_of(p, est.x) + matrix._TAU_CHUNK - 1)
+            assert est.truncation_t == 2 * (-(-est.x // (k + 1)) + matrix._TAU_CHUNK - 1)
             assert est.tail_bound <= eps
 
 
@@ -510,7 +510,7 @@ def test_theta_window_k2_large_x_against_closed_form(x):
     est = theta_window(p, x, 1e-10)
     brackets = []
     for xi in range(x - 5, x + 1):
-        blk = matrix.block_of(p, xi)
+        blk = -(-xi // 3)
         psi = [_trigamma_bracket(blk + j) for j in range(3)]
         rest = F(-1, 4 * blk) - F(1, 4 * (blk + 1)) - F(2, blk + 1)
         ends = [(psi[0][e] + psi[2][e]) / 4 + psi[1][e] + psi[2][e] + rest for e in (0, 1)]
@@ -519,7 +519,7 @@ def test_theta_window_k2_large_x_against_closed_form(x):
     assert hi - lo < F(1, 10 ** 30)  # the oracle is tight
     assert F(est.theta) <= hi and lo <= F(est.theta) + F(est.tail_bound)
     assert 0 < est.tail_bound <= 1e-10
-    assert est.truncation_t == 2 * (matrix.block_of(p, est.x) + matrix._TAU_CHUNK - 1)
+    assert est.truncation_t == 2 * (-(-est.x // 3) + matrix._TAU_CHUNK - 1)
 
 
 def test_speedup_curve_sums_each_block_once(monkeypatch):
@@ -594,11 +594,29 @@ def test_expected_discovery_time_closed_forms():
     p = SearchParams(3)
     assert expected_discovery_time(StrategyKind.solo(), p, 7) == 7
     assert expected_discovery_time(StrategyKind.coordinated(1), p, 8) == 3
-    # block-random fleet of k: (j-1)b + 1 + sum_{i<b} ((b-i)/b)^k
-    e = expected_discovery_time(StrategyKind.block_random(3), SearchParams(1), 1, fleet=1)
-    assert e == pytest.approx(2.0)
-    e = expected_discovery_time(StrategyKind.block_random(3), SearchParams(2), 4)
-    assert e == pytest.approx(3 + 1 + (2 / 3) ** 2 + (1 / 3) ** 2)
+    # the pool rules that run dry, written out.  block-random(b), x in block
+    # B = ceil(x/b): (B-1)b + 1 + sum_{0<i<b} ((b-i)/b)**f, to 1e-12 relative
+    for b in (1, 2, 3, 5):
+        for fleet in (1, 2, 3):
+            for x in (1, b, b + 1, 10 * b + 1):
+                blk = -(-x // b)
+                want = (blk - 1) * b + 1 + sum(((b - i) / b) ** fleet for i in range(1, b))
+                got = expected_discovery_time(StrategyKind.block_random(b), SearchParams(2), x,
+                                              fleet=fleet)
+                assert got == pytest.approx(want, rel=1e-12), (b, fleet, x)
+    # nested at k = 1: theta(x) = (2*ceil(x/2) - 1 + 2**-f)/x, and a window's
+    # theta is the largest over its 4 boxes
+    k1 = SearchParams(1)
+    for fleet in (1, 2, 3):
+        def closed(x, fleet=fleet):
+            return (2 * -(-x // 2) - 1 + 2.0 ** -fleet) / x
+        for x in range(1, 61):
+            assert theta(k1, x, fleet=fleet).theta == pytest.approx(closed(x), rel=1e-12)
+            win = theta_window(k1, x, fleet=fleet)
+            assert win.theta == pytest.approx(closed(win.x), rel=1e-12)
+            assert win.theta == pytest.approx(max(map(closed, range(max(1, x - 3), x + 1))),
+                                              rel=1e-12)
+            assert win.tail_bound == 0.0
 
 
 def test_theta_fleet_override_matches_design():

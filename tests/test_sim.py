@@ -287,6 +287,23 @@ def test_trial_past_the_first_horizon_is_found():
     assert out.discovered and out.time > cfg.step_cap
 
 
+def test_target_past_the_hit_keys_is_rejected():
+    # a hit is kept as the int64 key step*span + sid, so a target appended
+    # past it raises before any draw rather than reading as not found; the
+    # check reads each searcher's target, which extra-boxes moves above the
+    # treasure, and skips a searcher that crashes before its target enters
+    params, kind = SearchParams(2), StrategyKind.nested()
+    extra = (Perturbation(kind="extra-boxes"),) * 2
+    for cfg in (TrialConfig(params, kind, 2 ** 62, seed=1),
+                TrialConfig(params, kind, 2 ** 62 - 10, seed=1, perturbations=extra)):
+        for run in (run_trial, lambda c: estimate_speedup(c, 2)):
+            with pytest.raises(ValueError, match=f"treasure {cfg.treasure} is beyond"):
+                run(cfg)
+    crashed = TrialConfig(params, kind, 2 ** 62, seed=1,
+                          crashes=CrashSchedule(((1, 5), (2, 5))))
+    assert run_trial(crashed).time is None
+
+
 def test_coordinated_fleet_is_the_whole_partition():
     for n in (1, 2, 4):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SearchParams(0)
     p = SearchParams(4)
-    assert p.block_size == 5
+    assert StrategyKind.nested().pool_rule(p) == (5, 2)
     assert p.delta == pytest.approx(2 / 3)
     with pytest.raises(ValueError):
         SearchParams(1).delta

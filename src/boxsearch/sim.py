@@ -6,9 +6,12 @@ derived from (trial seed, searcher id), which makes every trial a
 deterministic function of its config and embarrassingly parallel across
 trial indices.
 
-Both randomized samplers run through one engine, :func:`_fleet_block`: it
-reads the pool rule from :class:`StrategyKind` and replays only the draws
-that can touch the treasure, so it draws uniforms and never reads N(x, t).
+Every strategy runs through one plan, :func:`_plan` (which searchers can
+hit, and from which step), and one outcome rule, :func:`_outcomes`.  A
+partition member hits exactly at its first step.  Both randomized samplers
+run through one engine, :func:`_fleet_block`: it reads the pool rule from
+:class:`StrategyKind` and replays only the draws that can touch the
+treasure, so it draws uniforms and never reads N(x, t).
 It runs every (trial, searcher) row of a block of trials through one loop of
 lock-step rounds, with one event search and one fleet rule for every round.
 Round 1 runs on numpy uint64 arrays for all rows at once: SeedSequence hashing
@@ -18,7 +21,8 @@ draws.  In each later round a row still running hands its PCG64 state to a
 native generator through ``.state`` (it is not re-seeded) and draws there.
 All of these reproduce numpy's streams bit for bit, so each trial's outcome
 is the one its searchers' own ``Generator(PCG64(searcher_seed(trial seed,
-sid)))`` streams give.  :func:`run_trial` is the same engine at one trial.
+sid)))`` streams give.  No trial has a horizon: one finds nothing only when
+every searcher crashed first.  :func:`run_trial` is the same path at one trial.
 """
 
 from __future__ import annotations
@@ -167,17 +171,11 @@ class TrialConfig:
     def fleet_size(self) -> int:
         return self.searchers if self.searchers else self.params.k
 
-    @property
-    def step_cap(self) -> int:
-        """The horizon of a partition trial: a member that opens the target
-        later finds nothing.  A pool-sampler trial has no horizon."""
-        return 50 * self.treasure * (self.params.k + 1)
-
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Discovery step and finder; time None (not an error) means every searcher
-    crashed first, or a partition opens the treasure only past its step_cap."""
+    """Discovery step and finder; time None (not an error) means exactly that
+    every searcher crashed first."""
 
     time: int | None
     first_finder: int | None
@@ -191,15 +189,13 @@ class TrialOutcome:
 # steps draw little) and widen to amortize numpy's per-call cost.  A uniform is
 # one PCG64 output whatever the widths, so they change no hit time.  Round 1
 # draws BATCH_CHUNK uniforms per row, each later round 4x more, up to
-# CHUNK_MAX.  A round's rows draw in sub-batches of at most DRAW_BUDGET
-# uniforms (no fewer than CHUNK_MAX): a round's memory is bounded, and its
-# width does not shrink while many rows are open.  Of the budgets 2**12, 2**13
-# and 2**14 (CHUNK_MAX equal to each), 2**13 ran the heavy MC commands of
-# BENCH_15.json best on a 2-core Xeon: 2**14 slowed the one that ends almost
-# every trial in round 1, and 2**12 the ones with long tails.
+# CHUNK_MAX.  A round's rows draw in sub-batches of at most CHUNK_MAX
+# uniforms: a round's memory is bounded, and its width does not shrink while
+# many rows are open.  Of 2**12, 2**13 and 2**14, 2**13 ran the heavy MC
+# commands of BENCH_15.json best on a 2-core Xeon: 2**14 slowed the one that
+# ends almost every trial in round 1, and 2**12 the ones with long tails.
 BATCH_CHUNK = 16
 CHUNK_MAX = 8192
-DRAW_BUDGET = 1 << 13
 # Rows (trial, searcher) run together: this bounds the memory of a block.
 BLOCK_ROWS = 1024
 
@@ -421,7 +417,7 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, run: tuple, key: np.n
 
     With ``bits`` None this is round 1: the streams are as seeded, and the
     draws, t - 1 steps on, are emulated.  Later rounds draw natively on
-    ``bits``.  Rows draw in sub-batches of at most DRAW_BUDGET uniforms.
+    ``bits``.  Rows draw in sub-batches of at most CHUNK_MAX uniforms.
     """
     t, trial, sid, bound, p, streams = run
     bound = np.minimum(bound, (key[trial] - sid - 1) // span)
@@ -432,7 +428,7 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, run: tuple, key: np.n
     end = np.minimum(bound - t + 1, width)
     m = _list_sizes(kind, params, t, width)
     hit = np.empty(len(trial), np.int64)
-    per = max(1, DRAW_BUDGET // width)
+    per = max(1, CHUNK_MAX // width)
     for i in range(0, len(trial), per):
         sub = slice(i, i + per)
         if bits is None:
@@ -455,16 +451,16 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, run: tuple, key: np.n
 
 def _fleet_block(kind: StrategyKind, params: SearchParams, plan: list, words: list,
                  trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes of ``trials`` trials of the fleet ``plan``, a list of (sid,
-    target, limit) in sid order: (times, finders), int64, 0 where none hit.
+    """Outcomes of ``trials`` trials of the sampler fleet ``plan`` (rows of
+    _plan): (times, finders), int64, 0 where none hit.
 
     ``words`` are the trials' seed words (_seed_words).  Searcher sid of a
     trial owns the stream searcher_seed(trial seed, sid).  Every (trial,
     searcher) row runs through one loop of lock-step rounds, the rows that
     share a target together (_fleet_round).  Round 1 seeds every row, jumps
-    it to the step that appends its target (earlier draws cannot touch it)
-    and draws BATCH_CHUNK uniforms, all emulated at once; each later round
-    draws 4x more, up to CHUNK_MAX, per row on one native PCG64.
+    it to its first step, which appends its target (earlier draws cannot
+    touch it), and draws BATCH_CHUNK uniforms, all emulated at once; each
+    later round draws 4x more, up to CHUNK_MAX, per row on one native PCG64.
 
     A trial's best is one key, hit * span + sid with span above every sid, so
     the earliest hit wins and the lowest id breaks ties, exactly as when the
@@ -472,16 +468,15 @@ def _fleet_block(kind: StrategyKind, params: SearchParams, plan: list, words: li
     while it could still win; bounds only fall, so no row is run twice.
     """
     key = np.full(trials, _NEVER)
-    span = 1 + max((sid for sid, _, _ in plan), default=0)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for sid, target, limit in plan:
-        groups.setdefault(target, []).append((sid, limit))
+    span = 1 + max((sid for sid, *_ in plan), default=0)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for sid, target, first, limit in plan:
+        groups.setdefault((target, first), []).append((sid, limit))
     runs = []
-    for target, members in groups.items():
+    for (target, first), members in groups.items():
         sids, limits = (np.repeat(np.array(col, np.int64), trials) for col in zip(*members))
         rows_words = [w if isinstance(w, int) else np.tile(w, len(members)) for w in words]
         state, inc = _seeded_streams(rows_words, sids.astype(np.uint64))
-        first = kind.entry_step(params, target)
         runs.append((first, np.tile(np.arange(trials), len(members)), sids, limits,
                      np.full(len(sids), target - first), np.stack([*state, *inc])))
     width, bits = BATCH_CHUNK, None
@@ -501,29 +496,51 @@ def _target(config: TrialConfig, sid: int) -> int:
     return perts[sid - 1].map_index(config.treasure) if perts else config.treasure
 
 
-def _pool_plan(config: TrialConfig) -> list[tuple[int, int, int]]:
-    """(sid, target, limit) of each searcher that can hit: limit is the last
-    step before its crash, and not before the step that appends its target.
+def _plan(config: TrialConfig) -> list[tuple[int, int, int, int]]:
+    """(sid, target, first, limit) of each searcher that can hit, in sid order.
 
-    _fleet_block keeps a hit as the int64 key step*span + sid, so a target
-    appended at a step whose key reaches _NEVER could never be recorded:
-    such a treasure raises ValueError, before any draw, rather than read as
-    not found."""
+    ``first`` is the step that appends the target to a sampler's pool, or the
+    step at which partition member sid opens it (a member that never does is
+    dropped); ``limit`` is the last step before the crash.  A searcher that
+    crashes at or before ``first`` is dropped, in both families.
+
+    A hit is kept as the int64 key step*span + sid, so a treasure with
+    2*first*span + sid >= _NEVER for some row raises ValueError before any
+    draw.  A row kept has at least ``first`` steps of key room past its entry
+    and runs out only after about 1e18 draws: a trial that ends without a
+    hit means that every searcher crashed first.
+    """
     kind, params = config.kind, config.params
     rows = []
     for sid in range(1, config.fleet_size + 1):
-        crash = config.crashes.crash_time(sid)
         target = _target(config, sid)
-        first = kind.entry_step(params, target)
-        if crash is None or crash > first:
+        if kind.randomized:
+            first = kind.entry_step(params, target)
+        else:
+            first = replace(kind, searcher_id=sid).visit_step(params, target)
+        crash = config.crashes.crash_time(sid)
+        if first is not None and (crash is None or crash > first):
             rows.append((sid, target, first, _NEVER if crash is None else crash - 1))
     span = 1 + max((sid for sid, *_ in rows), default=0)
     for sid, target, first, _ in rows:
-        if first * span + sid >= _NEVER:
+        if 2 * first * span + sid >= _NEVER:
             raise ValueError(f"treasure {config.treasure} is beyond the simulator's range: "
-                             f"searcher {sid} sees it at box {target}, appended at step "
-                             f"{first}, and hit steps must stay below {_NEVER // span}")
-    return [(sid, target, limit) for sid, target, _, limit in rows]
+                             f"searcher {sid} sees it at box {target} from step {first}, "
+                             f"and twice that step must stay below {_NEVER // span}")
+    return rows
+
+
+def _outcomes(config: TrialConfig, plan: list, words: list,
+              trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """(times, finders) of ``trials`` trials of ``config``'s fleet ``plan``
+    (_plan), 0 where none hit; ``words`` are the trials' seed words.  A
+    sampler fleet runs _fleet_block.  A partition member hits exactly at its
+    first step, so every trial has the same outcome, the earliest first step
+    and, on a tie, the lowest id."""
+    if config.kind.randomized:
+        return _fleet_block(config.kind, config.params, plan, words, trials)
+    time, finder = min(((first, sid) for sid, _, first, _ in plan), default=(0, 0))
+    return np.full(trials, time), np.full(trials, finder)
 
 
 def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
@@ -531,39 +548,21 @@ def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
     """First step <= limit at which searcher ``sid`` of each trial seed in
     ``seeds`` (uint64) draws ``target``, 0 where none; the engine of
     _fleet_block with a one-searcher fleet, in blocks of BLOCK_ROWS rows."""
-    plan = [(sid, target, limit)] if limit >= kind.entry_step(params, target) else []
+    first = kind.entry_step(params, target)
+    plan = [(sid, target, first, limit)] if limit >= first else []
     blocks = [seeds[i:i + BLOCK_ROWS] for i in range(0, len(seeds), BLOCK_ROWS)]
     return np.concatenate([_fleet_block(kind, params, plan, _seed_words(b), len(b))[0]
                            for b in blocks])
 
 
-def _partition_trial(config: TrialConfig) -> TrialOutcome:
-    """A partition fleet: member sid opens the target at its visit_step."""
-    best_t: int | None = None
-    finder: int | None = None
-    for sid in range(1, config.fleet_size + 1):
-        limit = config.step_cap
-        crash = config.crashes.crash_time(sid)
-        if crash is not None:
-            limit = min(limit, crash - 1)
-        t = replace(config.kind, searcher_id=sid).visit_step(config.params, _target(config, sid))
-        if t is not None and t <= limit and (best_t is None or t < best_t):
-            best_t, finder = t, sid
-    return TrialOutcome(best_t, finder)
-
-
 def run_trial(config: TrialConfig) -> TrialOutcome:
     """Simulate one fleet trial; earliest hit wins, lowest id breaks ties.
 
-    A pool-sampler trial is a block of one trial of _fleet_block, the engine
-    of estimate_speedup; it runs until a searcher hits or every searcher has
-    crashed.  A partition member's hit step is known in closed form; a
-    partition that opens the treasure only past step_cap finds nothing.
+    A trial is a block of one trial of _outcomes, the path of
+    estimate_speedup: it has no horizon, and finds nothing only when every
+    searcher crashed first.
     """
-    if not config.kind.randomized:
-        return _partition_trial(config)
-    times, finders = _fleet_block(config.kind, config.params, _pool_plan(config),
-                                  _seed_words(config.seed), 1)
+    times, finders = _outcomes(config, _plan(config), _seed_words(config.seed), 1)
     if not times[0]:
         return TrialOutcome(None, None)
     return TrialOutcome(int(times[0]), int(finders[0]))
@@ -579,18 +578,11 @@ def _trial_blocks(template: TrialConfig, trials: int):
     """Yield (times, finders) of trials 0..trials-1 of ``template`` in
     blocks of about BLOCK_ROWS rows; trial i runs with trial_seed(base, i),
     and 0 marks a trial that found nothing."""
-    base = template.seed
-    if not template.kind.randomized:  # the outcome does not depend on the seed
-        _entropy_words(base)  # numpy's check of the base seed
-        out = _partition_trial(template)
-        yield np.full(trials, out.time or 0), np.full(trials, out.first_finder or 0)
-        return
-    plan = _pool_plan(template)
+    plan = _plan(template)
     per_block = max(1, BLOCK_ROWS // max(1, len(plan)))
     for start in range(0, trials, per_block):
-        seeds = trial_seeds(base, start, min(trials, start + per_block))
-        yield _fleet_block(template.kind, template.params, plan, _seed_words(seeds),
-                           len(seeds))
+        seeds = trial_seeds(template.seed, start, min(trials, start + per_block))
+        yield _outcomes(template, plan, _seed_words(seeds), len(seeds))
 
 
 class NonDiscoveryError(RuntimeError):

@@ -287,6 +287,9 @@ def test_speedup_mc_requires_trials(capsys):
      "treasure 4611686018427387904 is beyond the simulator's range"),
     (("--k", "2", "--x", "99999999999999999999", "--mode", "mc", "--trials", "2"),
      "treasure 99999999999999999999 is beyond the simulator's range"),
+    # keyable at its entry step, but with no room for a hit past it
+    (("--k", "2", "--x", "4611686018427387903", "--mode", "mc", "--trials", "2"),
+     "treasure 4611686018427387903 is beyond the simulator's range"),
 ])
 def test_speedup_bad_input_exits_2(capsys, argv, message):
     assert message in usage_error(capsys, "speedup", *argv)

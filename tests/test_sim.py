@@ -137,26 +137,44 @@ def test_non_discovery_reported_not_raised_when_allowed():
     assert stats.non_discovery_count == 50
 
 
+def shift(c):
+    return Perturbation(kind="shift", shift=c)
+
+
 def horizon_cases():
-    """Fleets with crashes, per-searcher perturbations, block-random, k = 2, 3, 5."""
-    shifted = (Perturbation(kind="shift", shift=3), Perturbation(kind="extra-boxes"))
+    """Fleets with crashes, per-searcher perturbations, block-random, k = 2, 3, 5,
+    and partitions: a solo fleet whose targets lie past 50*x*(k+1) = 150
+    steps, and a coordinated fleet whose crash drops the member that would
+    hit first (members 1 and 3 then tie at step 8)."""
+    shifted = (shift(3), Perturbation(kind="extra-boxes"))
     return [config(k=2, x=40), config(k=3, x=7), config(k=5, x=60),
             config(k=2, kind=StrategyKind.block_random(4), x=30),
             config(k=3, x=25, crashes=CrashSchedule(((1, 1), (3, 9)))),
             config(k=2, x=30, crashes=CrashSchedule(((1, 20), (2, 25)))),
-            config(k=2, x=20, perturbations=shifted)]
+            config(k=2, x=20, perturbations=shifted),
+            config(k=2, kind=StrategyKind.solo(), x=1, perturbations=(shift(200), shift(150))),
+            config(k=3, kind=StrategyKind.coordinated(1), x=20,
+                   crashes=CrashSchedule(((2, 5),)),
+                   perturbations=(shift(2), Perturbation(), shift(4)))]
 
 
-def test_outcome_does_not_depend_on_first_horizon(monkeypatch):
-    # only a partition trial reads step_cap: a pool-sampler fleet has no
-    # horizon, so a step_cap of 5 changes no outcome
+def test_outcome_does_not_depend_on_first_horizon():
+    # no fleet has a horizon: the case mix holds a trial in which every
+    # searcher crashed first and trials longer than 40 steps
     cases = horizon_cases()
     seeds = [sim.trial_seed(2718, i) for i in range(40)]
     want = [run_trial(replace(c, seed=s)) for c in cases for s in seeds]
-    monkeypatch.setattr(TrialConfig, "step_cap", property(lambda self: 5))
-    assert [run_trial(replace(c, seed=s)) for c in cases for s in seeds] == want
     times = [o.time for o in want]
     assert None in times and max(t for t in times if t is not None) > 5 * 2 ** 3
+
+
+def test_partition_past_the_old_step_cap_is_found():
+    # solo x = 1 under shift:200 opens the treasure at step 201, past the
+    # 50*x*(k+1) = 100 steps that once capped a partition trial
+    cfg = config(k=1, kind=StrategyKind.solo(), x=1, seed=5, perturbations=(shift(200),))
+    assert run_trial(cfg) == sim.TrialOutcome(201, 1)
+    stats = estimate_speedup(cfg, 10)
+    assert stats.mean_time == 201 and stats.non_discovery_count == 0
 
 
 def batch_outcomes(template, trials):
@@ -179,10 +197,11 @@ def test_batch_outcomes_equal_run_trial(monkeypatch):
 
 def reference_outcome(cfg):
     """The fleet rule on strategy.next_box: searchers in id order, each run to
-    the best hit so far; while nothing is found and a searcher stopped at the
-    horizon rather than at its crash, all rerun with the horizon doubled."""
+    the best hit so far, searcher sid on partition member sid's program; while
+    nothing is found and a searcher stopped at the horizon rather than at its
+    crash, all rerun with the horizon doubled."""
     perts = cfg.perturbations
-    horizon = cfg.step_cap
+    horizon = 50 * cfg.treasure * (cfg.params.k + 1)
     while True:
         best = finder = None
         capped = False
@@ -194,7 +213,8 @@ def reference_outcome(cfg):
             if best is not None:
                 limit = min(limit, best - 1)
             target = perts[sid - 1].map_index(cfg.treasure) if perts else cfg.treasure
-            t = reference_hit_time(cfg.kind, cfg.params, target, cfg.seed, sid, limit)
+            t = reference_hit_time(replace(cfg.kind, searcher_id=sid), cfg.params, target,
+                                   cfg.seed, sid, limit)
             if t is not None:
                 best, finder = t, sid
             elif limit == horizon:
@@ -232,7 +252,7 @@ def test_tie_across_target_groups_goes_to_the_lower_id():
 
 
 def test_rounds_widen_within_the_draw_budget(monkeypatch):
-    # every draw matrix holds at most DRAW_BUDGET uniforms, and a round's
+    # every draw matrix holds at most CHUNK_MAX uniforms, and a round's
     # width does not depend on how many rows are open: a full block of long
     # one-searcher tails draws 1024 wide with hundreds of rows still open,
     # and a lone open row reaches CHUNK_MAX-wide rounds
@@ -247,7 +267,7 @@ def test_rounds_widen_within_the_draw_budget(monkeypatch):
     kind, params = StrategyKind.nested(), SearchParams(5)
     seeds = sim.trial_seeds(4, 0, sim.BLOCK_ROWS)
     times = sim._pool_hit_times(kind, params, 1000, seeds, 1, 40_000)
-    assert all(rows * width <= sim.DRAW_BUDGET for rows, width in shapes)
+    assert all(rows * width <= sim.CHUNK_MAX for rows, width in shapes)
     widths = list(dict.fromkeys(width for _, width in shapes))
     assert widths == [min(sim.BATCH_CHUNK * 4 ** i, sim.CHUNK_MAX)
                       for i in range(len(widths))]
@@ -280,11 +300,11 @@ def test_block_random_stats_pinned():
 
 def test_trial_past_the_first_horizon_is_found():
     # trial 31 of `robustness --k 3 --x 27 --trials 150 --seed 1515142311`
-    # under extra-boxes: no searcher hits within 50*x*(k+1) steps
+    # under extra-boxes: no searcher hits within 50*x*(k+1) = 5400 steps
     cfg = config(k=3, x=27, seed=sim.trial_seed(1515142311, 31),
                  perturbations=(Perturbation(kind="extra-boxes"),) * 3)
     out = run_trial(cfg)
-    assert out.discovered and out.time > cfg.step_cap
+    assert out.discovered and out.time > 5400
 
 
 def test_target_past_the_hit_keys_is_rejected():

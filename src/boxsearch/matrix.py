@@ -26,10 +26,12 @@ from .strategy import SearchParams, StrategyKind
 
 Prob = Union[Fraction, float]
 
-# 8192 taus a chunk: its ~ten float64 temporaries (64 KiB each) stay below glibc's
-# 128 KiB mmap threshold, so they are reused from the heap rather than page-faulted
-# in afresh, and the series stops nearer the step where its tail bracket fits.
+# 8192 taus a later chunk: its ~ten float64 temporaries (64 KiB each) stay below
+# glibc's 128 KiB mmap threshold, so they are reused from the heap rather than
+# page-faulted in afresh.  A series' first chunk is sized from its own tail bracket
+# (:func:`_first_chunk`), a power of two from _MIN_CHUNK up to _TAU_CHUNK.
 _TAU_CHUNK = 1 << 13
+_MIN_CHUNK = 16
 _TAU_OFFSETS = np.arange(_TAU_CHUNK, dtype=np.float64)
 _MAX_STEPS = 2_000_000_000
 _ULP = 2.0 ** -53  # unit roundoff of float64
@@ -320,8 +322,9 @@ def _tail_certificate(delta: Prob, fleet: int, mids: tuple[Prob, ...]
     the rational powers, which add at most (a/c)*r*(y**2*lam**(n+1) + y'**2)
     + r*y'**2/2.  Q falls with a toward fleet*(3*|delta**3 - delta|/24
     + delta*alpha/2)/c + p/8 + 5*r/(4c), so the width is O(b**fleet/tau0)
-    against a tail of about (1 + len(mids))*b**fleet*tau0/c, and a block
-    certifies once b**fleet/tau0 is small: in practice after its first chunk.
+    against a tail of about (1 + len(mids))*b**fleet*tau0/c.  As b**fleet
+    falls about like a**-p, the width falls about like a**-(p+1), the rate
+    from which :func:`_first_chunk` sizes a series' first chunk.
 
     Works for float and Fraction arguments alike (every step is rational);
     raises ValueError when c <= 0, where the sum diverges.  Float brackets
@@ -359,6 +362,33 @@ def _tail_certificate(delta: Prob, fleet: int, mids: tuple[Prob, ...]
     return tail
 
 
+def _first_chunk(tail_of: Callable[[float, int], tuple[float, float]], start: int,
+                 delta: float, p: float, eps_abs: float) -> int:
+    """Taus in the first chunk of a series that starts at start: the power
+    of two from _MIN_CHUNK to _TAU_CHUNK at or above need, the taus past
+    start after which the tail bracket is about eps_abs/2 wide.
+
+    At tau0 = start - 1, where b = 1, the bracket is top0 - lo0 wide.  Its
+    width is at most b**fleet*Q(a)/a with a = tau0 + alpha, alpha =
+    (1+delta)/2, b about (a0/a)**delta and Q falling in a
+    (:func:`_tail_certificate`), so it falls about like a**-(p+1),
+    p = delta*fleet, and reaches eps_abs/2 near
+    need = a0*((top0 - lo0)/(eps_abs/2))**(1/(p+1)) - a0.  A short guess
+    costs one more chunk, never a wrong sum.  Nothing here raises: a bracket
+    that overflows float64 at the start (a fleet in the thousands) or a need
+    past _TAU_CHUNK (a tiny eps_abs) gives _TAU_CHUNK.
+    """
+    a0 = start - 1 + (1 + delta) / 2
+    try:
+        lo0, top0 = tail_of(1.0, start - 1)
+    except OverflowError:
+        return _TAU_CHUNK
+    need = a0 * (2 * max(top0 - lo0, 0.0) / eps_abs) ** (1 / (p + 1)) - a0
+    if not need < _TAU_CHUNK:  # inf or nan as well
+        return _TAU_CHUNK
+    return 1 << (max(_MIN_CHUNK, math.ceil(need)) - 1).bit_length()
+
+
 def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet: int,
             head: float, eps_abs: float, max_taus: int) -> tuple[float, float, int]:
     """Certified sum of head and, over tau >= start, b(tau)**fleet plus
@@ -370,16 +400,25 @@ def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet
     (nested: scale = k-1, gap = 2, mids = (1,)); with scale = 1, gap = delta
     and no mids they are Claim 1's.  In units of scale these are the sequences
     of :func:`_tail_certificate` with delta = gap/scale and offsets o/scale.
-    Chunks of _TAU_CHUNK taus are added until that bracket on the rest is
-    at most eps_abs wide, or more than max_taus taus past start have been
-    summed (RuntimeError).  Returns (the sum plus the bracket's lower end,
-    the bracket width, the last tau summed), both widened for rounding.
+    Chunks are added, the first sized by :func:`_first_chunk` and every
+    later one _TAU_CHUNK taus, until that bracket on the rest is at most
+    eps_abs wide, or more than max_taus taus past start have been summed
+    (RuntimeError).  Returns (the sum plus the bracket's lower end, the
+    bracket width, the last tau summed), both widened for rounding.
 
-    Rounding.  With u = 2**-53, b(tau) is j = tau - start + 1 factors, each
-    rounded at most three times (d + gap, the quotient, the product), plus
-    once per chunk, so every term, an odd step's three roundings and the
-    power included, is off by under fleet*(3j + 6) + 2 ulps of it; the
-    pairwise chunk sums (depth below 32) add 32 more.  The tail comes from
+    Rounding.  With u = 2**-53, b(tau) is j = tau - start + 1 factors
+    d/(d+gap), d exact, each rounded twice (d + gap, the quotient), and
+    j - 1 products, wherever the chunks end: a chunk's cumprod rounds the
+    products of its factors after the first, and its multiplication by the
+    carried b, itself a product of j_m factors rounded j_m - 1 times (0 in
+    the first chunk, where b = 1 is exact), rounds each term once more, so
+    the term i factors past the chunk's first is rounded
+    (j_m - 1) + i + 1 = j - 1 times in its products, with j = j_m + i + 1.
+    The count depends on j alone, not on the chunk sizes, so b(tau) is off
+    by under 3j - 1 roundings, an odd step's term by under 3j (b(tau-1) and
+    four more: d + o, d + gap, the quotient, the product), and with the
+    power every term by under fleet*3j + 2 < fleet*(3j + 6) + 2 ulps of it;
+    the pairwise chunk sums (depth below 32) add 32 more.  The tail comes from
     b(hi - 1) and so carries fleet*(3j + 6) ulps at j = hi - start; its float
     evaluation adds under 64 + 8p roundings, p = delta*fleet, and the
     rounded delta = gap/scale moves it by under 8p/c ulps (a term at
@@ -402,15 +441,16 @@ def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet
     ulps = 0.0  # the terms so far, each weighted by its count of ulps
     b = 1.0
     tau = start
+    chunk = _first_chunk(tail_of, start, delta, p, eps_abs)
     while True:
-        hi = tau + _TAU_CHUNK
+        hi = tau + chunk
         d = np.arange(tau, hi, dtype=np.float64) * scale
         evens = np.cumprod(d / (d + gap)) * b
         odds = [np.concatenate(([b], evens[:-1])) * ((d + o) / (d + gap)) for o in mids]
         powered = [t ** fleet for t in [*odds, evens]]
         parts.append(float(sum(np.sum(t) for t in powered)))
         # each term's fleet*(3j + 6) + 2 + 32 ulps, with j = tau - start + 1 + offset
-        ulps += (3 * fleet * float(sum(np.dot(t, _TAU_OFFSETS) for t in powered))
+        ulps += (3 * fleet * float(sum(np.dot(t, _TAU_OFFSETS[:chunk]) for t in powered))
                  + (3 * fleet * (tau - start + 3) + 34) * parts[-1])
         b = float(evens[-1])
         lo, top = tail_of(b, hi - 1)
@@ -423,7 +463,7 @@ def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet
         if floor > eps_abs:
             raise RuntimeError(f"tail bound cannot reach {eps_abs:.3g}: the float rounding "
                                f"of the sum alone is {floor:.3g}")
-        tau = hi
+        tau, chunk = hi, _TAU_CHUNK
         if tau - start > max_taus:
             raise RuntimeError(f"tail bound {top - lo:.3g} still above {eps_abs:.3g} "
                                f"after {tau - start} taus from tau = {start}")

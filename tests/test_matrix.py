@@ -472,18 +472,22 @@ def test_second_order_tail_certificate_against_direct_sums():
 
 def test_theta_work_stays_near_block_entry():
     # a work count, not a timing: the second-order tail bracket certifies
-    # after the first chunk of each pool block, which starts where the row
+    # inside the first chunk of each pool block, which starts where the row
     # leaves 1 (step 2*block - 1, which is 499 999 for k = 3 at x = 1e6); a
     # rule that waits for the whole tail to drop below epsilon*x needs 1.6e8
     # steps (k = 8) and 7.9e8 steps (k = 3) here.  The block past 1e9 taus
-    # (k = 2, x = 1e10) still certifies, as the step cap counts taus walked
+    # (k = 2, x = 1e10) still certifies, as the step cap counts taus walked.
+    # The first chunk is the power of two, 16 to 8192, above the taus the
+    # bracket at the block's start says it needs: 16 far out, where b**fleet
+    # falls fast against epsilon*x, up to 4096 for block 1 at epsilon 1e-11
     assert theta(SearchParams(8), 10_000, 1e-7).truncation_t <= 2 ** 18
     assert theta(SearchParams(3), 1_000_000, 1e-7).truncation_t <= 2 ** 22
-    for k, x, eps in ((8, 10_000, 1e-7), (3, 1_000_000, 1e-7), (2, 10 ** 8, 1e-10),
-                      (3, 10 ** 8, 1e-10), (2, 10 ** 10, 1e-10), (10, 1, 1e-11)):
+    for k, x, eps, first in ((8, 10_000, 1e-7, 512), (3, 1_000_000, 1e-7, 16),
+                             (2, 10 ** 8, 1e-10, 16), (3, 10 ** 8, 1e-10, 16),
+                             (2, 10 ** 10, 1e-10, 16), (10, 1, 1e-11, 4096)):
         p = SearchParams(k)
         for est in (theta(p, x, eps), theta_window(p, x, eps)):
-            assert est.truncation_t == 2 * (-(-est.x // (k + 1)) + matrix._TAU_CHUNK - 1)
+            assert est.truncation_t == 2 * (-(-est.x // (k + 1)) + first - 1)
             assert est.tail_bound <= eps
 
 
@@ -497,17 +501,22 @@ def _trigamma_bracket(z):
     return head - 1 / (30 * z ** 9), head
 
 
-@pytest.mark.parametrize("x", [10 ** 8, 10 ** 9, 10 ** 10])
-def test_theta_window_k2_large_x_against_closed_form(x):
+@pytest.mark.parametrize("x,eps", [
+    *(pytest.param(x, 1e-10, id=str(x)) for x in (10 ** 8, 10 ** 9, 10 ** 10)),
+    *(pytest.param(x, 1e-12, id=f"{x}-1e-12") for x in (10 ** 8, 10 ** 9, 10 ** 10)),
+])
+def test_theta_window_k2_large_x_against_closed_form(x, eps):
     # oracle: for k = 2 and fleet 2 the terms past the block entry B are
     # (B(B+1))**2 over (τ(τ+2))**2 and ((τ+1)(τ+2))**2, τ >= B; by partial
     # fractions their sum is (ψ1(B) + ψ1(B+2))/4 + ψ1(B+1) + ψ1(B+2)
     # - 1/(4B) - 1/(4(B+1)) - 2/(B+1) with ψ1 the trigamma function, so
     # theta(x) = (2B - 1 + (B(B+1))**2 * that)/x, exact up to ψ1's series.
     # The float bracket is compared in Fraction, with no slack: its width
-    # must cover the rounding of a sum whose tail is about 4x
+    # must cover the rounding of a sum whose tail is about 4x.  Each block
+    # certifies in a first chunk of 16 taus, whose rounding is small enough
+    # for epsilon = 1e-12 too
     p = SearchParams(2)
-    est = theta_window(p, x, 1e-10)
+    est = theta_window(p, x, eps)
     brackets = []
     for xi in range(x - 5, x + 1):
         blk = -(-xi // 3)
@@ -518,8 +527,8 @@ def test_theta_window_k2_large_x_against_closed_form(x):
     lo, hi = max(b[0] for b in brackets), max(b[1] for b in brackets)
     assert hi - lo < F(1, 10 ** 30)  # the oracle is tight
     assert F(est.theta) <= hi and lo <= F(est.theta) + F(est.tail_bound)
-    assert 0 < est.tail_bound <= 1e-10
-    assert est.truncation_t == 2 * (-(-est.x // 3) + matrix._TAU_CHUNK - 1)
+    assert 0 < est.tail_bound <= eps
+    assert est.truncation_t == 2 * (-(-est.x // 3) + matrix._MIN_CHUNK - 1)
 
 
 def test_speedup_curve_sums_each_block_once(monkeypatch):
@@ -626,3 +635,7 @@ def test_theta_fleet_override_matches_design():
     est = theta(p2, 200, epsilon=1e-10, fleet=3)
     brute = sum(float(v) ** 3 for v in survival_row_exact(p2, 200, 20_000)) / 200
     assert est.theta == pytest.approx(brute, abs=1e-8)
+    # a fleet in the thousands overflows float64 in the bracket at block 1's
+    # start: the first chunk then falls back to 8192 taus instead of raising
+    big = theta(p2, 1, epsilon=1e-3, fleet=3000)
+    assert big.truncation_t == 2 * matrix._TAU_CHUNK and big.theta == pytest.approx(1.0)

@@ -36,6 +36,7 @@ from .sim import (
     cis_overlap,
     crash_experiment,
     estimate_speedup,
+    estimate_speedups,
     robustness_experiment,
     run_trial,
     trial_seed,

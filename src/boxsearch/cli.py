@@ -225,7 +225,15 @@ def _cmd_matrix(args, seed: int) -> Output:
             raise ValueError(f"{flag} applies to --strategy {strategy} only")
     given = {"block_len": args.block, "searcher_id": args.searcher_id}
     kind = StrategyKind(args.strategy, **{f: v for f, v in given.items() if v is not None})
-    view = matrix.SurvivalMatrix(kind, SearchParams(args.k), exact=args.exact)
+    params = SearchParams(args.k)
+    if kind.randomized:  # the pool sizes up to --tmax are int64 arrays
+        c, p = kind.pool_rule(params)
+        if max(c, args.tmax + p - 1, kind.pool_limit(params, args.tmax)) >= 1 << 63:
+            flag, value = ("--k", args.k) if kind.name == NESTED else ("--block", args.block)
+            raise ValueError(f"{flag} {value} is too large: the pool rule (c, p) = ({c}, {p}) "
+                             f"must keep c*ceil(t/p) and t + p - 1 below 2**63 up to "
+                             f"--tmax {args.tmax}")
+    view = matrix.SurvivalMatrix(kind, params, exact=args.exact)
     cell = str if args.exact else float  # JSON has no rationals: "p/q" text, made once
     rows = [[x, *map(cell, view.row(x, args.tmax))] for x in range(1, args.xmax + 1)]
     options = {"k": args.k, "strategy": kind.describe(), "xmax": args.xmax,
@@ -255,10 +263,9 @@ def _cmd_speedup(args, seed: int) -> Output:
             rows.append((p.k, p.x, NESTED, "exact", p.theta, p.speedup, None, None,
                          p.truncation_t, p.tail_bound))
     else:
-        for x in sorted(xs):
-            template = sim.TrialConfig(params=params, kind=StrategyKind.nested(),
-                                       treasure=x, seed=seed)
-            stats = sim.estimate_speedup(template, args.trials)
+        templates = [sim.TrialConfig(params=params, kind=StrategyKind.nested(),
+                                     treasure=x, seed=seed) for x in sorted(xs)]
+        for x, stats in zip(sorted(xs), sim.estimate_speedups(templates, args.trials)):
             rows.append((args.k, x, NESTED, "mc", stats.mean_time / x, stats.speedup_point,
                          stats.stderr, stats.trials, None, None))
     options = {"k": args.k, "x": sorted(xs), "mode": args.mode,

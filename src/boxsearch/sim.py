@@ -12,12 +12,17 @@ partition member hits exactly at its first step.  Both randomized samplers
 run through one engine, :func:`_fleet_block`: it reads the pool rule from
 :class:`StrategyKind` and replays only the draws that can touch the
 treasure, so it draws uniforms and never reads N(x, t).
-It runs every (trial, searcher) row of a block of trials through one loop of
-lock-step rounds, with one event search and one fleet rule for every round.
-Round 1 runs on numpy uint64 arrays for all rows at once: SeedSequence hashing
-and PCG64 seeding, the jump to the step at which the treasure joins the row's
-pool (F. Brown's LCG jump-ahead, as in ``PCG64.advance``), and the first
-draws.  In each later round a row still running hands its PCG64 state to a
+It runs every (fleet, trial, searcher) row of a block of trials through one
+loop of lock-step rounds, with one event search and one fleet rule for every
+round.  An experiment makes one pass (:func:`estimate_speedups`): the crash
+and control fleets, the baseline and every perturbation, or every x of a
+sweep share kind, params and base seed, so each (trial, searcher) stream is
+seeded once and every fleet's rows run in the same rounds.  Rows are sorted
+by the step at which they enter, and a round draws in sub-batches within each
+run of rows that share it.  Round 1 runs on numpy uint64 arrays for all rows
+at once: SeedSequence hashing and PCG64 seeding, the jump to the step at
+which the treasure joins the row's pool (F. Brown's LCG jump-ahead, as in
+``PCG64.advance``), and the first draws.  In each later round a row still running hands its PCG64 state to a
 native generator through ``.state`` (it is not re-seeded) and draws there.
 All of these reproduce numpy's streams bit for bit, so each trial's outcome
 is the one its searchers' own ``Generator(PCG64(searcher_seed(trial seed,
@@ -42,6 +47,9 @@ from .strategy import (
 )
 
 PERTURBATION_KINDS = ("identity", "shift", "extra-boxes", "local-shuffle")
+# A local-shuffle block's permutation is drawn whole and cached (16 blocks):
+# 2**20 indices are 8 MiB each, where a window of 1e9 would ask for 7.45 GiB.
+MAX_SHUFFLE_WINDOW = 1 << 20
 
 
 def ceil_sqrt(i: int) -> int:
@@ -89,6 +97,8 @@ class Perturbation:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
         if self.kind == "local-shuffle" and self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        if self.kind == "local-shuffle" and self.window > MAX_SHUFFLE_WINDOW:
+            raise ValueError(f"window must be <= {MAX_SHUFFLE_WINDOW}, got {self.window}")
         if self.kind == "local-shuffle" and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -196,8 +206,10 @@ class TrialOutcome:
 # ends almost every trial in round 1, and 2**12 the ones with long tails.
 BATCH_CHUNK = 16
 CHUNK_MAX = 8192
-# Rows (trial, searcher) run together: this bounds the memory of a block.
-BLOCK_ROWS = 1024
+# Rows (fleet, trial, searcher) run together: this bounds the memory of a
+# block.  A fused robustness run at x <= 50 holds 8 rows per trial over 200
+# trials, which 1024 would split into two blocks that each pay every round.
+BLOCK_ROWS = 4096
 
 # numpy's SeedSequence and PCG64 on uint64 arrays, one element per row.  The
 # 32-bit words of SeedSequence live in uint64 lanes (or plain ints when every
@@ -304,7 +316,8 @@ def _affine(s, inc, a, g):
 
 def _seeded_streams(words: list, sids: np.ndarray):
     """State and increment of PCG64(SeedSequence(entropy=trial seed,
-    spawn_key=(sid,))) per row: ``words`` from _seed_words, ``sids`` uint64."""
+    spawn_key=(sid,))) per row: ``words`` from _seed_words, ``sids`` uint64;
+    array words and sids broadcast together."""
     w = _generate_state64(_seed_pool(words + [sids]), 4)
     inc = (w[2] << 1 | w[3] >> 63, w[3] << 1 | 1)
     # pcg64 srandom: state 0, one step, add the seed, one step
@@ -400,92 +413,120 @@ def _native_uniforms(bits: np.random.PCG64, streams: np.ndarray, end: np.ndarray
     return u
 
 
-def _fleet_round(kind: StrategyKind, params: SearchParams, run: tuple, key: np.ndarray,
-                 span: int, width: int, bits: np.random.PCG64 | None) -> tuple | None:
-    """One round of the rows ``run`` that share a target: (t, trial, sid,
-    bound, p, streams) holds the step of the round's first draw and, per row,
-    the trial, searcher id, bound, treasure's slot and PCG64 (state hi, state
-    lo, inc hi, inc lo) in a 4 x rows array.
+def _step_runs(t: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, stop, step) of each run of equal steps in the sorted ``t``."""
+    if t[0] == t[-1]:  # one run: every row of a lone fleet without perturbations
+        return [(0, len(t), int(t[0]))]
+    cuts = [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), len(t)]
+    return [(a, b, int(t[a])) for a, b in zip(cuts, cuts[1:])]
 
-    A row's bound is the last step at which it could still beat its trial's
-    ``key``: min(bound, (key - sid - 1) // span), starting from the last step
-    before its crash.  A row draws ``width`` steps, or only to its bound, and
-    its hits lower the keys.  Returns the rows that neither hit nor stopped at
-    their bound, at the next round's step, or None.  A row that stopped at
-    its bound leaves with the rows that hit, so its state after the round is
-    never read and it need not draw the whole round.
+
+def _select(live: np.ndarray, *rows: np.ndarray) -> list[np.ndarray]:
+    """The ``live`` rows of each array, along its last axis (compress is
+    cheaper than a boolean index of the 4 x rows streams)."""
+    return [a.compress(live, axis=-1) for a in rows]
+
+
+def _fleet_round(kind: StrategyKind, params: SearchParams, rows: tuple, key: np.ndarray,
+                 span: int, width: int, bits: np.random.PCG64 | None) -> tuple | None:
+    """One round of ``rows``: (t, idx, sid, bound, p, streams) holds, per row
+    and sorted by t, the step of the row's first draw in the round, the index
+    of its (fleet, trial) key, its searcher id, bound and treasure's slot, and
+    its PCG64 (state hi, state lo, inc hi, inc lo) in a 4 x rows array.
+
+    A row's bound is the last step at which it could still beat its key:
+    min(bound, (key - sid - 1) // span), starting from the last step before
+    its crash.  A row draws ``width`` steps, or only to its bound, and its
+    hits lower the keys.  Returns the rows that neither hit nor stopped at
+    their bound, each at its next round's step, or None.  A row that stopped
+    at its bound leaves with the rows that hit, so its state after the round
+    is never read and it need not draw the whole round.
 
     With ``bits`` None this is round 1: the streams are as seeded, and the
     draws, t - 1 steps on, are emulated.  Later rounds draw natively on
-    ``bits``.  Rows draw in sub-batches of at most CHUNK_MAX uniforms.
+    ``bits``.  Rows draw in sub-batches of at most CHUNK_MAX uniforms, each
+    within one run of rows that share t, so that one list of candidate-list
+    sizes (and in round 1 one jump table) serves the whole sub-batch.
     """
-    t, trial, sid, bound, p, streams = run
-    bound = np.minimum(bound, (key[trial] - sid - 1) // span)
-    rows = bound >= t
-    trial, sid, bound, p, streams = (
-        trial[rows], sid[rows], bound[rows], p[rows], streams[:, rows])
-    skip = t - 1 if bits is None else 0
-    end = np.minimum(bound - t + 1, width)
-    m = _list_sizes(kind, params, t, width)
-    hit = np.empty(len(trial), np.int64)
-    per = max(1, CHUNK_MAX // width)
-    for i in range(0, len(trial), per):
-        sub = slice(i, i + per)
-        if bits is None:
-            s_hi, s_lo, i_hi, i_lo = streams[:, sub, None]
-            u = _uniforms(_affine((s_hi, s_lo), (i_hi, i_lo), *_jump_table(skip, width)))
-        else:
-            u = _native_uniforms(bits, streams[:, sub], end[sub], width)
-        u *= m
-        hit[sub], p[sub] = _event_search(u.astype(np.int64), m, p[sub], end[sub])
-    found = hit >= 0
-    np.minimum.at(key, trial[found], (t + hit[found]) * span + sid[found])
-    rows = ~found & (end == width)
-    if not rows.any():
+    t, idx, sid, bound, p, streams = rows
+    bound = np.minimum(bound, (key[idx] - sid - 1) // span)
+    live = bound >= t
+    if not live.any():
         return None
-    s_hi, s_lo, i_hi, i_lo = streams[:, rows]
-    state = _affine((s_hi, s_lo), (i_hi, i_lo), *_jump_table(skip + width - 1, 1))
-    return (t + width, trial[rows], sid[rows], bound[rows], p[rows],
-            np.stack([*state, i_hi, i_lo]))
+    t, idx, sid, bound, p, streams = _select(live, t, idx, sid, bound, p, streams)
+    end = np.minimum(bound - t + 1, width)
+    hit = np.empty(len(t), np.int64)
+    per = max(1, CHUNK_MAX // width)
+    for a, b, step in _step_runs(t):
+        m = _list_sizes(kind, params, step, width)
+        jump = _jump_table(step - 1, width) if bits is None else None
+        for i in range(a, b, per):
+            sub = slice(i, min(i + per, b))
+            if bits is None:
+                s_hi, s_lo, i_hi, i_lo = streams[:, sub, None]
+                u = _uniforms(_affine((s_hi, s_lo), (i_hi, i_lo), *jump))
+            else:
+                u = _native_uniforms(bits, streams[:, sub], end[sub], width)
+            u *= m
+            hit[sub], p[sub] = _event_search(u.astype(np.int64), m, p[sub], end[sub])
+    found = hit >= 0
+    np.minimum.at(key, idx[found], (t[found] + hit[found]) * span + sid[found])
+    live = ~found & (end == width)
+    if not live.any():
+        return None
+    t, idx, sid, bound, p, streams = _select(live, t, idx, sid, bound, p, streams)
+    # past the round: round 1 jumped t - 1 steps first, so its advance runs
+    # per run of equal t; later rounds advance every row alike
+    runs = _step_runs(t) if bits is None else [(0, len(t), 1)]
+    for a, b, step in runs:
+        s_hi, s_lo, i_hi, i_lo = streams[:, a:b]
+        streams[:2, a:b] = _affine((s_hi, s_lo), (i_hi, i_lo),
+                                   *_jump_table(step - 1 + width - 1, 1))
+    return t + width, idx, sid, bound, p, streams
 
 
-def _fleet_block(kind: StrategyKind, params: SearchParams, plan: list, words: list,
+def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: list,
                  trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes of ``trials`` trials of the sampler fleet ``plan`` (rows of
-    _plan): (times, finders), int64, 0 where none hit.
+    """Outcomes of ``trials`` trials of each sampler fleet in ``plans`` (one
+    _plan per fleet, all of ``kind`` and ``params``): (times, finders), int64
+    arrays of shape (fleets, trials), 0 where none hit.
 
     ``words`` are the trials' seed words (_seed_words).  Searcher sid of a
-    trial owns the stream searcher_seed(trial seed, sid).  Every (trial,
-    searcher) row runs through one loop of lock-step rounds, the rows that
-    share a target together (_fleet_round).  Round 1 seeds every row, jumps
-    it to its first step, which appends its target (earlier draws cannot
-    touch it), and draws BATCH_CHUNK uniforms, all emulated at once; each
-    later round draws 4x more, up to CHUNK_MAX, per row on one native PCG64.
+    trial owns the stream searcher_seed(trial seed, sid) in every fleet, so
+    each distinct (trial, sid) stream is seeded once and gathered to its
+    rows.  Every (fleet, trial, searcher) row runs through one loop of
+    lock-step rounds (_fleet_round), sorted by the step at which its target
+    enters its pool.  Round 1 seeds every row, jumps it to that step (earlier
+    draws cannot touch the target), and draws BATCH_CHUNK uniforms, all
+    emulated at once; each later round draws 4x more, up to CHUNK_MAX, per
+    row on one native PCG64.
 
-    A trial's best is one key, hit * span + sid with span above every sid, so
-    the earliest hit wins and the lowest id breaks ties, exactly as when the
-    searchers run one after another to the best hit so far.  A row runs only
-    while it could still win; bounds only fall, so no row is run twice.
+    Each (fleet, trial) keeps its best as one key, hit * span + sid with span
+    above every sid, so the earliest hit wins and the lowest id breaks ties,
+    exactly as when the searchers run one after another to the best hit so
+    far.  A row runs only while it could still win; bounds only fall, so no
+    row is run twice.  Fleets share no key, so each fleet's outcomes, and the
+    rounds it needs, are those it has when run alone.
     """
-    key = np.full(trials, _NEVER)
-    span = 1 + max((sid for sid, *_ in plan), default=0)
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for sid, target, first, limit in plan:
-        groups.setdefault((target, first), []).append((sid, limit))
-    runs = []
-    for (target, first), members in groups.items():
-        sids, limits = (np.repeat(np.array(col, np.int64), trials) for col in zip(*members))
-        rows_words = [w if isinstance(w, int) else np.tile(w, len(members)) for w in words]
-        state, inc = _seeded_streams(rows_words, sids.astype(np.uint64))
-        runs.append((first, np.tile(np.arange(trials), len(members)), sids, limits,
-                     np.full(len(sids), target - first), np.stack([*state, *inc])))
-    width, bits = BATCH_CHUNK, None
-    while True:
-        runs = [r for r in (_fleet_round(kind, params, run, key, span, width, bits)
-                            for run in runs) if r is not None]
-        if not runs:
-            break
-        width, bits = min(4 * width, CHUNK_MAX), bits or np.random.PCG64(0)
+    span = _span(plans)
+    key = np.full(len(plans) * trials, _NEVER)
+    entries = sorted((first, fleet, sid, limit, target - first)
+                     for fleet, plan in enumerate(plans)
+                     for sid, target, first, limit in plan)
+    if entries:
+        sids = sorted({sid for _, _, sid, *_ in entries})
+        # the (sid, trial) streams, seeded by broadcasting sids against trials
+        state, inc = _seeded_streams([w if isinstance(w, int) else w[None] for w in words],
+                                     np.array(sids, np.uint64)[:, None])
+        t, fleet, sid, bound, p, stream = np.repeat(
+            np.array([(*e, sids.index(e[2])) for e in entries], np.int64).T, trials, axis=1)
+        trial = np.arange(len(entries) * trials) % trials
+        rows = (t, fleet * trials + trial, sid, bound, p,
+                np.array([*state, *inc]).reshape(4, -1).take(stream * trials + trial, axis=1))
+        width, bits = BATCH_CHUNK, None
+        while (rows := _fleet_round(kind, params, rows, key, span, width, bits)) is not None:
+            width, bits = min(4 * width, CHUNK_MAX), bits or np.random.PCG64(0)
+    key = key.reshape(len(plans), trials)
     found = key < _NEVER
     return np.where(found, key // span, 0), np.where(found, key % span, 0)
 
@@ -503,12 +544,6 @@ def _plan(config: TrialConfig) -> list[tuple[int, int, int, int]]:
     step at which partition member sid opens it (a member that never does is
     dropped); ``limit`` is the last step before the crash.  A searcher that
     crashes at or before ``first`` is dropped, in both families.
-
-    A hit is kept as the int64 key step*span + sid, so a treasure with
-    2*first*span + sid >= _NEVER for some row raises ValueError before any
-    draw.  A row kept has at least ``first`` steps of key room past its entry
-    and runs out only after about 1e18 draws: a trial that ends without a
-    hit means that every searcher crashed first.
     """
     kind, params = config.kind, config.params
     rows = []
@@ -521,26 +556,47 @@ def _plan(config: TrialConfig) -> list[tuple[int, int, int, int]]:
         crash = config.crashes.crash_time(sid)
         if first is not None and (crash is None or crash > first):
             rows.append((sid, target, first, _NEVER if crash is None else crash - 1))
-    span = 1 + max((sid for sid, *_ in rows), default=0)
-    for sid, target, first, _ in rows:
-        if 2 * first * span + sid >= _NEVER:
-            raise ValueError(f"treasure {config.treasure} is beyond the simulator's range: "
-                             f"searcher {sid} sees it at box {target} from step {first}, "
-                             f"and twice that step must stay below {_NEVER // span}")
     return rows
 
 
-def _outcomes(config: TrialConfig, plan: list, words: list,
+def _span(plans: list) -> int:
+    """One above every searcher id in ``plans``: the span of the hit keys."""
+    return 1 + max((sid for plan in plans for sid, *_ in plan), default=0)
+
+
+def _plans(templates: Sequence[TrialConfig]) -> list[list]:
+    """The _plan of each template, checked against the key span they share.
+
+    A hit is kept as the int64 key step*span + sid, so a treasure with
+    2*first*span + sid >= _NEVER for some row of any template raises
+    ValueError, naming the first such row, before any draw.  A row kept has
+    at least ``first`` steps of key room past its entry and runs out only
+    after about 1e18 draws: a trial that ends without a hit means that every
+    searcher crashed first.
+    """
+    plans = [_plan(config) for config in templates]
+    span = _span(plans)
+    for config, plan in zip(templates, plans):
+        for sid, target, first, _ in plan:
+            if 2 * first * span + sid >= _NEVER:
+                raise ValueError(f"treasure {config.treasure} is beyond the simulator's range: "
+                                 f"searcher {sid} sees it at box {target} from step {first}, "
+                                 f"and twice that step must stay below {_NEVER // span}")
+    return plans
+
+
+def _outcomes(kind: StrategyKind, params: SearchParams, plans: list, words: list,
               trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """(times, finders) of ``trials`` trials of ``config``'s fleet ``plan``
-    (_plan), 0 where none hit; ``words`` are the trials' seed words.  A
-    sampler fleet runs _fleet_block.  A partition member hits exactly at its
-    first step, so every trial has the same outcome, the earliest first step
-    and, on a tie, the lowest id."""
-    if config.kind.randomized:
-        return _fleet_block(config.kind, config.params, plan, words, trials)
-    time, finder = min(((first, sid) for sid, _, first, _ in plan), default=(0, 0))
-    return np.full(trials, time), np.full(trials, finder)
+    """(times, finders), each (fleets, trials), of ``trials`` trials of each
+    fleet in ``plans`` (_plans), 0 where none hit; ``words`` are the trials'
+    seed words.  Sampler fleets run _fleet_block.  A partition member hits
+    exactly at its first step, so every trial of a fleet has the same
+    outcome, the earliest first step and, on a tie, the lowest id."""
+    if kind.randomized:
+        return _fleet_block(kind, params, plans, words, trials)
+    best = np.array([min(((first, sid) for sid, _, first, _ in plan), default=(0, 0))
+                     for plan in plans], np.int64).reshape(len(plans), 2, 1)
+    return np.repeat(best[:, 0], trials, 1), np.repeat(best[:, 1], trials, 1)
 
 
 def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
@@ -551,7 +607,7 @@ def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
     first = kind.entry_step(params, target)
     plan = [(sid, target, first, limit)] if limit >= first else []
     blocks = [seeds[i:i + BLOCK_ROWS] for i in range(0, len(seeds), BLOCK_ROWS)]
-    return np.concatenate([_fleet_block(kind, params, plan, _seed_words(b), len(b))[0]
+    return np.concatenate([_fleet_block(kind, params, [plan], _seed_words(b), len(b))[0][0]
                            for b in blocks])
 
 
@@ -562,10 +618,11 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     estimate_speedup: it has no horizon, and finds nothing only when every
     searcher crashed first.
     """
-    times, finders = _outcomes(config, _plan(config), _seed_words(config.seed), 1)
-    if not times[0]:
+    times, finders = _outcomes(config.kind, config.params, _plans([config]),
+                               _seed_words(config.seed), 1)
+    if not times[0, 0]:
         return TrialOutcome(None, None)
-    return TrialOutcome(int(times[0]), int(finders[0]))
+    return TrialOutcome(int(times[0, 0]), int(finders[0, 0]))
 
 
 def trial_seed(base_seed: int, index: int) -> int:
@@ -574,15 +631,39 @@ def trial_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _trial_blocks(template: TrialConfig, trials: int):
-    """Yield (times, finders) of trials 0..trials-1 of ``template`` in
-    blocks of about BLOCK_ROWS rows; trial i runs with trial_seed(base, i),
-    and 0 marks a trial that found nothing."""
-    plan = _plan(template)
-    per_block = max(1, BLOCK_ROWS // max(1, len(plan)))
+def _trial_blocks(templates: Sequence[TrialConfig], trials: int):
+    """Yield (times, finders), each (templates, block trials), of trials
+    0..trials-1 of every template; trial i runs with trial_seed(base, i), and
+    0 marks a trial that found nothing.  The templates share kind, params and
+    base seed, so each block derives its trial seeds once for all of them.
+
+    A block holds as many trials as the largest fleet alone fits in
+    BLOCK_ROWS rows, and runs its templates in one _outcomes pass while
+    their rows fit too, else in consecutive runs of templates that do.  So
+    fusing templates never leaves a fleet fewer trials per pass than it has
+    alone, and a long list of templates does not shrink every pass.
+    """
+    if len({(c.kind, c.params, c.seed) for c in templates}) > 1:
+        raise ValueError("fused templates must share kind, params and seed")
+    plans = _plans(templates)
+    if not plans:
+        return
+    kind, params, base = templates[0].kind, templates[0].params, templates[0].seed
+    sizes = [len(plan) for plan in plans]
+    per_block = max(1, min(trials, BLOCK_ROWS // max([1, *sizes])))
+    cuts, rows = [0], 0
+    for i, n in enumerate(sizes):
+        if i > cuts[-1] and (rows + n) * per_block > BLOCK_ROWS:
+            cuts.append(i)
+            rows = 0
+        rows += n
+    cuts.append(len(plans))
     for start in range(0, trials, per_block):
-        seeds = trial_seeds(template.seed, start, min(trials, start + per_block))
-        yield _outcomes(template, plan, _seed_words(seeds), len(seeds))
+        seeds = trial_seeds(base, start, min(trials, start + per_block))
+        words = _seed_words(seeds)
+        runs = [_outcomes(kind, params, plans[a:b], words, len(seeds))
+                for a, b in zip(cuts, cuts[1:])]
+        yield tuple(np.concatenate(part) for part in zip(*runs))
 
 
 class NonDiscoveryError(RuntimeError):
@@ -606,28 +687,42 @@ class RunStats:
     non_discovery_count: int
 
 
-def estimate_speedup(template: TrialConfig, trials: int,
-                     allow_non_discovery: bool = False) -> RunStats:
-    """Run ``trials`` independent seeded trials of ``template``.
+def estimate_speedups(templates: Sequence[TrialConfig], trials: int,
+                      allow_non_discovery: bool = False) -> list[RunStats]:
+    """Run ``trials`` independent seeded trials of each template, all in one
+    pass: the templates share kind, params and seed, and may differ in
+    treasure, perturbations, crash schedule and fleet size.
 
-    ``template.seed`` acts as the experiment base seed; trial i runs with
-    trial_seed(base, i), and its outcome equals run_trial's.  Aggregation
-    uses exact integer moments, so results do not depend on reduction order.
+    The shared ``seed`` acts as the experiment base seed; trial i of every
+    template runs with trial_seed(base, i), and its outcome equals
+    run_trial's, so the result equals estimate_speedup of each template in
+    turn.  Aggregation uses exact integer moments, so results do not depend
+    on reduction order.  NonDiscoveryError counts the missed trials of the
+    first template, in order, that has any.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    total = 0
-    total_sq = 0
-    found = 0
-    for times, _ in _trial_blocks(template, trials):
-        hits = times[times > 0].tolist()
-        found += len(hits)
-        total += sum(hits)
-        total_sq += sum(t * t for t in hits)
+    total = [0] * len(templates)
+    total_sq = [0] * len(templates)
+    found = [0] * len(templates)
+    for times, _ in _trial_blocks(templates, trials):
+        for i, row in enumerate(times):
+            hits = row[row > 0].tolist()
+            found[i] += len(hits)
+            total[i] += sum(hits)
+            total_sq[i] += sum(t * t for t in hits)
+    for n in found:
+        if n < trials and not allow_non_discovery:
+            raise NonDiscoveryError(
+                f"{trials - n} of {trials} trials did not find the treasure; no mean reported")
+    return [_run_stats(c.treasure, trials, *moments)
+            for c, *moments in zip(templates, found, total, total_sq)]
+
+
+def _run_stats(treasure: int, trials: int, found: int, total: int, total_sq: int) -> RunStats:
+    """RunStats of ``found`` discovering trials out of ``trials`` whose times
+    sum to ``total`` and their squares to ``total_sq``."""
     missing = trials - found
-    if missing and not allow_non_discovery:
-        raise NonDiscoveryError(
-            f"{missing} of {trials} trials did not find the treasure; no mean reported")
     if not found:
         return RunStats(trials, math.nan, math.nan, math.nan, (math.nan, math.nan), missing)
     mean = total / found
@@ -638,8 +733,14 @@ def estimate_speedup(template: TrialConfig, trials: int,
     else:
         stderr = math.nan
     half = 1.96 * stderr
-    return RunStats(trials, mean, stderr, template.treasure / mean, (mean - half, mean + half),
-                    missing)
+    return RunStats(trials, mean, stderr, treasure / mean, (mean - half, mean + half), missing)
+
+
+def estimate_speedup(template: TrialConfig, trials: int,
+                     allow_non_discovery: bool = False) -> RunStats:
+    """Run ``trials`` independent seeded trials of ``template``: the
+    one-template case of estimate_speedups."""
+    return estimate_speedups([template], trials, allow_non_discovery)[0]
 
 
 def cis_overlap(a: RunStats, b: RunStats) -> bool:
@@ -682,8 +783,7 @@ def crash_experiment(k: int, k_prime: int, x: int, trials: int, base_seed: int) 
         treasure=x,
         seed=base_seed,
     )
-    stats_crashed = estimate_speedup(crashed, trials)
-    stats_control = estimate_speedup(control, trials)
+    stats_crashed, stats_control = estimate_speedups([crashed, control], trials)
     return CrashReport(k, k_prime, x, trials, stats_crashed, stats_control,
                        cis_overlap(stats_crashed, stats_control))
 
@@ -724,11 +824,11 @@ def robustness_experiment(params: SearchParams, x: int,
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance}")
     template = TrialConfig(params=params, kind=StrategyKind.nested(), treasure=x, seed=base_seed)
-    baseline = estimate_speedup(template, trials)
+    perturbed = [replace(template, perturbations=tuple([pert] * params.k))
+                 for pert in perturbation_set]
+    baseline, *runs = estimate_speedups([template, *perturbed], trials)
     entries = []
-    for pert in perturbation_set:
-        perturbed = replace(template, perturbations=tuple([pert] * params.k))
-        stats = estimate_speedup(perturbed, trials)
+    for pert, stats in zip(perturbation_set, runs):
         ratio = stats.speedup_point / baseline.speedup_point
         entries.append(RobustnessEntry(pert.describe(), stats, ratio,
                                        ratio < 1.0 - tolerance))

@@ -433,6 +433,49 @@ def test_crash_bad_treasure_exits_2(capsys):
     assert "treasure index must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # the crashed fleet (ids 2 and 3, span 4) overflows where its control
+    # (ids 1 and 2) alone would not; the message is the one of a lone run
+    (("crash", "--k", "3", "--k-prime", "1", "--x", "1800000000000000000"),
+     "treasure 1800000000000000000 is beyond the simulator's range: searcher 2 sees it at "
+     "box 1800000000000000000 from step 1199999999999999999, and twice that step must stay "
+     "below 2305843009213693951"),
+    (("robustness", "--k", "2", "--x", "2400000000000000000", "--perturbation", "shift:5"),
+     "treasure 2400000000000000000 is beyond the simulator's range: searcher 1 sees it at "
+     "box 2400000000000000000 from step 1599999999999999999, and twice that step must stay "
+     "below 3074457345618258602"),
+    # only the shifted fleet overflows: rejected before the baseline draws
+    (("robustness", "--k", "2", "--x", "2200000000000000000",
+      "--perturbation", "shift:400000000000000000"),
+     "treasure 2200000000000000000 is beyond the simulator's range: searcher 1 sees it at "
+     "box 2600000000000000000 from step 1733333333333333333"),
+])
+def test_fused_experiment_checks_key_range_first(capsys, argv, message):
+    assert message in usage_error(capsys, *argv, "--trials", "10", "--seed", "1")
+
+
+def test_huge_local_shuffle_window_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["robustness", "--k", "2", "--x", "3", "--trials", "7",
+              "--perturbation", "local-shuffle:1000000000"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert ("argument --perturbation: bad perturbation spec 'local-shuffle:1000000000': "
+            "window must be <= 1048576, got 1000000000") in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--k", "9223372036854775807"), "--k 9223372036854775807 is too large"),
+    (("--k", "9223372036854775806"), "--k 9223372036854775806 is too large"),
+    (("--strategy", "block-random", "--block", "9223372036854775807", "--exact"),
+     "--block 9223372036854775807 is too large"),
+])
+def test_matrix_pool_past_int64_exits_2(capsys, argv, flag):
+    err = usage_error(capsys, "matrix", *argv, "--xmax", "100", "--tmax", "3")
+    assert flag in err and "below 2**63 up to --tmax 3" in err
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_verify_bounds_bad_instances_exits_2(capsys, instances):
     err = usage_error(capsys, "verify-bounds", "--instances", instances, "--skip-theta")

@@ -179,8 +179,8 @@ def test_partition_past_the_old_step_cap_is_found():
 
 def batch_outcomes(template, trials):
     return [sim.TrialOutcome(t or None, f or None)
-            for times, finders in sim._trial_blocks(template, trials)
-            for t, f in zip(times.tolist(), finders.tolist())]
+            for times, finders in sim._trial_blocks([template], trials)
+            for t, f in zip(times[0].tolist(), finders[0].tolist())]
 
 
 def test_batch_outcomes_equal_run_trial(monkeypatch):
@@ -193,6 +193,72 @@ def test_batch_outcomes_equal_run_trial(monkeypatch):
         for c in cases:
             want = [run_trial(replace(c, seed=sim.trial_seed(c.seed, i))) for i in range(40)]
             assert batch_outcomes(c, 40) == want
+
+
+def fused_sets():
+    """Template sets that share kind, params and seed: a crash pair with
+    searcher 1 of 3 crashed at t = 1 and its 2-searcher control; a robustness
+    set whose perturbations enter the pool at different steps; block-random
+    sets; mid-run crashes beside a fleet that always crashes first; a solo
+    partition."""
+    br = StrategyKind.block_random(4)
+    local = Perturbation(kind="local-shuffle", window=4, seed=2)
+    robust = [config(k=2, x=20, perturbations=(p, p)) for p in (
+        Perturbation(), shift(3), Perturbation(kind="extra-boxes"), local)]
+    return [
+        [config(k=2, x=40, searchers=3, crashes=CrashSchedule(((1, 1),))), config(k=2, x=40)],
+        [config(k=2, x=20)] + robust,
+        [config(k=2, kind=br, x=30), config(k=2, kind=br, x=30, perturbations=(shift(5), local)),
+         config(k=2, kind=br, x=9, searchers=3)],
+        [config(k=3, x=25, crashes=CrashSchedule(((1, 1), (3, 9)))), config(k=3, x=25),
+         config(k=3, x=25, crashes=CrashSchedule(((2, 14),))),
+         config(k=3, x=1000, crashes=CrashSchedule(((1, 5), (2, 5), (3, 5))))],
+        [config(k=1, kind=StrategyKind.solo(), x=7),
+         config(k=1, kind=StrategyKind.solo(), x=7, perturbations=(shift(3),))],
+    ]
+
+
+def test_fused_estimates_equal_separate(monkeypatch):
+    # one pass over several templates gives each template's own RunStats,
+    # at any block size; the robustness set's rows enter at different steps
+    entries = {first for plan in sim._plans(fused_sets()[1]) for _, _, first, _ in plan}
+    assert len(entries) > 1
+    for rows in (sim.BLOCK_ROWS, 7, 1):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+        for templates in fused_sets():
+            templates = [replace(c, seed=2718) for c in templates]
+            want = [estimate_speedup(c, 40, allow_non_discovery=True) for c in templates]
+            assert sim.estimate_speedups(templates, 40, allow_non_discovery=True) == want
+    with pytest.raises(ValueError, match="must share kind, params and seed"):
+        sim.estimate_speedups([config(seed=1), config(seed=2)], 40)
+
+
+def test_fusion_runs_each_round_once(monkeypatch):
+    # a fused pass runs as many rounds as its slowest template alone, not
+    # their sum, derives each block's trial seeds once, seeds each (trial,
+    # sid) stream once, and hands the event search one list-size vector
+    calls = {}
+    for name in ("_fleet_round", "trial_seeds", "_seeded_streams", "_event_search"):
+        def counted(*args, _name=name, _fn=getattr(sim, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            if _name == "_event_search":
+                assert args[1].ndim == 1
+            return _fn(*args)
+        monkeypatch.setattr(sim, name, counted)
+    for templates in fused_sets()[:2]:
+        alone = []
+        for c in templates:
+            calls.clear()
+            estimate_speedup(c, 200)
+            alone.append(calls["_fleet_round"])
+        calls.clear()
+        sim.estimate_speedups(templates, 200)
+        assert calls["_fleet_round"] == max(alone) < sum(alone)
+        assert calls["trial_seeds"] == calls["_seeded_streams"] == 1
+    monkeypatch.setattr(sim, "BLOCK_ROWS", 64)
+    calls.clear()
+    sim.estimate_speedups(fused_sets()[1], 200)
+    assert calls["trial_seeds"] == 200 // 32 + 1
 
 
 def reference_outcome(cfg):

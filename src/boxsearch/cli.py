@@ -18,7 +18,8 @@ import functools
 import json
 import os
 import sys
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,22 +30,23 @@ DEFAULT_SEED = 17
 SEED_ENV_VAR = "BOXSEARCH_SEED"
 
 _STRATEGY_CHOICES = (NESTED, BLOCK_RANDOM, SOLO, COORDINATED)
+_FLOAT_SPEC = ".12g"  # how CSV writes a float
 
 
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return format(v, _FLOAT_SPEC)
     return "" if v is None else str(v)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(pieces: Iterable[str], path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _default_seed() -> int:
@@ -68,7 +70,7 @@ class Output(NamedTuple):
     options: dict  # resolved options, echoed in JSON reports
     results: list  # JSON results
     columns: Sequence[str]  # CSV header
-    rows: list  # CSV rows, one value per column
+    rows: list  # CSV rows, one value per column; a matrix row is x and its cells' joined text
     failures: list[str] | None  # failed checks; None when the command checks nothing
 
 
@@ -212,6 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_matrix(args, seed: int) -> Output:
+    """The slab N(x, t) for x <= --xmax, t <= --tmax.  The view hands out
+    each distinct row once (:meth:`matrix.SurvivalMatrix.slab`): its CSV text
+    is joined once, and in JSON every x with that row shares its cell list."""
     cells = args.xmax * (args.tmax + 1)
     if args.xmax < 1 or args.tmax < 0:
         raise ValueError("--xmax must be >= 1 and --tmax >= 0")
@@ -234,12 +239,15 @@ def _cmd_matrix(args, seed: int) -> Output:
                              f"must keep c*ceil(t/p) and t + p - 1 below 2**63 up to "
                              f"--tmax {args.tmax}")
     view = matrix.SurvivalMatrix(kind, params, exact=args.exact)
-    cell = str if args.exact else float  # JSON has no rationals: "p/q" text, made once
-    rows = [[x, *map(cell, view.row(x, args.tmax))] for x in range(1, args.xmax + 1)]
+    cells, which = view.slab(args.xmax, args.tmax)  # exact cells are "p/q" text
+    texts = [",".join(row if args.exact else map(format, row, repeat(_FLOAT_SPEC)))
+             for row in cells]
+    xs = range(1, args.xmax + 1)
     options = {"k": args.k, "strategy": kind.describe(), "xmax": args.xmax,
                "tmax": args.tmax, "exact": args.exact}
-    return Output(options, [{"x": row[0], "n": row[1:]} for row in rows],
-                  ["x", *map(str, range(args.tmax + 1))], rows, None)
+    return Output(options, [{"x": x, "n": cells[i]} for x, i in zip(xs, which)],
+                  ["x", *map(str, range(args.tmax + 1))],
+                  [(x, texts[i]) for x, i in zip(xs, which)], None)
 
 
 def _cmd_speedup(args, seed: int) -> Output:
@@ -447,17 +455,16 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:  # could not certify: message on stderr, exit 3
         print(f"{parser.prog}: could not certify: {exc}", file=sys.stderr)
         return 3
-    if args.format == "csv":
-        lines = [",".join(out.columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in out.rows]
-        text = "\n".join(lines) + "\n"
+    if args.format == "csv":  # rendered as written, a line at a time
+        pieces: Iterable[str] = (",".join(map(_fmt, row)) + "\n"
+                                 for row in (out.columns, *out.rows))
     else:
         payload = _report(args.subcommand, seed, out.options, out.results)
         if out.failures is not None:
             payload["failures"] = out.failures
-        text = json.dumps(payload, indent=2) + "\n"
+        pieces = [json.dumps(payload, indent=2) + "\n"]
     try:
-        _emit(text, args.output)
+        _emit(pieces, args.output)
     except OSError as exc:  # an unwritable --output is bad input too
         parser.error(f"cannot write --output: {exc}")
     return 1 if out.failures else 0

@@ -25,6 +25,7 @@ import numpy as np
 from .strategy import SearchParams, StrategyKind
 
 Prob = Union[Fraction, float]
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 # 8192 taus a later chunk: its ~ten float64 temporaries (64 KiB each) stay below
 # glibc's 128 KiB mmap threshold, so they are reused from the heap rather than
@@ -61,28 +62,41 @@ def survival_row_exact(params: SearchParams, x: int, t_max: int) -> list[Fractio
     return SurvivalMatrix(StrategyKind.nested(), params, exact=True).row(x, t_max)
 
 
+def _fractions(nums: Sequence[int], dens: Sequence[int]) -> list[Fraction]:
+    return list(map(Fraction, nums, dens))
+
+
+def _rational_texts(nums: Sequence[int], dens: Sequence[int]) -> list[str]:
+    """The text of each lowest-terms n/d, d > 0: n when d == 1, else n/d, as
+    ``str(Fraction(n, d))`` gives it, without building the Fraction."""
+    return [f"{n}/{d}" if d != 1 else str(n) for n, d in zip(nums, dens)]
+
+
 class SurvivalMatrix:
     """Lazily evaluated N(x, t) table for one strategy.
 
     For a pool sampler N(x, t) is 1 until ``kind.entry_step`` appends x to
     the pool and is then multiplied by (1 - 1/m) at each step t, where
     m = pool_limit(t) - (t - 1) is the number of unvisited pool members.
-    Float rows apply that factor as ``row[-1] * (m - 1) / m``.  Exact cells
-    are kept as integer pairs in lowest terms (0 once m = 1), reduced by
-    cross-cancelling rather than by a gcd of the product, and served as
-    ``Fraction``s built once per cell.  Rows depend on x only through its
-    entry step, so they are cached per entry step, and m is read from one
-    list of candidate-list sizes.  Cache fills are idempotent and
-    deterministic, hence concurrent readers observe the same values a serial
-    evaluation produces.
+    Float rows apply that factor as ``row[-1] * (m - 1) / m`` and are
+    cached.  Exact cells are kept once, as integer pairs in lowest terms
+    (0 once m = 1), reduced by cross-cancelling rather than by a gcd of the
+    product; :meth:`value` and :meth:`row` build ``Fraction``s from them on
+    demand, and :meth:`slab` writes their text straight from the pairs.  A
+    row depends on x only through its first step: the entry step for a
+    sampler, the visit step for a partition member (1 before it, 0 from it
+    on), so pool rows are cached per entry step, and m is read from one list
+    of candidate-list sizes.  Cache fills are idempotent and deterministic,
+    hence concurrent readers observe the same values a serial evaluation
+    produces.
     """
 
     def __init__(self, kind: StrategyKind, params: SearchParams, exact: bool = False) -> None:
         self.kind = kind
         self.params = params
         self.exact = exact
-        self._one: Prob = Fraction(1) if exact else 1.0
-        self._rows: dict[int, list[Prob]] = {}
+        self._one, self._zero = (_ONE, _ZERO) if exact else (1.0, 0.0)
+        self._rows: dict[int, list[float]] = {}  # float rows only
         self._cells: dict[int, tuple[list[int], list[int]]] = {}
         self._sizes: list[int] = []  # m at steps 0, 1, ...; 1 at step 0
 
@@ -90,26 +104,54 @@ class SurvivalMatrix:
         """N(x, t); for a partition member, the 0/1 indicator that it has not
         opened x by step t (a Fraction when exact, else a float)."""
         _validate_xt(x, t)
-        kind = self.kind
-        if kind.randomized:
-            first = kind.entry_step(self.params, x)
-            return self._one if t < first else self._row(first, t)[t]
-        step = kind.visit_step(self.params, x)
-        alive = step is None or t < step
+        first = self._first(x, t)
+        if first > t:
+            return self._one
+        if not self.kind.randomized:
+            return self._zero
         if self.exact:
-            return Fraction(1) if alive else Fraction(0)
-        return 1.0 if alive else 0.0
+            nums, dens = self._exact_cells(first, t)
+            return Fraction(nums[t], dens[t])
+        return self._row(first, t)[t]
 
     def row(self, x: int, t_max: int) -> list[Prob]:
         """[N(x, 0), ..., N(x, t_max)], equal to :meth:`value` cell by cell."""
         _validate_xt(x, t_max)
+        return self._row_from(self._first(x, t_max), t_max, _fractions)
+
+    def slab(self, x_max: int, t_max: int) -> tuple[list[list[float | str]], list[int]]:
+        """The slab x <= x_max, t <= t_max as its distinct rows and, for each
+        x in 1..x_max, the index of x's row: each row is made once however
+        many x share it.  Cells are floats, or when exact the text of each
+        cell, ``n`` or ``n/d`` (what ``str`` of its Fraction gives), written
+        straight from the cached pairs, so no Fraction is built."""
+        _validate_xt(x_max, t_max)
+        index: dict[int, int] = {}  # first step -> row index, in order of first use
+        which = [index.setdefault(self._first(x, t_max), len(index))
+                 for x in range(1, x_max + 1)]
+        return [self._row_from(first, t_max, _rational_texts) for first in index], which
+
+    def _first(self, x: int, t_max: int) -> int:
+        """The first step of x's row, t_max + 1 when the row is 1 through
+        t_max: the entry step for a sampler, after which N falls by the pool
+        recurrence; the visit step for a partition member, from which N is 0."""
         kind = self.kind
-        if not kind.randomized:
-            return [self.value(x, t) for t in range(t_max + 1)]
-        first = kind.entry_step(self.params, x)
-        if t_max < first:
-            return [self._one] * (t_max + 1)
-        return self._row(first, t_max)[:t_max + 1]
+        step = (kind.entry_step if kind.randomized else kind.visit_step)(self.params, x)
+        return t_max + 1 if step is None or step > t_max else step
+
+    def _row_from(self, first: int, t_max: int,
+                  exact_cells: Callable[[list[int], list[int]], list]) -> list:
+        """[N(x, 0), ..., N(x, t_max)] for an x whose row's first step is
+        first <= t_max + 1, the exact cells made from their lowest-terms
+        numerators and denominators by exact_cells(nums, dens).  A partition
+        row, or a pool row that has not fallen by t_max, is ones then zeros."""
+        if self.kind.randomized and first <= t_max:
+            if not self.exact:
+                return self._row(first, t_max)[:t_max + 1]
+            nums, dens = self._exact_cells(first, t_max)
+            return exact_cells(nums[:t_max + 1], dens[:t_max + 1])
+        one, zero = exact_cells([1, 0], [1, 1]) if self.exact else (1.0, 0.0)
+        return [one] * first + [zero] * (t_max + 1 - first)
 
     def _sizes_to(self, t: int) -> list[int]:
         """The cached sizes m at steps 0..t (at least), grown by doubling so
@@ -120,19 +162,14 @@ class SurvivalMatrix:
             sizes += (self.kind.pool_limit(self.params, steps) - steps + 1).tolist()
         return sizes
 
-    def _row(self, first: int, t: int) -> list[Prob]:
-        """The cached row [N(x, 0), ..., N(x, t), ...] for x entering at step
-        first <= t."""
+    def _row(self, first: int, t: int) -> list[float]:
+        """The cached float row [N(x, 0), ..., N(x, t), ...] for x entering at
+        step first <= t."""
         row = self._rows.get(first)
         if row is None:
-            row = self._rows[first] = [self._one] * first
-        if len(row) <= t:
-            if self.exact:
-                nums, dens = self._exact_cells(first, t)
-                row += map(Fraction, nums[len(row):t + 1], dens[len(row):t + 1])
-            else:
-                for m in self._sizes_to(t)[len(row):t + 1]:
-                    row.append(row[-1] * (m - 1) / m)
+            row = self._rows[first] = [1.0] * first
+        for m in self._sizes_to(t)[len(row):t + 1]:
+            row.append(row[-1] * (m - 1) / m)
         return row
 
     def _exact_cells(self, first: int, t: int) -> tuple[list[int], list[int]]:

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import boxsearch
 from boxsearch import bounds, matrix
-from boxsearch.cli import SEED_ENV_VAR, build_parser, main
+from boxsearch.cli import SEED_ENV_VAR, _fmt, build_parser, main
+from boxsearch.strategy import SearchParams, StrategyKind
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +121,21 @@ MATRIX_STDOUT_SHA256 = [
      "2e61855957853cca4c6acd185c7596307e64e50281fa519797893879ddde5bf8"),
     ("--strategy coordinated --k 3 --xmax 10 --tmax 5 --exact --format json",
      "d4f309143e8dc800871ca98daf5e4294a521a0c8248d1f8734dc424e5a59992d"),
+    # slab shapes the pins above miss: rows whose entry step is past --tmax,
+    # a single column, the one-box block, k = 4, and a partition slab wider
+    # than 100 columns
+    ("--k 2 --xmax 300 --tmax 40 --exact",
+     "7543707ae600a5fc4b2e4a3925cf560ab65e58dea48558c48ecae8902731286b"),
+    ("--k 3 --xmax 7 --tmax 0 --exact --format json",
+     "90f30921c06bd98f65cfcd5980a0a610e6d8abca94b02f2ad02708cc321ba5de"),
+    ("--k 2 --xmax 5 --tmax 0",
+     "d1773fb0bc2a99a029a87c3061e88af56b1e14a3ff58f65e49c4c9ccae0c0358"),
+    ("--strategy block-random --block 1 --xmax 6 --tmax 6 --exact",
+     "4bd87b8edbf140f902bb8e4146a9672a5aac796220adc90f856282118c2d9bd5"),
+    ("--k 4 --xmax 15 --tmax 15",
+     "906ab05128db78d3487067725c95446d3c8c7bb845bebe260b6f1b6086aae950"),
+    ("--strategy coordinated --k 3 --searcher-id 3 --xmax 12 --tmax 120 --exact --format json",
+     "8a3190487cbe0e38d29c4695ace5a76bc0d96e387e11c58ac544fa4a3c8d8fec"),
 ]
 
 
@@ -128,6 +145,67 @@ def test_matrix_stdout_pinned(capsys, monkeypatch):
         code, out = run_cli(capsys, "matrix", *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# every strategy a slab can show: nested k, block-random b, solo, and each
+# coordinated searcher id of k = 3
+SLAB_KINDS = [(("--k", str(k)), StrategyKind.nested(), SearchParams(k)) for k in (1, 2, 3, 5)]
+SLAB_KINDS += [(("--strategy", "block-random", "--block", str(b)), StrategyKind.block_random(b),
+                SearchParams(2)) for b in (1, 2, 3, 5)]
+SLAB_KINDS += [(("--strategy", "solo"), StrategyKind.solo(), SearchParams(2))]
+SLAB_KINDS += [(("--strategy", "coordinated", "--k", "3", "--searcher-id", str(i)),
+                StrategyKind.coordinated(i), SearchParams(3)) for i in (1, 2, 3)]
+
+
+def test_matrix_cells_equal_view_values(capsys):
+    # each slab row is rendered once and shared by every x with the same first
+    # step, so check every cell against its own value: str of the Fraction
+    # when exact, the float (in full in JSON, through _fmt in CSV) otherwise;
+    # x up to 40 and t up to 14 include rows that do not fall by --tmax
+    xmax, tmax = 40, 14
+    for argv, kind, params in SLAB_KINDS:
+        for exact in (False, True):
+            view = matrix.SurvivalMatrix(kind, params, exact)
+            want = {x: [view.value(x, t) for t in range(tmax + 1)] for x in range(1, xmax + 1)}
+            flags = [*argv, "--xmax", str(xmax), "--tmax", str(tmax)] + ["--exact"] * exact
+            code, out = run_cli(capsys, "matrix", *flags)
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == "x," + ",".join(map(str, range(tmax + 1)))
+            cell = str if exact else (lambda v: _fmt(float(v)))
+            assert lines[1:] == [",".join([str(x), *map(cell, want[x])]) for x in want], flags
+            code, out = run_cli(capsys, "matrix", *flags, "--format", "json")
+            assert code == 0
+            results = json.loads(out)["results"]
+            assert [r["x"] for r in results] == list(want)
+            for r in results:
+                got, cells = r["n"], want[r["x"]]
+                if exact:
+                    assert got == [str(v) for v in cells], flags
+                else:
+                    assert [v.hex() for v in got] == [float(v).hex() for v in cells], flags
+
+
+def test_exact_pool_slab_builds_no_fraction(capsys, monkeypatch):
+    # an exact pool-sampler slab is written straight from the lowest-terms
+    # integer pairs: no Fraction is built in boxsearch.matrix while it renders
+    built = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(matrix, "Fraction", CountedFraction)
+    for argv in (("--k", "2"), ("--k", "5", "--format", "json"),
+                 ("--strategy", "block-random", "--block", "3"),
+                 ("--strategy", "block-random", "--block", "1", "--format", "json")):
+        code, _ = run_cli(capsys, "matrix", *argv, "--xmax", "30", "--tmax", "30", "--exact")
+        assert code == 0
+    assert built == []
+    # the counter does see the Fractions that the exact view's rows are made of
+    matrix.SurvivalMatrix(StrategyKind.nested(), SearchParams(2), exact=True).row(1, 3)
+    assert len(built) == 4
 
 
 # SHA-256 and exit status of Monte Carlo stdouts, computed with the engine

@@ -164,6 +164,33 @@ def test_row_equals_value_for_every_strategy():
         SurvivalMatrix(StrategyKind.solo(), p).row(1, -1)
 
 
+def test_slab_hands_out_each_distinct_row_once():
+    # x's row depends only on its first step (entry step of a sampler, visit
+    # step of a partition member), clipped to t_max + 1 where the row stays 1:
+    # the slab holds one row per such step, in order of first use, and
+    # equals row() cell by cell (exact cells as the text of their Fraction)
+    p = SearchParams(3)
+    kinds = [StrategyKind.nested(), StrategyKind.block_random(1), StrategyKind.block_random(4),
+             StrategyKind.solo(), *(StrategyKind.coordinated(i) for i in (1, 2, 3))]
+    for kind in kinds:
+        first = kind.entry_step if kind.randomized else kind.visit_step
+        for exact in (False, True):
+            for x_max, t_max in ((1, 0), (30, 0), (30, 6), (30, 40), (5, 40)):
+                view = SurvivalMatrix(kind, p, exact)
+                rows, which = view.slab(x_max, t_max)
+                steps = [min(t_max + 1, first(p, x) or t_max + 1) for x in range(1, x_max + 1)]
+                assert len(rows) == len(set(steps))
+                assert which == [list(dict.fromkeys(steps)).index(s) for s in steps]
+                cell = str if exact else float
+                for x, i in zip(range(1, x_max + 1), which):
+                    assert rows[i] == [cell(v) for v in view.row(x, t_max)], (kind, x)
+                    assert all(type(v) is cell for v in rows[i])
+    with pytest.raises(ValueError):
+        SurvivalMatrix(StrategyKind.nested(), p).slab(0, 3)
+    with pytest.raises(ValueError):
+        SurvivalMatrix(StrategyKind.solo(), p).slab(1, -1)
+
+
 def test_block_random_survival_reference_table():
     assert [block_random_survival(3, 1, t, exact=True) for t in range(4)] == \
         [F(1), F(2, 3), F(1, 3), F(0)]

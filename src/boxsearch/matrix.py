@@ -4,8 +4,8 @@ N(x, t) is the probability that a single searcher has not opened box x within
 its first t steps.  A fleet of f independent searchers misses x with
 probability N(x, t)**f, so the expected discovery time is sum_t N(x, t)**f and
 the expected-time ratio theta = that sum divided by x.  Speed-up is 1/theta.
-Both pool samplers' tables come from one recurrence in
-:class:`SurvivalMatrix`, which reads the pool rule from :class:`StrategyKind`.
+Every strategy's table comes from one recurrence in :class:`SurvivalMatrix`,
+which reads the pool rule and each box's own index from :class:`StrategyKind`.
 
 Two arithmetic modes: exact ``Fraction`` values (identities that must hold
 exactly; cells kept as lowest-terms integer pairs, sums taken in integers over
@@ -16,8 +16,9 @@ a common denominator) and float64 with chunked pairwise summation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -25,7 +26,6 @@ import numpy as np
 from .strategy import SearchParams, StrategyKind
 
 Prob = Union[Fraction, float]
-_ONE, _ZERO = Fraction(1), Fraction(0)
 
 # 8192 taus a later chunk: its ~ten float64 temporaries (64 KiB each) stay below
 # glibc's 128 KiB mmap threshold, so they are reused from the heap rather than
@@ -75,44 +75,42 @@ def _rational_texts(nums: Sequence[int], dens: Sequence[int]) -> list[str]:
 class SurvivalMatrix:
     """Lazily evaluated N(x, t) table for one strategy.
 
-    For a pool sampler N(x, t) is 1 until ``kind.entry_step`` appends x to
-    the pool and is then multiplied by (1 - 1/m) at each step t, where
-    m = pool_limit(t) - (t - 1) is the number of unvisited pool members.
-    Float rows apply that factor as ``row[-1] * (m - 1) / m`` and are
-    cached.  Exact cells are kept once, as integer pairs in lowest terms
-    (0 once m = 1), reduced by cross-cancelling rather than by a gcd of the
-    product; :meth:`value` and :meth:`row` build ``Fraction``s from them on
-    demand, and :meth:`slab` writes their text straight from the pairs.  A
-    row depends on x only through its first step: the entry step for a
-    sampler, the visit step for a partition member (1 before it, 0 from it
-    on), so pool rows are cached per entry step, and m is read from one list
-    of candidate-list sizes.  Cache fills are idempotent and deterministic,
-    hence concurrent readers observe the same values a serial evaluation
-    produces.
+    N(x, t) is 1 until ``kind.entry_step`` appends x's own index to the pool
+    and is then multiplied by (1 - 1/m) at each step t, where
+    m = pool_limit(t) - (t - 1) is the number of unvisited pool members.  A
+    row depends on x only through that first step, so rows are cached per
+    first step, m read from one list of sizes.  A cached row ends at its
+    first zero, a step where m = 1: where a partition member opens x, or the
+    end of x's block for a rule with c = p.  Float rows apply the factor as
+    ``row[-1] * (m - 1) / m``; exact cells are kept once, as integer pairs
+    in lowest terms reduced by cross-cancelling, from which :meth:`value` and
+    :meth:`row` build ``Fraction``s and :meth:`slab` writes text.  Cache
+    fills are idempotent and deterministic, hence concurrent readers observe
+    the same values a serial evaluation produces.
     """
 
     def __init__(self, kind: StrategyKind, params: SearchParams, exact: bool = False) -> None:
         self.kind = kind
         self.params = params
         self.exact = exact
-        self._one, self._zero = (_ONE, _ZERO) if exact else (1.0, 0.0)
+        self._rule = kind.pool_rule(params)
         self._rows: dict[int, list[float]] = {}  # float rows only
         self._cells: dict[int, tuple[list[int], list[int]]] = {}
         self._sizes: list[int] = []  # m at steps 0, 1, ...; 1 at step 0
 
     def value(self, x: int, t: int) -> Prob:
-        """N(x, t); for a partition member, the 0/1 indicator that it has not
-        opened x by step t (a Fraction when exact, else a float)."""
+        """N(x, t) (a Fraction when exact, else a float); for a partition
+        member, the 0/1 indicator that it has not opened x by step t."""
         _validate_xt(x, t)
         first = self._first(x, t)
-        if first > t:
-            return self._one
-        if not self.kind.randomized:
-            return self._zero
+        if first > t or self._rule == (1, 1):  # a (1, 1) row is 1, then 0 from first
+            return Fraction(int(first > t)) if self.exact else float(first > t)
         if self.exact:
             nums, dens = self._exact_cells(first, t)
+            t = min(t, len(nums) - 1)  # a row that ran dry ends at its zero
             return Fraction(nums[t], dens[t])
-        return self._row(first, t)[t]
+        row = self._row(first, t)
+        return row[min(t, len(row) - 1)]
 
     def row(self, x: int, t_max: int) -> list[Prob]:
         """[N(x, 0), ..., N(x, t_max)], equal to :meth:`value` cell by cell."""
@@ -132,26 +130,30 @@ class SurvivalMatrix:
         return [self._row_from(first, t_max, _rational_texts) for first in index], which
 
     def _first(self, x: int, t_max: int) -> int:
-        """The first step of x's row, t_max + 1 when the row is 1 through
-        t_max: the entry step for a sampler, after which N falls by the pool
-        recurrence; the visit step for a partition member, from which N is 0."""
-        kind = self.kind
-        step = (kind.entry_step if kind.randomized else kind.visit_step)(self.params, x)
-        return t_max + 1 if step is None or step > t_max else step
+        """The first step of x's row, the entry step of its own index, or
+        t_max + 1 when the row is 1 through t_max."""
+        own = self.kind.own_index(self.params, x)
+        return t_max + 1 if own is None else min(self.kind.entry_step(self.params, own), t_max + 1)
 
     def _row_from(self, first: int, t_max: int,
                   exact_cells: Callable[[list[int], list[int]], list]) -> list:
         """[N(x, 0), ..., N(x, t_max)] for an x whose row's first step is
         first <= t_max + 1, the exact cells made from their lowest-terms
-        numerators and denominators by exact_cells(nums, dens).  A partition
-        row, or a pool row that has not fallen by t_max, is ones then zeros."""
-        if self.kind.randomized and first <= t_max:
-            if not self.exact:
-                return self._row(first, t_max)[:t_max + 1]
+        numerators and denominators by exact_cells(nums, dens).  A (1, 1) row
+        (a partition member, block-random(1)) is 1 then 0 and fills no cache."""
+        if first > t_max:
+            return [exact_cells([1], [1])[0] if self.exact else 1.0] * (t_max + 1)
+        if self._rule == (1, 1):
+            cells = exact_cells([1, 0], [1, 1]) if self.exact else [1.0, 0.0]
+        elif self.exact:
             nums, dens = self._exact_cells(first, t_max)
-            return exact_cells(nums[:t_max + 1], dens[:t_max + 1])
-        one, zero = exact_cells([1, 0], [1, 1]) if self.exact else (1.0, 0.0)
-        return [one] * first + [zero] * (t_max + 1 - first)
+            cells = exact_cells(nums[first - 1:t_max + 1], dens[first - 1:t_max + 1])
+        else:
+            cells = self._row(first, t_max)[first - 1:t_max + 1]
+        row = cells[:1] * (first - 1)
+        row += cells
+        row.extend(repeat(row[-1], t_max + 1 - len(row)))
+        return row
 
     def _sizes_to(self, t: int) -> list[int]:
         """The cached sizes m at steps 0..t (at least), grown by doubling so
@@ -164,27 +166,32 @@ class SurvivalMatrix:
 
     def _row(self, first: int, t: int) -> list[float]:
         """The cached float row [N(x, 0), ..., N(x, t), ...] for x entering at
-        step first <= t."""
+        step first <= t; it ends early at its zero if it runs dry by t."""
         row = self._rows.get(first)
         if row is None:
             row = self._rows[first] = [1.0] * first
-        for m in self._sizes_to(t)[len(row):t + 1]:
+        for m in self._sizes_to(t)[len(row):self._end(first, t)]:
             row.append(row[-1] * (m - 1) / m)
         return row
 
+    def _end(self, first: int, t: int) -> int:
+        """One past the row's last step <= t: with c = p it runs dry p - 1 steps after first."""
+        c, p = self._rule
+        return min(t, first + p - 1) + 1 if c == p else t + 1
+
     def _exact_cells(self, first: int, t: int) -> tuple[list[int], list[int]]:
         """The cached lowest-terms numerators and denominators of N(x, 0..t, ...)
-        for x entering at step first.  Each step takes n/d to
-        n*(m-1) / (d*m) with the common factors of n and m, and of m-1 and d,
-        cancelled first; n and d are coprime, as are m and m-1, so the result
-        is in lowest terms too."""
+        for x entering at step first; they end early at the zero, 0/1, if the
+        row runs dry by t.  Each step takes n/d to n*(m-1) / (d*m) with the
+        common factors of n and m, and of m-1 and d, cancelled first; n and d
+        are coprime, as are m and m-1, so the result is in lowest terms too."""
         cells = self._cells.get(first)
         if cells is None:
             cells = self._cells[first] = ([1] * first, [1] * first)
         nums, dens = cells
         if len(nums) <= t:
             n, d = nums[-1], dens[-1]
-            for m in self._sizes_to(t)[len(nums):t + 1]:
+            for m in self._sizes_to(t)[len(nums):self._end(first, t)]:
                 g1, g2 = math.gcd(n, m), math.gcd(m - 1, d)
                 n, d = n // g1 * ((m - 1) // g2), d // g2 * (m // g1)
                 nums.append(n)
@@ -195,7 +202,7 @@ class SurvivalMatrix:
         """sum_{t <= t_max} N(x, t)**fleet for a pool sampler, as a Fraction
         in either mode: one integer numerator over lcm(denominators)**fleet."""
         _validate_xt(x, t_max)
-        nums, dens = self._exact_cells(self.kind.entry_step(self.params, x), t_max)
+        nums, dens = self._exact_cells(self._first(x, t_max), t_max)
         nums, dens = nums[:t_max + 1], dens[:t_max + 1]
         lcm = 1
         for d in dens:
@@ -233,13 +240,17 @@ class SurvivalMatrix:
         if not self.exact:
             total = 0.0
             for first, count in joined:
-                total += count * (1 - self._row(first, t)[t])
+                row = self._row(first, t)
+                total += count * (1 - row[min(t, len(row) - 1)])
             return abs(total - t)
         big_m = math.prod(sizes[1:t + 1])
         total = 0
         for first, count in joined:
             nums, dens = self._exact_cells(first, t)
-            total += count * (big_m - nums[t] * (big_m // dens[t]))
+            try:
+                total += count * (big_m - nums[t] * (big_m // dens[t]))
+            except IndexError:  # the row ran dry before t
+                total += count * big_m
         return Fraction(abs(total - t * big_m), big_m)
 
 
@@ -627,7 +638,7 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
     """Exact fleet expected discovery time sum_t N(x, t)**fleet.
 
     For a partition the time is the first visit step of x among its fleet,
-    fleet member sid running partition member sid; for a pool sampler it is
+    fleet searcher sid running ``kind.member(sid)``; for a pool sampler it is
     the block sum of :func:`_block_sum`, finite for a rule whose pool runs
     dry (block-random, nested at k = 1) and otherwise certified to
     epsilon*x.
@@ -637,6 +648,5 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
     if kind.randomized:
         c, _ = kind.pool_rule(params)
         return _block_sum(kind, params, -(-x // c), epsilon * x, n_fleet)[0]
-    steps = (replace(kind, searcher_id=sid).visit_step(params, x)
-             for sid in range(1, n_fleet + 1))
+    steps = (kind.member(sid).visit_step(params, x) for sid in range(1, n_fleet + 1))
     return float(min(s for s in steps if s is not None))

@@ -7,11 +7,9 @@ deterministic function of its config and embarrassingly parallel across
 trial indices.
 
 Every strategy runs through one plan, :func:`_plan` (which searchers can
-hit, and from which step), and one outcome rule, :func:`_outcomes`.  A
-partition member hits exactly at its first step.  Both randomized samplers
-run through one engine, :func:`_fleet_block`: it reads the pool rule from
-:class:`StrategyKind` and replays only the draws that can touch the
-treasure, so it draws uniforms and never reads N(x, t).
+hit, and from which step), and one engine, :func:`_fleet_block`, which reads
+the pool rule from :class:`StrategyKind` and replays only the draws that can
+touch the treasure, so it draws uniforms and never reads N(x, t).
 It runs every (fleet, trial, searcher) row of a block of trials through one
 loop of lock-step rounds, with one event search and one fleet rule for every
 round.  An experiment makes one pass (:func:`estimate_speedups`): the crash
@@ -487,8 +485,8 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, rows: tuple, key: np.
 
 def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: list,
                  trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes of ``trials`` trials of each sampler fleet in ``plans`` (one
-    _plan per fleet, all of ``kind`` and ``params``): (times, finders), int64
+    """Outcomes of ``trials`` trials of each fleet in ``plans`` (one _plan
+    per fleet, all of ``kind`` and ``params``): (times, finders), int64
     arrays of shape (fleets, trials), 0 where none hit.
 
     ``words`` are the trials' seed words (_seed_words).  Searcher sid of a
@@ -510,9 +508,9 @@ def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: l
     """
     span = _span(plans)
     key = np.full(len(plans) * trials, _NEVER)
-    entries = sorted((first, fleet, sid, limit, target - first)
+    entries = sorted((first, fleet, sid, limit, own - first)
                      for fleet, plan in enumerate(plans)
-                     for sid, target, first, limit in plan)
+                     for sid, own, first, limit in plan)
     if entries:
         sids = sorted({sid for _, _, sid, *_ in entries})
         # the (sid, trial) streams, seeded by broadcasting sids against trials
@@ -537,26 +535,23 @@ def _target(config: TrialConfig, sid: int) -> int:
     return perts[sid - 1].map_index(config.treasure) if perts else config.treasure
 
 
-def _plan(config: TrialConfig) -> list[tuple[int, int, int, int]]:
-    """(sid, target, first, limit) of each searcher that can hit, in sid order.
+def _searcher_row(kind: StrategyKind, params: SearchParams, sid: int, target: int,
+                  crash: int | None) -> tuple[int, int, int, int] | None:
+    """(sid, own index of ``target``, first step, last step before ``crash``)
+    of searcher sid; None if it never opens ``target`` or crashes by ``first``."""
+    own = kind.member(sid).own_index(params, target)
+    first = None if own is None else kind.entry_step(params, own)
+    if first is None or crash is not None and crash <= first:
+        return None
+    return sid, own, first, _NEVER if crash is None else crash - 1
 
-    ``first`` is the step that appends the target to a sampler's pool, or the
-    step at which partition member sid opens it (a member that never does is
-    dropped); ``limit`` is the last step before the crash.  A searcher that
-    crashes at or before ``first`` is dropped, in both families.
-    """
-    kind, params = config.kind, config.params
-    rows = []
-    for sid in range(1, config.fleet_size + 1):
-        target = _target(config, sid)
-        if kind.randomized:
-            first = kind.entry_step(params, target)
-        else:
-            first = replace(kind, searcher_id=sid).visit_step(params, target)
-        crash = config.crashes.crash_time(sid)
-        if first is not None and (crash is None or crash > first):
-            rows.append((sid, target, first, _NEVER if crash is None else crash - 1))
-    return rows
+
+def _plan(config: TrialConfig) -> list[tuple[int, int, int, int]]:
+    """The _searcher_row of each searcher that can hit, in sid order."""
+    rows = (_searcher_row(config.kind, config.params, sid, _target(config, sid),
+                          config.crashes.crash_time(sid))
+            for sid in range(1, config.fleet_size + 1))
+    return [row for row in rows if row is not None]
 
 
 def _span(plans: list) -> int:
@@ -577,35 +572,22 @@ def _plans(templates: Sequence[TrialConfig]) -> list[list]:
     plans = [_plan(config) for config in templates]
     span = _span(plans)
     for config, plan in zip(templates, plans):
-        for sid, target, first, _ in plan:
+        for sid, _, first, _ in plan:
             if 2 * first * span + sid >= _NEVER:
                 raise ValueError(f"treasure {config.treasure} is beyond the simulator's range: "
-                                 f"searcher {sid} sees it at box {target} from step {first}, "
-                                 f"and twice that step must stay below {_NEVER // span}")
+                                 f"searcher {sid} sees it at box {_target(config, sid)} from "
+                                 f"step {first}, and twice that step must stay below "
+                                 f"{_NEVER // span}")
     return plans
-
-
-def _outcomes(kind: StrategyKind, params: SearchParams, plans: list, words: list,
-              trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """(times, finders), each (fleets, trials), of ``trials`` trials of each
-    fleet in ``plans`` (_plans), 0 where none hit; ``words`` are the trials'
-    seed words.  Sampler fleets run _fleet_block.  A partition member hits
-    exactly at its first step, so every trial of a fleet has the same
-    outcome, the earliest first step and, on a tie, the lowest id."""
-    if kind.randomized:
-        return _fleet_block(kind, params, plans, words, trials)
-    best = np.array([min(((first, sid) for sid, _, first, _ in plan), default=(0, 0))
-                     for plan in plans], np.int64).reshape(len(plans), 2, 1)
-    return np.repeat(best[:, 0], trials, 1), np.repeat(best[:, 1], trials, 1)
 
 
 def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
                     seeds: np.ndarray, sid: int, limit: int) -> np.ndarray:
     """First step <= limit at which searcher ``sid`` of each trial seed in
-    ``seeds`` (uint64) draws ``target``, 0 where none; the engine of
+    ``seeds`` (uint64) opens ``target``, 0 where none; the engine of
     _fleet_block with a one-searcher fleet, in blocks of BLOCK_ROWS rows."""
-    first = kind.entry_step(params, target)
-    plan = [(sid, target, first, limit)] if limit >= first else []
+    row = _searcher_row(kind, params, sid, target, limit + 1)
+    plan = [] if row is None else [row]
     blocks = [seeds[i:i + BLOCK_ROWS] for i in range(0, len(seeds), BLOCK_ROWS)]
     return np.concatenate([_fleet_block(kind, params, [plan], _seed_words(b), len(b))[0][0]
                            for b in blocks])
@@ -614,12 +596,12 @@ def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
 def run_trial(config: TrialConfig) -> TrialOutcome:
     """Simulate one fleet trial; earliest hit wins, lowest id breaks ties.
 
-    A trial is a block of one trial of _outcomes, the path of
+    A trial is a block of one trial of _fleet_block, the path of
     estimate_speedup: it has no horizon, and finds nothing only when every
     searcher crashed first.
     """
-    times, finders = _outcomes(config.kind, config.params, _plans([config]),
-                               _seed_words(config.seed), 1)
+    times, finders = _fleet_block(config.kind, config.params, _plans([config]),
+                                  _seed_words(config.seed), 1)
     if not times[0, 0]:
         return TrialOutcome(None, None)
     return TrialOutcome(int(times[0, 0]), int(finders[0, 0]))
@@ -638,7 +620,7 @@ def _trial_blocks(templates: Sequence[TrialConfig], trials: int):
     base seed, so each block derives its trial seeds once for all of them.
 
     A block holds as many trials as the largest fleet alone fits in
-    BLOCK_ROWS rows, and runs its templates in one _outcomes pass while
+    BLOCK_ROWS rows, and runs its templates in one _fleet_block pass while
     their rows fit too, else in consecutive runs of templates that do.  So
     fusing templates never leaves a fleet fewer trials per pass than it has
     alone, and a long list of templates does not shrink every pass.
@@ -661,7 +643,7 @@ def _trial_blocks(templates: Sequence[TrialConfig], trials: int):
     for start in range(0, trials, per_block):
         seeds = trial_seeds(base, start, min(trials, start + per_block))
         words = _seed_words(seeds)
-        runs = [_outcomes(kind, params, plans[a:b], words, len(seeds))
+        runs = [_fleet_block(kind, params, plans[a:b], words, len(seeds))
                 for a, b in zip(cuts, cuts[1:])]
         yield tuple(np.concatenate(part) for part in zip(*runs))
 

@@ -8,20 +8,19 @@ Strategies are pure state machines.  A :class:`SearcherState` belongs to one
 searcher; distinct searchers never share state, so fleets need no
 synchronization.
 
-The two randomized samplers are one pool sampler under one pool rule (c, p):
-at step t the searcher draws uniformly among the unvisited boxes of the pool
-1..c*ceil(t/p), so box x joins it at step p*ceil(x/c) - p + 1.  The nested
-sampler is (k+1, 2) and block-random(b) is (b, b).  The two deterministic
-baselines are one partition rule: member i of n opens box i + (t-1)*n at
-step t, coordinated searcher i being member i of k and solo member 1 of 1.
-:class:`StrategyKind` alone knows the rules; the stepper here, the
-simulator's hit time and the exact survival table and block sums (one
-recurrence and one evaluator for every pool rule) all read them from it.
+Every strategy is one pool sampler under one pool rule (c, p) over its own
+box list: at step t it draws uniformly among the unvisited own indices
+1..c*ceil(t/p), so own index x joins the pool at step p*ceil(x/c) - p + 1.
+Nested is (k+1, 2) and block-random(b) is (b, b) over the boxes; member i of
+an n-way partition is (1, 1) over boxes i + (j-1)*n (coordinated searcher i
+is member i of k, solo member 1 of 1).  :class:`StrategyKind` alone knows the
+rules; the simulator's engine and the exact tables read them from it, and the
+stepper here, which opens a partition's boxes directly, is their reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,26 +99,34 @@ class StrategyKind:
         return self.name in (NESTED, BLOCK_RANDOM)
 
     def pool_rule(self, params: SearchParams) -> tuple[int, int]:
-        """(c, p): the pool holds c*ceil(t/p) boxes at step t, (k+1, 2) for
-        nested and (b, b) for block-random."""
+        """(c, p): the pool holds own indices 1..c*ceil(t/p) at step t; (k+1, 2)
+        nested, (b, b) block-random, (1, 1) a partition member."""
         if self.name == NESTED:
             return params.k + 1, 2
         if self.name == BLOCK_RANDOM:
             return self.block_len, self.block_len
-        raise ValueError(f"strategy {self.name!r} has no sampling pool")
+        return 1, 1
 
     def pool_limit(self, params: SearchParams, t):
-        """Largest box in the sampling pool at step t >= 0 (0 at t = 0),
+        """Largest own index in the sampling pool at step t >= 0 (0 at t = 0),
         c*ceil(t/p).  t may be an integer array; the result is then
         elementwise."""
         c, p = self.pool_rule(params)
         return (t + p - 1) // p * c
 
     def entry_step(self, params: SearchParams, x: int) -> int:
-        """The step that appends box x >= 1 to the pool, the least t with
-        pool_limit(t) >= x: p*ceil(x/c) - p + 1."""
+        """The step that appends own index x >= 1 to the pool, the least t
+        with pool_limit(t) >= x: p*ceil(x/c) - p + 1."""
         c, p = self.pool_rule(params)
         return p * -(-x // c) - p + 1
+
+    def own_index(self, params: SearchParams, x: int) -> int | None:
+        """Box x's index in this strategy's own list; None if it never opens x."""
+        return x if self.randomized else self.visit_step(params, x)
+
+    def member(self, sid: int) -> "StrategyKind":
+        """What fleet searcher sid runs: member sid of a coordinated fleet."""
+        return replace(self, searcher_id=sid) if self.name == COORDINATED else self
 
     def partition(self, params: SearchParams) -> tuple[int, int]:
         """(i, n): member i of an n-way partition; (1, 1) solo, (searcher_id, k) coordinated."""

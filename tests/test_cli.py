@@ -136,6 +136,53 @@ MATRIX_STDOUT_SHA256 = [
      "906ab05128db78d3487067725c95446d3c8c7bb845bebe260b6f1b6086aae950"),
     ("--strategy coordinated --k 3 --searcher-id 3 --xmax 12 --tmax 120 --exact --format json",
      "8a3190487cbe0e38d29c4695ace5a76bc0d96e387e11c58ac544fa4a3c8d8fec"),
+    # rows that run dry (N reaches 0 at a step where m = 1) with --tmax past
+    # the zero: block-random b = 1, 2, nested k = 1, solo and every
+    # coordinated id of k = 2, 3.  A 0/1 slab's CSV is the same in both modes.
+    ("--strategy block-random --block 1 --xmax 7 --tmax 12",
+     "27cae0b94aff42f414402da067dc29baf823a13a874d00bc0c020b6e3a4a31fb"),
+    ("--strategy block-random --block 1 --xmax 7 --tmax 12 --format json",
+     "9b343f84d11e4c318dc5574c4040fbcec575be8f4f7b30d4213a76d714bf5655"),
+    ("--strategy block-random --block 1 --xmax 7 --tmax 12 --exact --format json",
+     "8ec1d4fcdb1ba6b6d1efa09c33f09fdd89824a39679e6a3e94ba5cd87de6c01e"),
+    ("--strategy block-random --block 2 --xmax 9 --tmax 14",
+     "743056936f61ff6d83c971ce7a202335c1275eca2c1c3b10c2f3237abb6d4b5c"),
+    ("--strategy block-random --block 2 --xmax 9 --tmax 14 --exact",
+     "916a4fe37f8c951a5e5e44db43a0a14ec1fddf4c56c4ee036b2fc46226c72ee9"),
+    ("--strategy block-random --block 2 --xmax 9 --tmax 14 --format json",
+     "6b101c73873c8de6f5382db6d7f525fdbfd3aa48c6d277fb268a45e7f1f375c8"),
+    ("--strategy block-random --block 2 --xmax 9 --tmax 14 --exact --format json",
+     "be7b50344f7f4b41e46fddaef604e56b1052e591e93035d3168af126a0ab99b4"),
+    ("--k 1 --xmax 9 --tmax 14 --format json",
+     "0f0e5137c8d8070471bc65c7a1f80b4abe9700672103250f87d8979d4ac44c89"),
+    ("--k 1 --xmax 9 --tmax 14 --exact --format json",
+     "e1300ca5bb486897e6d4c579a9fd4a85369e41ca6587d3b9e3feab3023a1f2d4"),
+    ("--strategy solo --xmax 6 --tmax 11",
+     "148e230afc6be59f3c686c7cad2451f280829cd3ed4f7739f540a6473dfd8a91"),
+    ("--strategy solo --xmax 6 --tmax 11 --format json",
+     "ff763eadd945ae25da6f4ea0d41e43fcdac52ee6300dafbc65e4acb6440e34ad"),
+    ("--strategy solo --xmax 6 --tmax 11 --exact --format json",
+     "8466a46e6e0a31794a486465722bbdb1fbe8bfbbe1f242e52bf47fc317751139"),
+    ("--strategy coordinated --k 2 --searcher-id 1 --xmax 9 --tmax 8",
+     "94ab8424eef3540ea2fa524898fe0569d727e7e06ef91c2fae7a6b46faffef71"),
+    ("--strategy coordinated --k 2 --searcher-id 1 --xmax 9 --tmax 8 --exact --format json",
+     "bd108b95a02b36c5727f73161f5fc105a7bab9d49996223bb68b0d9f91edb5b5"),
+    ("--strategy coordinated --k 2 --searcher-id 2 --xmax 9 --tmax 8 --exact",
+     "55eb239f0a47764e671eceaa1810e5f41a504aacd23ec351418746a54b97a983"),
+    ("--strategy coordinated --k 2 --searcher-id 2 --xmax 9 --tmax 8 --format json",
+     "e4a4bcba0b0fd1367312140bba1bcb94bdbe7f1a55a27ea60ae8bebd08229c98"),
+    ("--strategy coordinated --k 3 --searcher-id 1 --xmax 10 --tmax 6",
+     "f6a856f53c14ca07dae2156b0499991cebd477cb00b9a3d79d84a82bf9aeb096"),
+    ("--strategy coordinated --k 3 --searcher-id 1 --xmax 10 --tmax 6 --format json",
+     "4e1f95910a2199a590112a8cd31a664df3a90289bacfc1e7ddb68d97d83b865f"),
+    ("--strategy coordinated --k 3 --searcher-id 2 --xmax 10 --tmax 6 --exact",
+     "4379517c839b67d133d56e2475b8b07e8e369af1a8afb80b9553af2382703256"),
+    ("--strategy coordinated --k 3 --searcher-id 2 --xmax 10 --tmax 6 --exact --format json",
+     "5a73a977018dcf96a89456102977962929978507732acd3b70774ea0b9df2ed6"),
+    ("--strategy coordinated --k 3 --searcher-id 3 --xmax 10 --tmax 6",
+     "ee09c1c977464d42bc7a9d29c896423cc7778edb5c070882b68835ca22b2f920"),
+    ("--strategy coordinated --k 3 --searcher-id 3 --xmax 10 --tmax 6 --format json",
+     "2cb436be0576ffffe70d1fa0cbe1b9bdc034c2b5074e1def6668ac4a14bb7580"),
 ]
 
 

@@ -147,7 +147,8 @@ def test_row_equals_value_for_every_strategy():
     p = SearchParams(3)
     kinds = [StrategyKind.nested(), StrategyKind.block_random(1), StrategyKind.block_random(4),
              StrategyKind.solo(), *(StrategyKind.coordinated(i) for i in (1, 2, 3))]
-    for kind in kinds:
+    views = [(kind, p) for kind in kinds] + [(StrategyKind.nested(), SearchParams(1))]
+    for kind, p in views:
         for exact in (False, True):
             rows, cells = SurvivalMatrix(kind, p, exact), SurvivalMatrix(kind, p, exact)
             for x in (1, 2, 4, 5, 9, 13, 30):
@@ -162,6 +163,53 @@ def test_row_equals_value_for_every_strategy():
         SurvivalMatrix(StrategyKind.nested(), p).row(0, 3)
     with pytest.raises(ValueError):
         SurvivalMatrix(StrategyKind.solo(), p).row(1, -1)
+
+
+# rules whose rows run dry, falling to 0 for good at a step where m = 1, as
+# (kind, params, p, the step at which x's row reaches 0 or None): block-random
+# and nested k = 1 at the end of x's block of p steps, a partition member at
+# its visit step (p = 1)
+DRY_RULES = [(StrategyKind.block_random(b), SearchParams(2), b, lambda x, b=b: b * -(-x // b))
+             for b in (1, 2, 3, 5)]
+DRY_RULES += [(StrategyKind.nested(), SearchParams(1), 2, lambda x: 2 * -(-x // 2)),
+              (StrategyKind.solo(), SearchParams(3), 1, lambda x: x)]
+DRY_RULES += [(StrategyKind.coordinated(i), SearchParams(3), 1,
+               lambda x, i=i: None if (x - i) % 3 else (x - i) // 3 + 1) for i in (1, 2, 3)]
+
+
+def test_rows_that_run_dry():
+    # one view serves value and row in either order at steps before, at and
+    # past a row's zero; its cached cells end at that zero (a (1, 1) row
+    # caches none), and the column identity holds (float block-random cells
+    # carry their rounding)
+    for kind, p, steps, dry in DRY_RULES:
+        for exact in (False, True):
+            one, zero = (F(1), F(0)) if exact else (1.0, 0.0)
+            for row_first in (False, True):
+                view = SurvivalMatrix(kind, p, exact)
+                for x in (1, 2, 5, 9, 13, 30):
+                    z = dry(x)
+                    if z is None:
+                        assert view.row(x, 40) == [one] * 41
+                        assert view.value(x, 40) == one
+                        continue
+                    t_max = z + 7
+                    row = view.row(x, t_max) if row_first else None
+                    got = [view.value(x, t) for t in (z - 1, z, z + 1, t_max)]
+                    row = row or view.row(x, t_max)
+                    assert got[0] > 0 and got[1:] == [zero] * 3, (kind, x)
+                    assert all(v > 0 for v in row[:z]) and row[z:] == [zero] * 8, (kind, x)
+                    assert all(type(v) is type(one) for v in row + got)
+                    cache = view._cells if exact else view._rows
+                    if steps == 1:  # a (1, 1) row is 1, then 0, with nothing to cache
+                        assert not cache
+                        continue
+                    cached = cache[z - steps + 1][0] if exact else cache[z - steps + 1]
+                    assert len(cached) == z + 1 and cached[z] == 0, (kind, x, exact)
+            view = SurvivalMatrix(kind, p, exact)
+            for t in range(61):
+                residual = view.column_sum_residual(t)
+                assert residual == 0 if exact else residual <= 1e-12, (kind, t)
 
 
 def test_slab_hands_out_each_distinct_row_once():

@@ -83,6 +83,23 @@ def test_hit_time_matches_strategy_reference():
                 got = sim._pool_hit_times(kind, params, x, np.array([seed], np.uint64), sid,
                                           limit)
                 assert got.tolist() == [want or 0]
+    # a partition member runs the same engine as the rule (1, 1) over its own
+    # boxes: solo, and fleet searcher i as coordinated member i, at boxes it
+    # opens (to its visit step and one below) and at boxes it never opens
+    seeds = np.arange(4, dtype=np.uint64)
+    for k in (2, 3, 5):
+        params = SearchParams(k)
+        members = [(StrategyKind.solo(), sid) for sid in (1, 2)]
+        members += [(StrategyKind.coordinated(i), i) for i in range(1, k + 1)]
+        for kind, sid in members:
+            for x in (1, 2, k, k + 1, 2 * k + 1, 40, 101):
+                full = reference_hit_time(kind, params, x, 0, sid, 500)
+                assert full == kind.visit_step(params, x)
+                for limit in (500, full, full - 1) if full else (500,):
+                    want = reference_hit_time(kind, params, x, 0, sid, limit)
+                    assert want == (full if full and limit >= full else None)
+                    got = sim._pool_hit_times(kind, params, x, seeds, sid, limit)
+                    assert got.tolist() == [want or 0] * len(seeds), (kind, sid, x, limit)
 
 
 def test_mc_matches_exact_expected_time_x1():
@@ -362,6 +379,33 @@ def test_block_random_stats_pinned():
         reprs.append(repr(estimate_speedup(cfg, 200)))
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert digest == "3af00ee3317dc2da1805cf1828b85a7fd956b65b3eefc6dbe40894473f6765b2"
+
+
+def test_partition_stats_pinned():
+    # RunStats reprs of solo and coordinated fleets from the closed-form
+    # partition outcome (earliest visit step, lowest id on a tie): per-searcher
+    # shifts, crash schedules, a solo fleet of three, and fleets whose only
+    # member that opens x crashes first (members 1 and 3 of k = 3 never open 8)
+    local = Perturbation(kind="local-shuffle", window=4, seed=2)
+    extra = Perturbation(kind="extra-boxes")
+    solo, coordinated = StrategyKind.solo(), StrategyKind.coordinated
+    cases = [
+        config(k=1, kind=solo, x=9, seed=1),
+        config(k=2, kind=solo, x=40, seed=2, perturbations=(shift(3), extra)),
+        config(k=1, kind=solo, x=12, seed=3, searchers=3, crashes=CrashSchedule(((1, 4), (2, 20))),
+               perturbations=(shift(1), Perturbation(), shift(2))),
+        config(k=3, kind=coordinated(1), x=100, seed=4),
+        config(k=3, kind=coordinated(2), x=20, seed=5, crashes=CrashSchedule(((2, 5),)),
+               perturbations=(shift(2), Perturbation(), shift(4))),
+        config(k=5, kind=coordinated(1), x=23, seed=6,
+               perturbations=(local, extra, shift(1), local, shift(7))),
+        config(k=3, kind=coordinated(1), x=8, seed=7, searchers=3,
+               crashes=CrashSchedule(((2, 3),))),
+        config(k=2, kind=coordinated(2), x=9, seed=8, crashes=CrashSchedule(((1, 5),))),
+    ]
+    reprs = [repr(estimate_speedup(c, 50, allow_non_discovery=True)) for c in cases]
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == "6ba2ced05652ec516b107e83eef1fa072f01725ce8f18e08814766993f7a19e1"
 
 
 def test_trial_past_the_first_horizon_is_found():

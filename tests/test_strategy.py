@@ -168,11 +168,22 @@ def test_pool_rule():
         for x in range(1, 201):
             first = next(t for t in range(1, 401) if limit(t) >= x)
             assert kind.entry_step(params, x) == first
-    for kind in (StrategyKind.solo(), StrategyKind.coordinated(1)):
-        with pytest.raises(ValueError):
-            kind.pool_limit(SearchParams(2), 1)
-        with pytest.raises(ValueError):
-            kind.entry_step(SearchParams(2), 1)
+    # a partition member is the rule (1, 1) over its own boxes i, i + k, ...:
+    # the pool holds t own boxes at step t, and box x enters at its visit step
+    for k in (1, 2, 3, 5):
+        params = SearchParams(k)
+        members = [(StrategyKind.solo(), 1, 1)]
+        members += [(StrategyKind.coordinated(i), i, k) for i in range(1, k + 1)]
+        for kind, i, n in members:
+            assert kind.pool_rule(params) == (1, 1)
+            assert [kind.pool_limit(params, t) for t in range(401)] == list(range(401))
+            for x in range(1, 201):
+                own = kind.own_index(params, x)
+                if (x - i) % n:
+                    assert own is None
+                else:
+                    assert own == (x - i) // n + 1
+                    assert kind.entry_step(params, own) == kind.visit_step(params, x)
 
 
 def test_nested_k1_fills_pools_exactly():

@@ -41,6 +41,14 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
+class _Spelled(dict):
+    """The CSV text of each float, formatted on first use."""
+
+    def __missing__(self, v: float) -> str:
+        text = self[v] = format(v, _FLOAT_SPEC)
+        return text
+
+
 def _emit(pieces: Iterable[str], path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -240,8 +248,13 @@ def _cmd_matrix(args, seed: int) -> Output:
                              f"--tmax {args.tmax}")
     view = matrix.SurvivalMatrix(kind, params, exact=args.exact)
     cells, which = view.slab(args.xmax, args.tmax)  # exact cells are "p/q" text
-    texts = [",".join(row if args.exact else map(format, row, repeat(_FLOAT_SPEC)))
-             for row in cells]
+    if args.exact:
+        texts = [",".join(row) for row in cells]
+    elif kind.pool_rule(params) == (1, 1):  # rows of 1.0 and 0.0: spell each value once
+        spelled = _Spelled()
+        texts = [",".join(map(spelled.__getitem__, row)) for row in cells]
+    else:  # a pool row's cells are all distinct
+        texts = [",".join(map(format, row, repeat(_FLOAT_SPEC))) for row in cells]
     xs = range(1, args.xmax + 1)
     options = {"k": args.k, "strategy": kind.describe(), "xmax": args.xmax,
                "tmax": args.tmax, "exact": args.exact}

@@ -20,12 +20,19 @@ by the step at which they enter, and a round draws in sub-batches within each
 run of rows that share it.  Round 1 runs on numpy uint64 arrays for all rows
 at once: SeedSequence hashing and PCG64 seeding, the jump to the step at
 which the treasure joins the row's pool (F. Brown's LCG jump-ahead, as in
-``PCG64.advance``), and the first draws.  In each later round a row still running hands its PCG64 state to a
-native generator through ``.state`` (it is not re-seeded) and draws there.
-All of these reproduce numpy's streams bit for bit, so each trial's outcome
-is the one its searchers' own ``Generator(PCG64(searcher_seed(trial seed,
-sid)))`` streams give.  No trial has a horizon: one finds nothing only when
-every searcher crashed first.  :func:`run_trial` is the same path at one trial.
+``PCG64.advance``), and the first draws, whose last emulated state each row
+keeps.  In each later round a row still running hands its PCG64 state to a
+native generator through ``.state`` (it is not re-seeded) and draws there;
+then every row's state jumps past the round at once.  All of these
+reproduce numpy's streams bit for bit, so each trial's outcome is the one its
+searchers' own ``Generator(PCG64(searcher_seed(trial seed, sid)))`` streams
+give.  A round settles most rows with one comparison: a treasure whose slot
+stays below the round's smallest list size is never the list's last box, so
+it never moves and only a draw of its slot hits it.  A one-box pool (a
+partition member, block-random(1)) hits at its entry step whatever it draws,
+so its rows seed no stream.  No trial has a horizon: one finds nothing only
+when every searcher crashed first.  :func:`run_trial` is the same path at one
+trial.
 """
 
 from __future__ import annotations
@@ -355,15 +362,38 @@ def _uniforms(state) -> np.ndarray:
     return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _list_sizes(kind: StrategyKind, params: SearchParams, t: int, n: int) -> np.ndarray:
-    """Candidate-list lengths pool_limit(s) - (s - 1) at steps s = t..t+n-1
-    (read-only).  The trials of one experiment share the treasure, hence the
-    rounds, so the few in use are kept rather than computed per row."""
-    steps = np.arange(t, t + n)
-    m = kind.pool_limit(params, steps) - steps + 1
-    m.flags.writeable = False
-    return m
+@functools.lru_cache(maxsize=32)
+def _size_window(c: int, p: int, phase: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate-list lengths at steps s = phase+1 .. phase+n (phase < p) of
+    the pool rule (c, p), as read-only int64 and float64 arrays: with
+    q, r = divmod(s - 1, p), pool_limit(s) - (s - 1) = c - r + q*(c - p)."""
+    q, r = np.divmod(np.arange(phase, phase + n), p)
+    m = c - r + q * (c - p)
+    mf = m.astype(np.float64)
+    m.flags.writeable = mf.flags.writeable = False
+    return m, mf
+
+
+def _list_sizes(kind: StrategyKind, params: SearchParams, t: int,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate-list lengths m(s) = pool_limit(s) - (s - 1) at steps
+    s = t..t+n-1, as read-only int64 and float64 arrays (the float copy
+    spares each sub-batch a cast of the sizes).
+
+    A period of the pool rule (c, p) adds c - p to every length,
+    m(s + p) = m(s) + (c - p), so a window is the cached window of its phase
+    (t - 1) mod p in the first period, lifted by whole periods.  Only those
+    few windows are kept: the steps of the rounds differ from experiment to
+    experiment, so a lifted window is seldom asked for twice, and a lift
+    costs about what looking it up would save."""
+    c, p = kind.pool_rule(params)
+    periods, phase = divmod(t - 1, p)
+    m, mf = _size_window(c, p, phase, n)
+    if periods and c != p:
+        m = m + periods * (c - p)
+        mf = m.astype(np.float64)
+        m.flags.writeable = mf.flags.writeable = False
+    return m, mf
 
 
 def _event_search(j: np.ndarray, m: np.ndarray, p: np.ndarray, end: np.ndarray):
@@ -372,15 +402,30 @@ def _event_search(j: np.ndarray, m: np.ndarray, p: np.ndarray, end: np.ndarray):
     Column c draws slot j[r, c] of an m[c]-box candidate list and moves the
     list's last box into it.  Only two draws matter: the treasure's slot (a
     hit), or another slot while the treasure is last (it moves there).  Row r
-    starts with the treasure in slot p[r] and reads columns below end[r]; one
-    pass per move of a treasure serves all rows at once.  Returns (column of
-    each row's hit or -1, each row's slot after its last column).
+    starts with the treasure in slot p[r] and reads columns below end[r].
+    Returns (column of each row's hit or -1, each row's slot after its last
+    column).
+
+    A row with p + 1 < min(m) is settled: its treasure is never last in the
+    round, so it never moves, and one comparison j == p finds its hit.  Only
+    the other rows (the treasure last at entry, or a block-random pool
+    running dry) follow their treasure from move to move, one pass per move
+    serving all of them at once.
     """
+    moving = p + 1 >= m.min()
+    if moving.all():  # e.g. every block-random pool runs dry within the round
+        hit = np.full(len(j), -1)
+    else:
+        eq = j == p[:, None]
+        col = eq.argmax(1)
+        hit = np.where(eq[np.arange(len(j)), col] & (col < end), col, -1)
+        if not moving.any():
+            return hit, p
+    live = moving.nonzero()[0]
+    hit[live] = -1
     cols = np.arange(j.shape[1])
     p = p.copy()
     start = np.zeros(len(j), np.int64)
-    hit = np.full(len(j), -1)
-    live = np.arange(len(j))
     while live.size:
         slot = p[live, None]
         events = ((j[live] == slot) | (m == slot + 1)) & (cols >= start[live, None])
@@ -401,6 +446,8 @@ def _native_uniforms(bits: np.random.PCG64, streams: np.ndarray, end: np.ndarray
     """Generator.random's doubles (rows x width) of the PCG64 ``streams``: row
     r draws its first end[r] columns on the native ``bits``, handed the row's
     state and inc through ``.state``; the rest stay 0."""
+    # zero-filled, not np.empty: the columns a row leaves undrawn are cast to
+    # int64 too, and an uninitialised NaN there would warn (an error in tests)
     u = np.zeros((len(end), width))
     rng = np.random.Generator(bits)
     for r, (s_hi, s_lo, i_hi, i_lo, e) in enumerate(zip(*streams.tolist(), end.tolist())):
@@ -441,10 +488,13 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, rows: tuple, key: np.
     is never read and it need not draw the whole round.
 
     With ``bits`` None this is round 1: the streams are as seeded, and the
-    draws, t - 1 steps on, are emulated.  Later rounds draw natively on
-    ``bits``.  Rows draw in sub-batches of at most CHUNK_MAX uniforms, each
-    within one run of rows that share t, so that one list of candidate-list
-    sizes (and in round 1 one jump table) serves the whole sub-batch.
+    draws, t - 1 steps on, are emulated; the last column of the emulated
+    states is the state past the round, which each row keeps.  Later rounds
+    draw natively on ``bits`` and then advance every row's state past the
+    round by one jump.  Rows draw in sub-batches of at most CHUNK_MAX
+    uniforms, each within one run of rows that share t, so that one list of
+    candidate-list sizes (and in round 1 one jump table) serves the whole
+    sub-batch.
     """
     t, idx, sid, bound, p, streams = rows
     bound = np.minimum(bound, (key[idx] - sid - 1) // span)
@@ -456,16 +506,18 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, rows: tuple, key: np.
     hit = np.empty(len(t), np.int64)
     per = max(1, CHUNK_MAX // width)
     for a, b, step in _step_runs(t):
-        m = _list_sizes(kind, params, step, width)
+        m, mf = _list_sizes(kind, params, step, width)
         jump = _jump_table(step - 1, width) if bits is None else None
         for i in range(a, b, per):
             sub = slice(i, min(i + per, b))
             if bits is None:
                 s_hi, s_lo, i_hi, i_lo = streams[:, sub, None]
-                u = _uniforms(_affine((s_hi, s_lo), (i_hi, i_lo), *jump))
+                state = _affine((s_hi, s_lo), (i_hi, i_lo), *jump)
+                streams[0, sub], streams[1, sub] = state[0][:, -1], state[1][:, -1]
+                u = _uniforms(state)
             else:
                 u = _native_uniforms(bits, streams[:, sub], end[sub], width)
-            u *= m
+            u *= mf
             hit[sub], p[sub] = _event_search(u.astype(np.int64), m, p[sub], end[sub])
     found = hit >= 0
     np.minimum.at(key, idx[found], (t[found] + hit[found]) * span + sid[found])
@@ -473,13 +525,9 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, rows: tuple, key: np.
     if not live.any():
         return None
     t, idx, sid, bound, p, streams = _select(live, t, idx, sid, bound, p, streams)
-    # past the round: round 1 jumped t - 1 steps first, so its advance runs
-    # per run of equal t; later rounds advance every row alike
-    runs = _step_runs(t) if bits is None else [(0, len(t), 1)]
-    for a, b, step in runs:
-        s_hi, s_lo, i_hi, i_lo = streams[:, a:b]
-        streams[:2, a:b] = _affine((s_hi, s_lo), (i_hi, i_lo),
-                                   *_jump_table(step - 1 + width - 1, 1))
+    if bits is not None:  # round 1's rows already hold their state past the round
+        s_hi, s_lo, i_hi, i_lo = streams
+        streams[:2] = _affine((s_hi, s_lo), (i_hi, i_lo), *_jump_table(width - 1, 1))
     return t + width, idx, sid, bound, p, streams
 
 
@@ -497,7 +545,8 @@ def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: l
     enters its pool.  Round 1 seeds every row, jumps it to that step (earlier
     draws cannot touch the target), and draws BATCH_CHUNK uniforms, all
     emulated at once; each later round draws 4x more, up to CHUNK_MAX, per
-    row on one native PCG64.
+    row on one native PCG64.  A (1, 1) pool holds one box, so its rows go
+    straight to their keys at their entry step and no stream is seeded.
 
     Each (fleet, trial) keeps its best as one key, hit * span + sid with span
     above every sid, so the earliest hit wins and the lowest id breaks ties,
@@ -511,6 +560,13 @@ def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: l
     entries = sorted((first, fleet, sid, limit, own - first)
                      for fleet, plan in enumerate(plans)
                      for sid, own, first, limit in plan)
+    if kind.pool_rule(params) == (1, 1):
+        # a one-box pool (a partition member, block-random(1)): every row hits
+        # at its entry step whatever it draws, so nothing is seeded or drawn;
+        # written in reverse, each fleet keeps its least (step, sid)
+        for first, fleet, sid, *_ in reversed(entries):
+            key[fleet * trials:(fleet + 1) * trials] = first * span + sid
+        entries = []
     if entries:
         sids = sorted({sid for _, _, sid, *_ in entries})
         # the (sid, trial) streams, seeded by broadcasting sids against trials

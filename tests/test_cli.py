@@ -183,6 +183,20 @@ MATRIX_STDOUT_SHA256 = [
      "ee09c1c977464d42bc7a9d29c896423cc7778edb5c070882b68835ca22b2f920"),
     ("--strategy coordinated --k 3 --searcher-id 3 --xmax 10 --tmax 6 --format json",
      "2cb436be0576ffffe70d1fa0cbe1b9bdc034c2b5074e1def6668ac4a14bb7580"),
+    # float slabs of one-box pools, whose rows hold 1.0 and 0.0 only, pinned
+    # before each cell value was formatted once
+    ("--strategy solo --xmax 120 --tmax 90",
+     "14fa8c8da2341970626f464ba41ac38728087487bfa8cb16e0f19784a7401891"),
+    ("--strategy solo --xmax 120 --tmax 90 --format json",
+     "2e55bd6a16ebf868e2143e6c6caeedc64ea5c51c936e2b5873094e202ba0c12a"),
+    ("--strategy coordinated --k 4 --searcher-id 3 --xmax 70 --tmax 40",
+     "87169f650ed234011f37c110ac7385bb7b28ebc0176f671c7fceff8e339e9c39"),
+    ("--strategy coordinated --k 4 --searcher-id 3 --xmax 70 --tmax 40 --format json",
+     "6942b32fc0bb8013f737b7575ba3f0c8c6f20b7eec7aaf16711a76da41a5b49d"),
+    ("--strategy block-random --block 1 --xmax 50 --tmax 60",
+     "d62fa30003b484bf326f4a93bf556997b6ba08f6fa45ea2016cb2f0e1503353e"),
+    ("--strategy block-random --block 1 --xmax 50 --tmax 60 --format json",
+     "619cd273f09de3cb34bbaf466cd59f7922f2c4eea46af151e0c9d685a480e2f6"),
 ]
 
 

@@ -362,6 +362,91 @@ def test_rounds_widen_within_the_draw_budget(monkeypatch):
     assert (1, sim.CHUNK_MAX) in shapes
 
 
+def test_one_box_pools_seed_no_stream(monkeypatch):
+    # a (1, 1) row (solo, a coordinated member, block-random(1)) hits at its
+    # entry step whatever it draws, so its fleet seeds no stream; a nested
+    # fleet, run last, shows that the wrapper sees the streams that are seeded
+    seeded = []
+    seed_streams = sim._seeded_streams
+
+    def record(words, sids):
+        seeded.append(sids.size)
+        return seed_streams(words, sids)
+
+    monkeypatch.setattr(sim, "_seeded_streams", record)
+    fleets = [config(k=1, kind=StrategyKind.solo(), x=9, seed=1),
+              config(k=2, kind=StrategyKind.solo(), x=40, seed=2,
+                     perturbations=(shift(3), Perturbation(kind="extra-boxes"))),
+              config(k=3, kind=StrategyKind.coordinated(1), x=100, seed=4),
+              config(k=3, kind=StrategyKind.coordinated(2), x=20, seed=5,
+                     crashes=CrashSchedule(((2, 5),))),
+              config(k=1, kind=StrategyKind.block_random(1), x=5, seed=3)]
+    for c in fleets:
+        estimate_speedup(c, 50, allow_non_discovery=True)
+        run_trial(c)
+    sim.estimate_speedups(fused_sets()[4], 40)
+    assert seeded == []
+    estimate_speedup(config(k=2, x=30, seed=6), 50)
+    assert seeded and all(seeded)
+
+
+def column_walk(j, m, p, end):
+    """_event_search's reference: each row walks its columns one by one."""
+    hits, slots = [], []
+    for row, slot, stop in zip(j.tolist(), p.tolist(), end.tolist()):
+        hit = -1
+        for c in range(stop):
+            if row[c] == slot:
+                hit = c
+                break
+            if slot == m[c] - 1:  # the treasure is last: the draw's slot takes it
+                slot = row[c]
+        hits.append(hit)
+        slots.append(slot)
+    return hits, slots
+
+
+@pytest.mark.parametrize("kind, k", [(StrategyKind.nested(), 1), (StrategyKind.nested(), 2),
+                                     (StrategyKind.nested(), 5),
+                                     (StrategyKind.block_random(3), 2),
+                                     (StrategyKind.solo(), 1)])
+def test_event_search_matches_column_walk(kind, k):
+    # random draws over the rule's own list sizes, with treasures last at
+    # entry, rows that stop before the round's end, and one-column rounds
+    rng = np.random.default_rng(k * 7 + kind.block_len)
+    params = SearchParams(k)
+    for width in (1, 2, 16, 64):
+        for t in (1, 2, 3, 4, 7, 40, 1001):
+            m = sim._list_sizes(kind, params, t, width)[0]
+            rows = 40
+            j = (rng.random((rows, width)) * m).astype(np.int64)
+            p = rng.integers(0, m[0], rows)
+            p[:8] = m[0] - 1
+            end = rng.integers(1, width + 1, rows)
+            end[::3] = width
+            given = p.copy()
+            hit, slot = sim._event_search(j, m, p, end)
+            assert (hit.tolist(), slot.tolist()) == column_walk(j, m, p, end), (width, t)
+            assert p.tolist() == given.tolist()
+
+
+def test_list_sizes_follow_the_pool_rule():
+    # the windows lifted from one pool period equal pool_limit(s) - s + 1,
+    # with an equal float copy, far into the run and at every round width
+    kinds = [(StrategyKind.nested(), SearchParams(k)) for k in (1, 2, 3, 5)]
+    kinds += [(StrategyKind.block_random(b), SearchParams(2)) for b in (1, 2, 3, 5)]
+    kinds += [(StrategyKind.solo(), SearchParams(1)), (StrategyKind.coordinated(2), SearchParams(3))]
+    for kind, params in kinds:
+        for t in [*range(1, 41), 999, 7001, 10 ** 9 + 1]:
+            for n in (1, 16, 8192):
+                steps = np.arange(t, t + n)
+                m, mf = sim._list_sizes(kind, params, t, n)
+                assert m.dtype == np.int64 and mf.dtype == np.float64
+                assert m.tolist() == (kind.pool_limit(params, steps) - steps + 1).tolist()
+                assert mf.tolist() == m.astype(np.float64).tolist()
+                assert not m.flags.writeable and not mf.flags.writeable
+
+
 def test_negative_base_seed_raises_value_error():
     for kind in (StrategyKind.nested(), StrategyKind.block_random(3), StrategyKind.solo()):
         with pytest.raises(ValueError, match="expected non-negative integer"):

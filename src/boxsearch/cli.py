@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ SEED_ENV_VAR = "BOXSEARCH_SEED"
 
 _STRATEGY_CHOICES = (NESTED, BLOCK_RANDOM, SOLO, COORDINATED)
 _FLOAT_SPEC = ".12g"  # how CSV writes a float
+_spell = f"{{:{_FLOAT_SPEC}}}".format  # the CSV text of a float
 
 
 def _fmt(v) -> str:
@@ -39,14 +39,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, _FLOAT_SPEC)
     return "" if v is None else str(v)
-
-
-class _Spelled(dict):
-    """The CSV text of each float, formatted on first use."""
-
-    def __missing__(self, v: float) -> str:
-        text = self[v] = format(v, _FLOAT_SPEC)
-        return text
 
 
 def _emit(pieces: Iterable[str], path: str | None) -> None:
@@ -223,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_matrix(args, seed: int) -> Output:
     """The slab N(x, t) for x <= --xmax, t <= --tmax.  The view hands out
-    each distinct row once (:meth:`matrix.SurvivalMatrix.slab`): its CSV text
-    is joined once, and in JSON every x with that row shares its cell list."""
+    each distinct row once (:meth:`matrix.SurvivalMatrix.slab`), for CSV
+    with each cached float cell spelled once: a row's CSV text is joined
+    once, and in JSON every x with that row shares its cell list."""
     cells = args.xmax * (args.tmax + 1)
     if args.xmax < 1 or args.tmax < 0:
         raise ValueError("--xmax must be >= 1 and --tmax >= 0")
@@ -247,20 +240,16 @@ def _cmd_matrix(args, seed: int) -> Output:
                              f"must keep c*ceil(t/p) and t + p - 1 below 2**63 up to "
                              f"--tmax {args.tmax}")
     view = matrix.SurvivalMatrix(kind, params, exact=args.exact)
-    cells, which = view.slab(args.xmax, args.tmax)  # exact cells are "p/q" text
-    if args.exact:
-        texts = [",".join(row) for row in cells]
-    elif kind.pool_rule(params) == (1, 1):  # rows of 1.0 and 0.0: spell each value once
-        spelled = _Spelled()
-        texts = [",".join(map(spelled.__getitem__, row)) for row in cells]
-    else:  # a pool row's cells are all distinct
-        texts = [",".join(map(format, row, repeat(_FLOAT_SPEC))) for row in cells]
+    csv = args.format == "csv"  # exact cells are "p/q" text in either format
+    cells, which = view.slab(args.xmax, args.tmax, _spell if csv else None)
     xs = range(1, args.xmax + 1)
     options = {"k": args.k, "strategy": kind.describe(), "xmax": args.xmax,
                "tmax": args.tmax, "exact": args.exact}
-    return Output(options, [{"x": x, "n": cells[i]} for x, i in zip(xs, which)],
-                  ["x", *map(str, range(args.tmax + 1))],
-                  [(x, texts[i]) for x, i in zip(xs, which)], None)
+    if csv:
+        texts = [",".join(row) for row in cells]
+        return Output(options, [], ["x", *map(str, range(args.tmax + 1))],
+                      [(x, texts[i]) for x, i in zip(xs, which)], None)
+    return Output(options, [{"x": x, "n": cells[i]} for x, i in zip(xs, which)], [], [], None)
 
 
 def _cmd_speedup(args, seed: int) -> Output:

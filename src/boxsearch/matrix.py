@@ -79,14 +79,15 @@ class SurvivalMatrix:
     and is then multiplied by (1 - 1/m) at each step t, where
     m = pool_limit(t) - (t - 1) is the number of unvisited pool members.  A
     row depends on x only through that first step, so rows are cached per
-    first step, m read from one list of sizes.  A cached row ends at its
-    first zero, a step where m = 1: where a partition member opens x, or the
-    end of x's block for a rule with c = p.  Float rows apply the factor as
-    ``row[-1] * (m - 1) / m``; exact cells are kept once, as integer pairs
-    in lowest terms reduced by cross-cancelling, from which :meth:`value` and
-    :meth:`row` build ``Fraction``s and :meth:`slab` writes text.  Cache
-    fills are idempotent and deterministic, hence concurrent readers observe
-    the same values a serial evaluation produces.
+    first step, m read from one list of sizes.  A cached row starts at step
+    first - 1, its last 1, and ends at its first zero, a step where m = 1:
+    where a partition member opens x, or the end of x's block for a rule
+    with c = p.  Float rows apply the factor as ``row[-1] * (m - 1) / m``;
+    exact cells are kept once, as integer pairs in lowest terms reduced by
+    cross-cancelling, from which :meth:`value` and :meth:`row` build
+    ``Fraction``s and :meth:`slab` writes text.  Cache fills are idempotent
+    and deterministic, hence concurrent readers observe the same values a
+    serial evaluation produces.
     """
 
     def __init__(self, kind: StrategyKind, params: SearchParams, exact: bool = False) -> None:
@@ -102,32 +103,32 @@ class SurvivalMatrix:
         """N(x, t) (a Fraction when exact, else a float); for a partition
         member, the 0/1 indicator that it has not opened x by step t."""
         _validate_xt(x, t)
-        first = self._first(x, t)
-        if first > t or self._rule == (1, 1):  # a (1, 1) row is 1, then 0 from first
-            return Fraction(int(first > t)) if self.exact else float(first > t)
-        if self.exact:
-            nums, dens = self._exact_cells(first, t)
-            t = min(t, len(nums) - 1)  # a row that ran dry ends at its zero
-            return Fraction(nums[t], dens[t])
-        row = self._row(first, t)
-        return row[min(t, len(row) - 1)]
+        cell = self._cell(self._first(x, t), t)
+        return Fraction(*cell) if self.exact else cell
 
     def row(self, x: int, t_max: int) -> list[Prob]:
         """[N(x, 0), ..., N(x, t_max)], equal to :meth:`value` cell by cell."""
         _validate_xt(x, t_max)
-        return self._row_from(self._first(x, t_max), t_max, _fractions)
+        return self._row_from(self._first(x, t_max), t_max, _fractions if self.exact else list)
 
-    def slab(self, x_max: int, t_max: int) -> tuple[list[list[float | str]], list[int]]:
+    def slab(self, x_max: int, t_max: int, spell: Callable[[float], str] | None = None
+             ) -> tuple[list[list[float | str]], list[int]]:
         """The slab x <= x_max, t <= t_max as its distinct rows and, for each
         x in 1..x_max, the index of x's row: each row is made once however
-        many x share it.  Cells are floats, or when exact the text of each
-        cell, ``n`` or ``n/d`` (what ``str`` of its Fraction gives), written
-        straight from the cached pairs, so no Fraction is built."""
+        many x share it.  Cells are floats, or with spell the text spell(v)
+        of each float, spelled once per cached cell; when exact they are the
+        text of each cell, ``n`` or ``n/d`` (what ``str`` of its Fraction
+        gives), written straight from the cached pairs, so no Fraction is
+        built."""
         _validate_xt(x_max, t_max)
         index: dict[int, int] = {}  # first step -> row index, in order of first use
         which = [index.setdefault(self._first(x, t_max), len(index))
                  for x in range(1, x_max + 1)]
-        return [self._row_from(first, t_max, _rational_texts) for first in index], which
+        if self.exact:
+            cells = _rational_texts
+        else:
+            cells = list if spell is None else lambda row: list(map(spell, row))
+        return [self._row_from(first, t_max, cells) for first in index], which
 
     def _first(self, x: int, t_max: int) -> int:
         """The first step of x's row, the entry step of its own index, or
@@ -135,23 +136,30 @@ class SurvivalMatrix:
         own = self.kind.own_index(self.params, x)
         return t_max + 1 if own is None else min(self.kind.entry_step(self.params, own), t_max + 1)
 
-    def _row_from(self, first: int, t_max: int,
-                  exact_cells: Callable[[list[int], list[int]], list]) -> list:
+    def _cell(self, first: int, t: int):
+        """N(x, t) for an x whose row's first step is first <= t + 1: a float,
+        or when exact its lowest-terms pair (n, d)."""
+        if self.exact:
+            nums, dens = self._exact_cells(first, t)
+            i = min(t - first + 1, len(nums) - 1)  # a row that ran dry ends at its zero
+            return nums[i], dens[i]
+        row = self._row(first, t)
+        return row[min(t - first + 1, len(row) - 1)]
+
+    def _row_from(self, first: int, t_max: int, cells: Callable[..., list]) -> list:
         """[N(x, 0), ..., N(x, t_max)] for an x whose row's first step is
-        first <= t_max + 1, the exact cells made from their lowest-terms
-        numerators and denominators by exact_cells(nums, dens).  A (1, 1) row
-        (a partition member, block-random(1)) is 1 then 0 and fills no cache."""
-        if first > t_max:
-            return [exact_cells([1], [1])[0] if self.exact else 1.0] * (t_max + 1)
-        if self._rule == (1, 1):
-            cells = exact_cells([1, 0], [1, 1]) if self.exact else [1.0, 0.0]
-        elif self.exact:
+        first <= t_max + 1: the cached cells at steps first - 1..t_max made
+        by cells(nums, dens) from their lowest-terms numerators and
+        denominators when exact, else by cells(floats), led by copies of the
+        first (a 1) and padded with copies of the last (a row that ran dry)."""
+        n = t_max - first + 2
+        if self.exact:
             nums, dens = self._exact_cells(first, t_max)
-            cells = exact_cells(nums[first - 1:t_max + 1], dens[first - 1:t_max + 1])
+            made = cells(nums[:n], dens[:n])
         else:
-            cells = self._row(first, t_max)[first - 1:t_max + 1]
-        row = cells[:1] * (first - 1)
-        row += cells
+            made = cells(self._row(first, t_max)[:n])
+        row = made[:1] * (first - 1)
+        row += made
         row.extend(repeat(row[-1], t_max + 1 - len(row)))
         return row
 
@@ -165,33 +173,39 @@ class SurvivalMatrix:
         return sizes
 
     def _row(self, first: int, t: int) -> list[float]:
-        """The cached float row [N(x, 0), ..., N(x, t), ...] for x entering at
-        step first <= t; it ends early at its zero if it runs dry by t."""
+        """The cached float row [N(x, first - 1), ..., N(x, t), ...] for x
+        entering at step first <= t + 1; it ends early at its zero if it
+        runs dry by t."""
         row = self._rows.get(first)
         if row is None:
-            row = self._rows[first] = [1.0] * first
-        for m in self._sizes_to(t)[len(row):self._end(first, t)]:
+            row = self._rows[first] = [1.0]
+        for m in self._pending(first, t, len(row)):
             row.append(row[-1] * (m - 1) / m)
         return row
 
-    def _end(self, first: int, t: int) -> int:
-        """One past the row's last step <= t: with c = p it runs dry p - 1 steps after first."""
+    def _pending(self, first: int, t: int, done: int) -> list[int]:
+        """The sizes m at the steps after the done cached cells of the row of
+        first step first, up to t or, with c = p, to the row's zero p - 1
+        steps after first."""
         c, p = self._rule
-        return min(t, first + p - 1) + 1 if c == p else t + 1
+        start = first - 1 + done
+        end = min(t, first + p - 1) + 1 if c == p else t + 1
+        return self._sizes_to(end - 1)[start:end] if start < end else []
 
     def _exact_cells(self, first: int, t: int) -> tuple[list[int], list[int]]:
-        """The cached lowest-terms numerators and denominators of N(x, 0..t, ...)
-        for x entering at step first; they end early at the zero, 0/1, if the
-        row runs dry by t.  Each step takes n/d to n*(m-1) / (d*m) with the
-        common factors of n and m, and of m-1 and d, cancelled first; n and d
-        are coprime, as are m and m-1, so the result is in lowest terms too."""
+        """The cached lowest-terms numerators and denominators of
+        N(x, first - 1..t, ...) for x entering at step first <= t + 1; they
+        end early at the zero, 0/1, if the row runs dry by t.  Each step
+        takes n/d to n*(m-1) / (d*m) with the common factors of n and m, and
+        of m-1 and d, cancelled first; n and d are coprime, as are m and
+        m-1, so the result is in lowest terms too."""
         cells = self._cells.get(first)
         if cells is None:
-            cells = self._cells[first] = ([1] * first, [1] * first)
+            cells = self._cells[first] = ([1], [1])
         nums, dens = cells
-        if len(nums) <= t:
+        if first - 1 + len(nums) <= t:  # the cached cells end before step t
             n, d = nums[-1], dens[-1]
-            for m in self._sizes_to(t)[len(nums):self._end(first, t)]:
+            for m in self._pending(first, t, len(nums)):
                 g1, g2 = math.gcd(n, m), math.gcd(m - 1, d)
                 n, d = n // g1 * ((m - 1) // g2), d // g2 * (m // g1)
                 nums.append(n)
@@ -200,31 +214,31 @@ class SurvivalMatrix:
 
     def power_sum(self, x: int, t_max: int, fleet: int) -> Fraction:
         """sum_{t <= t_max} N(x, t)**fleet for a pool sampler, as a Fraction
-        in either mode: one integer numerator over lcm(denominators)**fleet."""
+        in either mode: one integer numerator over lcm(denominators)**fleet,
+        the first - 1 steps before the cached row adding 1 each."""
         _validate_xt(x, t_max)
-        nums, dens = self._exact_cells(self._first(x, t_max), t_max)
-        nums, dens = nums[:t_max + 1], dens[:t_max + 1]
+        first = self._first(x, t_max)
+        nums, dens = self._exact_cells(first, t_max)
+        n = t_max - first + 2
+        nums, dens = nums[:n], dens[:n]
         lcm = 1
         for d in dens:
             lcm = lcm // math.gcd(lcm, d) * d
         common = lcm ** fleet
-        return Fraction(sum(n ** fleet * (common // d ** fleet) for n, d in zip(nums, dens)),
+        return Fraction((first - 1) * common
+                        + sum(n ** fleet * (common // d ** fleet) for n, d in zip(nums, dens)),
                         common)
 
     def support_limit(self, t: int) -> int:
-        """Largest x with N(x, t) possibly below 1, 0 at t = 0: the pool
-        limit of :meth:`StrategyKind.pool_limit` for the samplers, the last
-        box :meth:`StrategyKind.partition_box` opened for a partition
-        member."""
-        kind = self.kind
-        if kind.randomized:
-            return kind.pool_limit(self.params, t)
-        return kind.partition_box(self.params, t) if t else 0
+        """Largest x with N(x, t) possibly below 1, 0 at t = 0: the box of
+        the largest own index in the pool, :meth:`StrategyKind.pool_limit`."""
+        return max(0, self.kind.box(self.params, self.kind.pool_limit(self.params, t)))
 
     def column_sum_residual(self, t: int) -> Prob:
         """|sum_x (1 - N(x, t)) - t| over the support; zero for a
-        non-revisiting strategy.  A sampler's boxes are summed by entry
-        step: the boxes appended at step s share a row, and there are
+        non-revisiting strategy.  A partition member's boxes are summed one
+        by one, so a wrong box map shows.  A sampler's boxes are summed by
+        entry step: the boxes appended at step s share a row, and there are
         m_s - m_{s-1} + 1 of them.  Exact cells are summed in integers over
         M = m_1*...*m_t, a multiple of every denominator in column t."""
         if t < 0:
@@ -238,18 +252,15 @@ class SurvivalMatrix:
         joined = [(first, count) for first in range(1, t + 1)
                   if (count := sizes[first] - sizes[first - 1] + 1)]
         if not self.exact:
-            total = 0.0
-            for first, count in joined:
-                row = self._row(first, t)
-                total += count * (1 - row[min(t, len(row) - 1)])
-            return abs(total - t)
+            return abs(sum(count * (1 - self._cell(first, t)) for first, count in joined) - t)
         big_m = math.prod(sizes[1:t + 1])
         total = 0
         for first, count in joined:
             nums, dens = self._exact_cells(first, t)
-            try:
-                total += count * (big_m - nums[t] * (big_m // dens[t]))
-            except IndexError:  # the row ran dry before t
+            i = t - first + 1
+            if i < len(nums):  # else the row ran dry: its boxes add big_m each
+                total += count * (big_m - nums[i] * (big_m // dens[i]))
+            else:
                 total += count * big_m
         return Fraction(abs(total - t * big_m), big_m)
 
@@ -648,5 +659,6 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
     if kind.randomized:
         c, _ = kind.pool_rule(params)
         return _block_sum(kind, params, -(-x // c), epsilon * x, n_fleet)[0]
-    steps = (kind.member(sid).visit_step(params, x) for sid in range(1, n_fleet + 1))
+    # a (1, 1) member opens own index j at step j
+    steps = (kind.member(sid).own_index(params, x) for sid in range(1, n_fleet + 1))
     return float(min(s for s in steps if s is not None))

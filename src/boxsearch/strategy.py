@@ -10,12 +10,14 @@ synchronization.
 
 Every strategy is one pool sampler under one pool rule (c, p) over its own
 box list: at step t it draws uniformly among the unvisited own indices
-1..c*ceil(t/p), so own index x joins the pool at step p*ceil(x/c) - p + 1.
-Nested is (k+1, 2) and block-random(b) is (b, b) over the boxes; member i of
-an n-way partition is (1, 1) over boxes i + (j-1)*n (coordinated searcher i
-is member i of k, solo member 1 of 1).  :class:`StrategyKind` alone knows the
-rules; the simulator's engine and the exact tables read them from it, and the
-stepper here, which opens a partition's boxes directly, is their reference.
+1..c*ceil(t/p), so own index j joins the pool at step p*ceil(j/c) - p + 1.
+The box list (i, n) maps own index j to box i + (j-1)*n.  Nested is (k+1, 2)
+and block-random(b) is (b, b) over the boxes themselves, the list (1, 1);
+member i of an n-way partition is the rule (1, 1) over the list (i, n)
+(coordinated searcher i is member i of k, solo member 1 of 1).
+:class:`StrategyKind` alone knows the rules and the lists; the simulator's
+engine and the exact tables read them from it, and the stepper here, which
+opens a partition member's boxes in order, is their reference.
 """
 
 from __future__ import annotations
@@ -120,34 +122,29 @@ class StrategyKind:
         c, p = self.pool_rule(params)
         return p * -(-x // c) - p + 1
 
-    def own_index(self, params: SearchParams, x: int) -> int | None:
-        """Box x's index in this strategy's own list; None if it never opens x."""
-        return x if self.randomized else self.visit_step(params, x)
-
-    def member(self, sid: int) -> "StrategyKind":
-        """What fleet searcher sid runs: member sid of a coordinated fleet."""
-        return replace(self, searcher_id=sid) if self.name == COORDINATED else self
-
-    def partition(self, params: SearchParams) -> tuple[int, int]:
-        """(i, n): member i of an n-way partition; (1, 1) solo, (searcher_id, k) coordinated."""
-        if self.name == SOLO:
-            return 1, 1
+    def box_list(self, params: SearchParams) -> tuple[int, int]:
+        """(i, n): own index j is box i + (j-1)*n; (searcher_id, k) for a
+        coordinated member, (1, 1) for every other strategy."""
         if self.name != COORDINATED:
-            raise ValueError(f"strategy {self.name!r} is not a partition")
+            return 1, 1
         if self.searcher_id > params.k:
             raise ValueError(f"searcher_id {self.searcher_id} out of range 1..{params.k}")
         return self.searcher_id, params.k
 
-    def partition_box(self, params: SearchParams, t: int) -> int:
-        """The box the partition opens at step t >= 1: i + (t-1)*n."""
-        i, n = self.partition(params)
-        return i + (t - 1) * n
+    def box(self, params: SearchParams, j):
+        """The box of own index j, i + (j-1)*n."""
+        i, n = self.box_list(params)
+        return i + (j - 1) * n
 
-    def visit_step(self, params: SearchParams, x: int) -> int | None:
-        """The step at which the partition opens box x >= 1, or None if it never does."""
-        i, n = self.partition(params)
-        steps, off = divmod(x - i, n)
-        return steps + 1 if off == 0 and steps >= 0 else None
+    def own_index(self, params: SearchParams, x: int) -> int | None:
+        """Box x's index in this strategy's own list; None if it never opens x."""
+        i, n = self.box_list(params)
+        j, off = divmod(x - i, n)
+        return j + 1 if off == 0 and j >= 0 else None
+
+    def member(self, sid: int) -> "StrategyKind":
+        """What fleet searcher sid runs: member sid of a coordinated fleet."""
+        return replace(self, searcher_id=sid) if self.name == COORDINATED else self
 
     def check_fleet(self, params: SearchParams, fleet: int) -> None:
         """Raise ValueError unless a coordinated fleet is the whole k-way partition."""
@@ -217,9 +214,8 @@ class SearcherState:
 
 
 def make_state(kind: StrategyKind, params: SearchParams, stream: UniformStream | None = None) -> SearcherState:
-    if not kind.randomized:
-        kind.partition(params)  # raises for a searcher_id outside 1..k
-    elif stream is None:
+    kind.box_list(params)  # raises for a searcher_id outside 1..k
+    if kind.randomized and stream is None:
         raise ValueError(f"strategy {kind.name!r} needs a UniformStream")
     return SearcherState(params=params, kind=kind, stream=stream)
 
@@ -231,7 +227,7 @@ def next_box(state: SearcherState) -> int:
     at step t the list holds pool_limit(t) - (t - 1) >= 1 boxes whatever the
     draws; the emitted box is uniform over them, and its slot is refilled
     with the list's last box (swap-pop).  A partition member opens
-    ``kind.partition_box(t)``.
+    ``kind.box(t)``, own index t.
     """
     kind = state.kind
     t = state.step_count + 1
@@ -247,7 +243,7 @@ def next_box(state: SearcherState) -> int:
         if j < m - 1:
             cand[j] = last
     else:
-        box = kind.partition_box(state.params, t)
+        box = kind.box(state.params, t)
     state.visited.add(box)
     state.step_count = t
     return box

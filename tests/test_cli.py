@@ -197,6 +197,17 @@ MATRIX_STDOUT_SHA256 = [
      "d62fa30003b484bf326f4a93bf556997b6ba08f6fa45ea2016cb2f0e1503353e"),
     ("--strategy block-random --block 1 --xmax 50 --tmax 60 --format json",
      "619cd273f09de3cb34bbaf466cd59f7922f2c4eea46af151e0c9d685a480e2f6"),
+    # float slabs with long runs of leading ones, rows clipped at --tmax + 1
+    # and rows that run dry, pinned before rows were cached from their entry
+    # step
+    ("--k 2 --xmax 90 --tmax 30",
+     "69094fc0cb0b3840be9b1281eca8ec8d47514110116e0dd78f3b88f92922f784"),
+    ("--k 3 --xmax 40 --tmax 40 --format json",
+     "39445f862488eca18c98dc8325a189944245f07c8415bc0f572f0e24da2ece60"),
+    ("--strategy block-random --block 3 --xmax 20 --tmax 45",
+     "f943ba0fff516d11b42dfb586ea7ed0af55fa17f704e18760de3f30b303b9dda"),
+    ("--strategy coordinated --k 3 --searcher-id 2 --xmax 30 --tmax 12 --format json",
+     "d72d39618a5f3a51c8037269537cd5db8f9161ccdf7c61f335456f776f683504"),
 ]
 
 

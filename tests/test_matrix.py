@@ -179,9 +179,9 @@ DRY_RULES += [(StrategyKind.coordinated(i), SearchParams(3), 1,
 
 def test_rows_that_run_dry():
     # one view serves value and row in either order at steps before, at and
-    # past a row's zero; its cached cells end at that zero (a (1, 1) row
-    # caches none), and the column identity holds (float block-random cells
-    # carry their rounding)
+    # past a row's zero; every cached row, a (1, 1) row's too, starts at the
+    # step before its entry step and ends at that zero, and the column
+    # identity holds (float block-random cells carry their rounding)
     for kind, p, steps, dry in DRY_RULES:
         for exact in (False, True):
             one, zero = (F(1), F(0)) if exact else (1.0, 0.0)
@@ -200,12 +200,11 @@ def test_rows_that_run_dry():
                     assert got[0] > 0 and got[1:] == [zero] * 3, (kind, x)
                     assert all(v > 0 for v in row[:z]) and row[z:] == [zero] * 8, (kind, x)
                     assert all(type(v) is type(one) for v in row + got)
-                    cache = view._cells if exact else view._rows
-                    if steps == 1:  # a (1, 1) row is 1, then 0, with nothing to cache
-                        assert not cache
-                        continue
-                    cached = cache[z - steps + 1][0] if exact else cache[z - steps + 1]
-                    assert len(cached) == z + 1 and cached[z] == 0, (kind, x, exact)
+                    first = z - steps + 1  # the entry step of x's own index
+                    cached = view._cells[first][0] if exact else view._rows[first]
+                    assert len(cached) == steps + 1, (kind, x, exact)
+                    assert cached[0] == 1 and cached[-1] == 0, (kind, x, exact)
+                    assert all(v > 0 for v in cached[:-1]), (kind, x, exact)
             view = SurvivalMatrix(kind, p, exact)
             for t in range(61):
                 residual = view.column_sum_residual(t)
@@ -213,15 +212,18 @@ def test_rows_that_run_dry():
 
 
 def test_slab_hands_out_each_distinct_row_once():
-    # x's row depends only on its first step (entry step of a sampler, visit
-    # step of a partition member), clipped to t_max + 1 where the row stays 1:
+    # x's row depends only on its first step (the entry step of its own
+    # index), clipped to t_max + 1 where the row stays 1:
     # the slab holds one row per such step, in order of first use, and
     # equals row() cell by cell (exact cells as the text of their Fraction)
     p = SearchParams(3)
     kinds = [StrategyKind.nested(), StrategyKind.block_random(1), StrategyKind.block_random(4),
              StrategyKind.solo(), *(StrategyKind.coordinated(i) for i in (1, 2, 3))]
     for kind in kinds:
-        first = kind.entry_step if kind.randomized else kind.visit_step
+        def first(p, x, kind=kind):
+            own = kind.own_index(p, x)
+            return own and kind.entry_step(p, own)
+
         for exact in (False, True):
             for x_max, t_max in ((1, 0), (30, 0), (30, 6), (30, 40), (5, 40)):
                 view = SurvivalMatrix(kind, p, exact)
@@ -298,10 +300,10 @@ def test_column_residual_reads_the_cached_cells():
         view = SurvivalMatrix(kind, p, exact=True)
         assert view.column_sum_residual(t) == 0
         nums, dens = view._exact_cells(first, t)
-        nums[t] += 1
+        nums[t - first + 1] += 1  # the cached row starts at step first - 1
         boxes = [x for x in range(1, view.support_limit(t) + 1)
                  if kind.entry_step(p, x) == first]
-        assert view.column_sum_residual(t) == F(len(boxes), dens[t])
+        assert view.column_sum_residual(t) == F(len(boxes), dens[t - first + 1])
         assert view.column_sum_residual(t) == column_residual_by_box(view, t)
         assert [view.column_sum_residual(s) for s in range(t)] == [0] * t
 
@@ -322,11 +324,27 @@ def test_column_identity_other_strategies():
             assert view.column_sum_residual(t) == 0
 
 
+def test_column_identity_caches_rows_from_their_entry_step():
+    # a cached row starts at the step before its entry step, so a rule whose
+    # rows run dry (block-random(1), nested at k = 1) keeps at most p + 1
+    # cells a row however late its boxes enter
+    for kind, params in ((StrategyKind.block_random(1), SearchParams(2)),
+                         (StrategyKind.nested(), SearchParams(1))):
+        _, p = kind.pool_rule(params)
+        for exact in (True, False):
+            view = SurvivalMatrix(kind, params, exact)
+            assert view.column_sum_residual(3000) == 0
+            rows = [nums for nums, _ in view._cells.values()] if exact else view._rows.values()
+            assert len(rows) >= 3000 // p
+            assert max(map(len, rows)) <= p + 1, (kind, exact)
+
+
 def test_column_residual_sees_a_revisiting_map(monkeypatch):
-    # the 0/1 strategies sum 1 - N down the column like the others, so a map
-    # that opens box 1 at every step leaves a residual of t - 1
+    # a partition member's column is summed box by box, so a box map that
+    # opens box 1 at every step (no other box has an own index) leaves a
+    # residual of t - 1
     view = SurvivalMatrix(StrategyKind.coordinated(2), SearchParams(2), exact=True)
-    monkeypatch.setattr(StrategyKind, "visit_step",
+    monkeypatch.setattr(StrategyKind, "own_index",
                         lambda self, params, x: 1 if x == 1 else None)
     assert view.column_sum_residual(10) == 9
 

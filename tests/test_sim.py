@@ -94,7 +94,7 @@ def test_hit_time_matches_strategy_reference():
         for kind, sid in members:
             for x in (1, 2, k, k + 1, 2 * k + 1, 40, 101):
                 full = reference_hit_time(kind, params, x, 0, sid, 500)
-                assert full == kind.visit_step(params, x)
+                assert full == kind.own_index(params, x)  # (1, 1): own index j enters at j
                 for limit in (500, full, full - 1) if full else (500,):
                     want = reference_hit_time(kind, params, x, 0, sid, limit)
                     assert want == (full if full and limit >= full else None)

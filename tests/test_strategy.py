@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from boxsearch.matrix import SurvivalMatrix
 from boxsearch.strategy import (
     UNIFORM_CHUNK,
     UNIFORM_FIRST,
@@ -64,26 +65,64 @@ def test_solo_prefix():
 
 def test_partition_rule():
     # the rule written out: member i of an n-way partition opens i + (t-1)*n at
-    # step t; coordinated searcher i is member i of k, solo is member 1 of 1
+    # step t, own index t of the box list (i, n); coordinated searcher i is
+    # member i of k, solo is member 1 of 1
     for k in (1, 2, 3, 5):
         params = SearchParams(k)
         members = [(StrategyKind.solo(), 1, 1)]
         members += [(StrategyKind.coordinated(i), i, k) for i in range(1, k + 1)]
         for kind, i, n in members:
+            assert kind.box_list(params) == (i, n)
             boxes = opened(kind, params, 200)
             assert boxes == [i + (t - 1) * n for t in range(1, 201)]
             for x in range(1, 201):
                 want = boxes.index(x) + 1 if x in boxes else None
-                assert kind.visit_step(params, x) == want
+                assert kind.own_index(params, x) == want
+        outside = StrategyKind.coordinated(k + 1)
         with pytest.raises(ValueError):
-            StrategyKind.coordinated(k + 1).visit_step(params, 1)
+            outside.box_list(params)
         with pytest.raises(ValueError):
-            make_state(StrategyKind.coordinated(k + 1), params)
+            outside.own_index(params, 1)
+        with pytest.raises(ValueError):
+            make_state(outside, params)
+    # a sampler's own list is the boxes themselves
     for kind in (StrategyKind.nested(), StrategyKind.block_random(3)):
-        with pytest.raises(ValueError):
-            kind.partition(SearchParams(2))
-        with pytest.raises(ValueError):
-            kind.visit_step(SearchParams(2), 1)
+        assert kind.box_list(SearchParams(2)) == (1, 1)
+        assert [kind.own_index(SearchParams(2), x) for x in range(1, 201)] == list(range(1, 201))
+
+
+# every strategy a fleet can run: nested k, block-random b, solo, and every
+# coordinated member of k = 2, 3, 5
+BOX_MAP_KINDS = [(StrategyKind.nested(), SearchParams(k)) for k in (1, 2, 3, 5)]
+BOX_MAP_KINDS += [(StrategyKind.block_random(b), SearchParams(2)) for b in (1, 2, 3, 5)]
+BOX_MAP_KINDS += [(StrategyKind.solo(), SearchParams(2))]
+BOX_MAP_KINDS += [(StrategyKind.coordinated(i), SearchParams(k))
+                  for k in (2, 3, 5) for i in range(1, k + 1)]
+
+
+def test_box_and_own_index_are_inverse():
+    # box maps own indices onto the boxes one to one, and own_index undoes
+    # it: on the boxes it reaches, and on every own index
+    for kind, params in BOX_MAP_KINDS:
+        for x in range(1, 201):
+            own = kind.own_index(params, x)
+            if own is not None:
+                assert kind.box(params, own) == x, (kind, x)
+        for j in range(1, 201):
+            assert kind.own_index(params, kind.box(params, j)) == j, (kind, j)
+
+
+def test_support_limit_is_the_reference_reach():
+    # the largest box the reference stepper can have opened by step t: any
+    # box its candidate list has held (pool_level) or any box it opened
+    for kind, params in BOX_MAP_KINDS:
+        view = SurvivalMatrix(kind, params)
+        state = fresh_state(kind, params, seed=7)
+        for t in range(121):
+            if t:
+                next_box(state)
+            reach = max(state.pool_level, max(state.visited, default=0))
+            assert view.support_limit(t) == reach, (kind, params.k, t)
 
 
 def test_nested_first_step_uniform_over_first_pool():
@@ -177,13 +216,14 @@ def test_pool_rule():
         for kind, i, n in members:
             assert kind.pool_rule(params) == (1, 1)
             assert [kind.pool_limit(params, t) for t in range(401)] == list(range(401))
+            boxes = opened(kind, params, 200)
             for x in range(1, 201):
                 own = kind.own_index(params, x)
                 if (x - i) % n:
                     assert own is None
                 else:
                     assert own == (x - i) // n + 1
-                    assert kind.entry_step(params, own) == kind.visit_step(params, x)
+                    assert kind.entry_step(params, own) == boxes.index(x) + 1
 
 
 def test_nested_k1_fills_pools_exactly():

@@ -231,15 +231,14 @@ def _cmd_matrix(args, seed: int) -> Output:
             raise ValueError(f"{flag} applies to --strategy {strategy} only")
     given = {"block_len": args.block, "searcher_id": args.searcher_id}
     kind = StrategyKind(args.strategy, **{f: v for f, v in given.items() if v is not None})
-    params = SearchParams(args.k)
-    if kind.randomized:  # the pool sizes up to --tmax are int64 arrays
-        c, p = kind.pool_rule(params)
-        if max(c, args.tmax + p - 1, kind.pool_limit(params, args.tmax)) >= 1 << 63:
-            flag, value = ("--k", args.k) if kind.name == NESTED else ("--block", args.block)
-            raise ValueError(f"{flag} {value} is too large: the pool rule (c, p) = ({c}, {p}) "
-                             f"must keep c*ceil(t/p) and t + p - 1 below 2**63 up to "
-                             f"--tmax {args.tmax}")
-    view = matrix.SurvivalMatrix(kind, params, exact=args.exact)
+    rule = kind.rule(SearchParams(args.k))
+    c, p = rule.c, rule.p  # the pool sizes up to --tmax are int64 arrays
+    if max(c, args.tmax + p - 1, rule.pool_limit(args.tmax)) >= 1 << 63:
+        flag = {NESTED: "--k", BLOCK_RANDOM: "--block"}.get(kind.name, "--tmax")
+        raise ValueError(f"{flag} {getattr(args, flag[2:])} is too large: the pool rule "
+                         f"(c, p) = ({c}, {p}) must keep c*ceil(t/p) and t + p - 1 below "
+                         f"2**63 up to --tmax {args.tmax}")
+    view = matrix.SurvivalMatrix(rule, exact=args.exact)
     csv = args.format == "csv"  # exact cells are "p/q" text in either format
     cells, which = view.slab(args.xmax, args.tmax, _spell if csv else None)
     xs = range(1, args.xmax + 1)
@@ -401,7 +400,7 @@ def _verify_entries(args, seed: int) -> list[dict]:
             continue
         params = SearchParams(k)
         delta = params.delta
-        view = matrix.SurvivalMatrix(StrategyKind.nested(), params)
+        view = matrix.SurvivalMatrix(StrategyKind.nested().rule(params))
         worst_rel = 0.0
         for xp in range(1, 41):
             row = view.row((k + 1) * xp, 80)
@@ -411,7 +410,7 @@ def _verify_entries(args, seed: int) -> list[dict]:
         add("product-formula-agreement(x',t'<=40)", worst_rel, 1e-12, worst_rel <= 1e-12, k=k)
 
     for k in ks:
-        view = matrix.SurvivalMatrix(StrategyKind.nested(), SearchParams(k), exact=True)
+        view = matrix.SurvivalMatrix(StrategyKind.nested().rule(SearchParams(k)), exact=True)
         # the last column first: it fills each row once, and the rest read the cache
         worst_col = max(view.column_sum_residual(t) for t in range(100, 0, -1))
         add("column-identity(t<=100)", float(worst_col), 0.0, worst_col == 0, k=k)

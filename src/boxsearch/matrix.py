@@ -5,7 +5,7 @@ its first t steps.  A fleet of f independent searchers misses x with
 probability N(x, t)**f, so the expected discovery time is sum_t N(x, t)**f and
 the expected-time ratio theta = that sum divided by x.  Speed-up is 1/theta.
 Every strategy's table comes from one recurrence in :class:`SurvivalMatrix`,
-which reads the pool rule and each box's own index from :class:`StrategyKind`.
+which takes the strategy's :class:`Rule` and reads only its fields.
 
 Two arithmetic modes: exact ``Fraction`` values (identities that must hold
 exactly; cells kept as lowest-terms integer pairs, sums taken in integers over
@@ -23,7 +23,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .strategy import SearchParams, StrategyKind
+from .strategy import Rule, SearchParams, StrategyKind
 
 Prob = Union[Fraction, float]
 
@@ -47,19 +47,19 @@ def _validate_xt(x: int, t: int) -> None:
 
 def nested_survival(params: SearchParams, x: int, t: int, exact: bool = False) -> Prob:
     """N(x, t) for the nested-pool sampler; see :class:`SurvivalMatrix`."""
-    return SurvivalMatrix(StrategyKind.nested(), params, exact).value(x, t)
+    return SurvivalMatrix(StrategyKind.nested().rule(params), exact).value(x, t)
 
 
 def block_random_survival(block_len: int, x: int, t: int, exact: bool = False) -> Prob:
     """N(x, t) for the block-by-block sampler, (b - done)/b once block x's
     first box is appended; see :class:`SurvivalMatrix`."""
-    kind = StrategyKind.block_random(block_len)
-    return SurvivalMatrix(kind, SearchParams(1), exact).value(x, t)
+    rule = StrategyKind.block_random(block_len).rule(SearchParams(1))
+    return SurvivalMatrix(rule, exact).value(x, t)
 
 
 def survival_row_exact(params: SearchParams, x: int, t_max: int) -> list[Fraction]:
     """Exact nested-sampler row [N(x, 0), ..., N(x, t_max)]."""
-    return SurvivalMatrix(StrategyKind.nested(), params, exact=True).row(x, t_max)
+    return SurvivalMatrix(StrategyKind.nested().rule(params), exact=True).row(x, t_max)
 
 
 def _fractions(nums: Sequence[int], dens: Sequence[int]) -> list[Fraction]:
@@ -73,9 +73,9 @@ def _rational_texts(nums: Sequence[int], dens: Sequence[int]) -> list[str]:
 
 
 class SurvivalMatrix:
-    """Lazily evaluated N(x, t) table for one strategy.
+    """Lazily evaluated N(x, t) table for one strategy's rule.
 
-    N(x, t) is 1 until ``kind.entry_step`` appends x's own index to the pool
+    N(x, t) is 1 until ``rule.entry_step`` appends x's own index to the pool
     and is then multiplied by (1 - 1/m) at each step t, where
     m = pool_limit(t) - (t - 1) is the number of unvisited pool members.  A
     row depends on x only through that first step, so rows are cached per
@@ -90,11 +90,9 @@ class SurvivalMatrix:
     serial evaluation produces.
     """
 
-    def __init__(self, kind: StrategyKind, params: SearchParams, exact: bool = False) -> None:
-        self.kind = kind
-        self.params = params
+    def __init__(self, rule: Rule, exact: bool = False) -> None:
+        self.rule = rule
         self.exact = exact
-        self._rule = kind.pool_rule(params)
         self._rows: dict[int, list[float]] = {}  # float rows only
         self._cells: dict[int, tuple[list[int], list[int]]] = {}
         self._sizes: list[int] = []  # m at steps 0, 1, ...; 1 at step 0
@@ -133,8 +131,8 @@ class SurvivalMatrix:
     def _first(self, x: int, t_max: int) -> int:
         """The first step of x's row, the entry step of its own index, or
         t_max + 1 when the row is 1 through t_max."""
-        own = self.kind.own_index(self.params, x)
-        return t_max + 1 if own is None else min(self.kind.entry_step(self.params, own), t_max + 1)
+        own = self.rule.own_index(x)
+        return t_max + 1 if own is None else min(self.rule.entry_step(own), t_max + 1)
 
     def _cell(self, first: int, t: int):
         """N(x, t) for an x whose row's first step is first <= t + 1: a float,
@@ -169,7 +167,7 @@ class SurvivalMatrix:
         sizes = self._sizes
         if len(sizes) <= t:
             steps = np.arange(len(sizes), max(t + 1, 2 * len(sizes)))
-            sizes += (self.kind.pool_limit(self.params, steps) - steps + 1).tolist()
+            sizes += (self.rule.pool_limit(steps) - steps + 1).tolist()
         return sizes
 
     def _row(self, first: int, t: int) -> list[float]:
@@ -187,7 +185,7 @@ class SurvivalMatrix:
         """The sizes m at the steps after the done cached cells of the row of
         first step first, up to t or, with c = p, to the row's zero p - 1
         steps after first."""
-        c, p = self._rule
+        c, p = self.rule.c, self.rule.p
         start = first - 1 + done
         end = min(t, first + p - 1) + 1 if c == p else t + 1
         return self._sizes_to(end - 1)[start:end] if start < end else []
@@ -231,19 +229,19 @@ class SurvivalMatrix:
 
     def support_limit(self, t: int) -> int:
         """Largest x with N(x, t) possibly below 1, 0 at t = 0: the box of
-        the largest own index in the pool, :meth:`StrategyKind.pool_limit`."""
-        return max(0, self.kind.box(self.params, self.kind.pool_limit(self.params, t)))
+        the largest own index in the pool, :meth:`Rule.pool_limit`."""
+        return max(0, self.rule.box(self.rule.pool_limit(t)))
 
     def column_sum_residual(self, t: int) -> Prob:
         """|sum_x (1 - N(x, t)) - t| over the support; zero for a
-        non-revisiting strategy.  A partition member's boxes are summed one
-        by one, so a wrong box map shows.  A sampler's boxes are summed by
-        entry step: the boxes appended at step s share a row, and there are
-        m_s - m_{s-1} + 1 of them.  Exact cells are summed in integers over
+        non-revisiting strategy.  A rule that does not draw (a partition
+        member) is summed box by box, so a wrong box map shows; one that
+        draws by entry step: the boxes appended at step s share a row, and
+        there are m_s - m_{s-1} + 1 of them.  Exact cells are summed in integers over
         M = m_1*...*m_t, a multiple of every denominator in column t."""
         if t < 0:
             raise ValueError(f"step count must be >= 0, got {t}")
-        if not self.kind.randomized:
+        if not self.rule.draws:
             total = Fraction(0) if self.exact else 0.0
             for x in range(1, self.support_limit(t) + 1):
                 total += 1 - self.value(x, t)
@@ -528,15 +526,14 @@ def _series(start: int, scale: float, gap: float, mids: tuple[float, ...], fleet
                                f"after {tau - start} taus from tau = {start}")
 
 
-def _block_sum(kind: StrategyKind, params: SearchParams, blk: int, eps_abs: float,
-               fleet: int) -> tuple[float, float, int]:
+def _block_sum(rule: Rule, blk: int, eps_abs: float, fleet: int) -> tuple[float, float, int]:
     """(sum, bracket width, truncation_t) of sum_t N(x, t)**fleet for x in
     block blk = ceil(x/c) of the pool rule (c, p): N is 1 at steps
     0..p*(blk-1), the head, and then falls by (1 - 1/m) per step.  With
     c > p the rest is :func:`_series` with scale c-p, gap p and mids
     (p-1, ..., 1), summed to eps_abs; with c = p the pool runs dry, m falls
     p, p-1, ..., 1 over the block's p steps, and the sum is finite."""
-    c, p = kind.pool_rule(params)
+    c, p = rule.c, rule.p
     if c == p:
         rest = math.fsum(((p - j) / p) ** fleet for j in range(1, p))
         return p * (blk - 1) + 1 + rest, 0.0, p * blk
@@ -546,8 +543,8 @@ def _block_sum(kind: StrategyKind, params: SearchParams, blk: int, eps_abs: floa
     return total, width, p * tau
 
 
-def _curve(kind: StrategyKind, params: SearchParams, xs: Sequence[int], epsilon: float,
-           fleet: int, window: bool) -> list[tuple[int, float, int, float]]:
+def _curve(rule: Rule, xs: Sequence[int], epsilon: float, fleet: int,
+           window: bool) -> list[tuple[int, float, int, float]]:
     """theta (window=False) or theta_window rows for the sorted xs, as
     (x at the max, theta, truncation_t, tail_bound), with one
     :func:`_block_sum` per pool block of c boxes.
@@ -557,7 +554,7 @@ def _curve(kind: StrategyKind, params: SearchParams, xs: Sequence[int], epsilon:
     the candidates.  A block is summed to epsilon times the least lo of its
     rows, and a window's tail_bound reaches every candidate's bracket top.
     """
-    c, _ = kind.pool_rule(params)
+    c = rule.c
     rows = []  # each row's candidates
     eps_abs: dict[int, float] = {}  # xs are sorted, so a block's first row has the least lo
     for x in xs:
@@ -565,7 +562,7 @@ def _curve(kind: StrategyKind, params: SearchParams, xs: Sequence[int], epsilon:
         rows.append([lo, *range(lo + c - (lo - 1) % c, x + 1, c)])
         for y in rows[-1]:
             eps_abs.setdefault(-(-y // c), epsilon * lo)
-    sums = {blk: _block_sum(kind, params, blk, eps, fleet) for blk, eps in eps_abs.items()}
+    sums = {blk: _block_sum(rule, blk, eps, fleet) for blk, eps in eps_abs.items()}
     out = []
     for cands in rows:
         est = [sums[-(-y // c)] for y in cands]
@@ -587,8 +584,8 @@ def theta(params: SearchParams, x: int, epsilon: float = 1e-6,
     and may differ from it (e.g. survivors of a larger design).
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    [(_, th, trunc, tail)] = _curve(StrategyKind.nested(), params, [x], epsilon, n_fleet, False)
-    return ThetaEstimate(params.k, x, th, trunc, tail)
+    [row] = _curve(StrategyKind.nested().rule(params), [x], epsilon, n_fleet, False)
+    return ThetaEstimate(params.k, x, *row[1:])
 
 
 def theta_window(params: SearchParams, x: int, epsilon: float = 1e-6,
@@ -601,8 +598,8 @@ def theta_window(params: SearchParams, x: int, epsilon: float = 1e-6,
     max lies in [theta, theta + tail_bound].
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    [(at, th, trunc, tail)] = _curve(StrategyKind.nested(), params, [x], epsilon, n_fleet, True)
-    return ThetaEstimate(params.k, at, th, trunc, tail)
+    [row] = _curve(StrategyKind.nested().rule(params), [x], epsilon, n_fleet, True)
+    return ThetaEstimate(params.k, *row)
 
 
 def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
@@ -614,15 +611,15 @@ def theta_exact_bracket(params: SearchParams, x: int, t_max: int,
     :func:`_tail_certificate`, divided by x, give lo and hi.
     """
     n_fleet = _checked_fleet(params, x, fleet)
-    kind = StrategyKind.nested()
-    c, p = kind.pool_rule(params)
+    rule = StrategyKind.nested().rule(params)
+    c, p = rule.c, rule.p
     if c == p:
         raise ValueError("exact bracket needs k >= 2; k = 1 sums are finite")
-    if t_max % p or t_max < kind.entry_step(params, x) + p - 1:
+    if t_max % p or t_max < rule.entry_step(x) + p - 1:
         raise ValueError("t_max must be even and at least the block entry step")
     mids = tuple(Fraction(j, c - p) for j in range(p - 1, 0, -1))
     tail_of = _tail_certificate(Fraction(p, c - p), n_fleet, mids)
-    view = SurvivalMatrix(kind, params, exact=True)
+    view = SurvivalMatrix(rule, exact=True)
     partial = view.power_sum(x, t_max, n_fleet)
     tail_lo, tail_hi = tail_of(view.value(x, t_max), t_max // p)
     return Fraction(partial + tail_lo, x), Fraction(partial + tail_hi, x)
@@ -640,7 +637,7 @@ def speedup_curve(params: SearchParams, xs: Sequence[int], epsilon: float = 1e-6
     if not xs:
         return []
     _checked_fleet(params, xs[0], None, epsilon)
-    rows = _curve(StrategyKind.nested(), params, xs, epsilon, params.k, window)
+    rows = _curve(StrategyKind.nested().rule(params), xs, epsilon, params.k, window)
     return [ThetaEstimate(params.k, x, *row[1:]) for x, row in zip(xs, rows)]
 
 
@@ -648,17 +645,15 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
                             fleet: int | None = None, epsilon: float = 1e-8) -> float:
     """Exact fleet expected discovery time sum_t N(x, t)**fleet.
 
-    For a partition the time is the first visit step of x among its fleet,
-    fleet searcher sid running ``kind.member(sid)``; for a pool sampler it is
-    the block sum of :func:`_block_sum`, finite for a rule whose pool runs
-    dry (block-random, nested at k = 1) and otherwise certified to
-    epsilon*x.
+    The fleet's rules are ``kind.fleet(params, fleet)``.  For rules that do
+    not draw the time is the first visit step of x among them, a (1, 1)
+    rule opening own index j at step j; for a rule that draws it is the
+    block sum of :func:`_block_sum`, finite for a rule whose pool runs dry
+    (block-random, nested at k = 1) and otherwise certified to epsilon*x.
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    kind.check_fleet(params, n_fleet)
-    if kind.randomized:
-        c, _ = kind.pool_rule(params)
-        return _block_sum(kind, params, -(-x // c), epsilon * x, n_fleet)[0]
-    # a (1, 1) member opens own index j at step j
-    steps = (kind.member(sid).own_index(params, x) for sid in range(1, n_fleet + 1))
+    rule, *_ = rules = kind.fleet(params, n_fleet)
+    if rule.draws:  # every searcher runs this one rule over the boxes themselves
+        return _block_sum(rule, -(-x // rule.c), epsilon * x, n_fleet)[0]
+    steps = (rule.own_index(x) for rule in rules)
     return float(min(s for s in steps if s is not None))

@@ -8,7 +8,7 @@ trial indices.
 
 Every strategy runs through one plan, :func:`_plan` (which searchers can
 hit, and from which step), and one engine, :func:`_fleet_block`, which reads
-the pool rule from :class:`StrategyKind` and replays only the draws that can
+only the fields of a :class:`Rule` and replays only the draws that can
 touch the treasure, so it draws uniforms and never reads N(x, t).
 It runs every (fleet, trial, searcher) row of a block of trials through one
 loop of lock-step rounds, with one event search and one fleet rule for every
@@ -30,9 +30,9 @@ give.  A round settles most rows with one comparison: a treasure whose slot
 stays below the round's smallest list size is never the list's last box, so
 it never moves and only a draw of its slot hits it.  A one-box pool (a
 partition member, block-random(1)) hits at its entry step whatever it draws,
-so its rows seed no stream.  No trial has a horizon: one finds nothing only
-when every searcher crashed first.  :func:`run_trial` is the same path at one
-trial.
+so its rows derive no trial seed and seed no stream.  No trial has a
+horizon: one finds nothing only when every searcher crashed first.
+:func:`run_trial` is the same path at one trial.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .strategy import (
+    Rule,
     SearchParams,
     StrategyKind,
     searcher_seed,  # row (trial, sid) draws the stream of searcher_seed(trial seed, sid)
@@ -173,7 +174,7 @@ class TrialConfig:
         n = self.fleet_size
         if n < 1:
             raise ValueError(f"fleet size must be >= 1, got {n}")
-        self.kind.check_fleet(self.params, n)
+        self.kind.fleet(self.params, n)  # raises for a coordinated fleet of size != k
         if self.perturbations and len(self.perturbations) != n:
             raise ValueError(
                 f"perturbations must be empty or one per searcher ({n}), "
@@ -374,8 +375,7 @@ def _size_window(c: int, p: int, phase: int, n: int) -> tuple[np.ndarray, np.nda
     return m, mf
 
 
-def _list_sizes(kind: StrategyKind, params: SearchParams, t: int,
-                n: int) -> tuple[np.ndarray, np.ndarray]:
+def _list_sizes(rule: Rule, t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Candidate-list lengths m(s) = pool_limit(s) - (s - 1) at steps
     s = t..t+n-1, as read-only int64 and float64 arrays (the float copy
     spares each sub-batch a cast of the sizes).
@@ -386,7 +386,7 @@ def _list_sizes(kind: StrategyKind, params: SearchParams, t: int,
     few windows are kept: the steps of the rounds differ from experiment to
     experiment, so a lifted window is seldom asked for twice, and a lift
     costs about what looking it up would save."""
-    c, p = kind.pool_rule(params)
+    c, p = rule.c, rule.p
     periods, phase = divmod(t - 1, p)
     m, mf = _size_window(c, p, phase, n)
     if periods and c != p:
@@ -472,8 +472,8 @@ def _select(live: np.ndarray, *rows: np.ndarray) -> list[np.ndarray]:
     return [a.compress(live, axis=-1) for a in rows]
 
 
-def _fleet_round(kind: StrategyKind, params: SearchParams, rows: tuple, key: np.ndarray,
-                 span: int, width: int, bits: np.random.PCG64 | None) -> tuple | None:
+def _fleet_round(rule: Rule, rows: tuple, key: np.ndarray, span: int, width: int,
+                 bits: np.random.PCG64 | None) -> tuple | None:
     """One round of ``rows``: (t, idx, sid, bound, p, streams) holds, per row
     and sorted by t, the step of the row's first draw in the round, the index
     of its (fleet, trial) key, its searcher id, bound and treasure's slot, and
@@ -506,7 +506,7 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, rows: tuple, key: np.
     hit = np.empty(len(t), np.int64)
     per = max(1, CHUNK_MAX // width)
     for a, b, step in _step_runs(t):
-        m, mf = _list_sizes(kind, params, step, width)
+        m, mf = _list_sizes(rule, step, width)
         jump = _jump_table(step - 1, width) if bits is None else None
         for i in range(a, b, per):
             sub = slice(i, min(i + per, b))
@@ -531,11 +531,11 @@ def _fleet_round(kind: StrategyKind, params: SearchParams, rows: tuple, key: np.
     return t + width, idx, sid, bound, p, streams
 
 
-def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: list,
+def _fleet_block(rule: Rule, plans: list, words: list | None,
                  trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of ``trials`` trials of each fleet in ``plans`` (one _plan
-    per fleet, all of ``kind`` and ``params``): (times, finders), int64
-    arrays of shape (fleets, trials), 0 where none hit.
+    per fleet, its searchers sharing the pool (c, p) of ``rule``): (times,
+    finders), int64 arrays of shape (fleets, trials), 0 where none hit.
 
     ``words`` are the trials' seed words (_seed_words).  Searcher sid of a
     trial owns the stream searcher_seed(trial seed, sid) in every fleet, so
@@ -546,7 +546,7 @@ def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: l
     draws cannot touch the target), and draws BATCH_CHUNK uniforms, all
     emulated at once; each later round draws 4x more, up to CHUNK_MAX, per
     row on one native PCG64.  A (1, 1) pool holds one box, so its rows go
-    straight to their keys at their entry step and no stream is seeded.
+    straight to their keys at their entry step, seeding nothing (words may be None).
 
     Each (fleet, trial) keeps its best as one key, hit * span + sid with span
     above every sid, so the earliest hit wins and the lowest id breaks ties,
@@ -560,14 +560,13 @@ def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: l
     entries = sorted((first, fleet, sid, limit, own - first)
                      for fleet, plan in enumerate(plans)
                      for sid, own, first, limit in plan)
-    if kind.pool_rule(params) == (1, 1):
+    if not rule.draws:
         # a one-box pool (a partition member, block-random(1)): every row hits
         # at its entry step whatever it draws, so nothing is seeded or drawn;
         # written in reverse, each fleet keeps its least (step, sid)
         for first, fleet, sid, *_ in reversed(entries):
             key[fleet * trials:(fleet + 1) * trials] = first * span + sid
-        entries = []
-    if entries:
+    elif entries:
         sids = sorted({sid for _, _, sid, *_ in entries})
         # the (sid, trial) streams, seeded by broadcasting sids against trials
         state, inc = _seeded_streams([w if isinstance(w, int) else w[None] for w in words],
@@ -578,7 +577,7 @@ def _fleet_block(kind: StrategyKind, params: SearchParams, plans: list, words: l
         rows = (t, fleet * trials + trial, sid, bound, p,
                 np.array([*state, *inc]).reshape(4, -1).take(stream * trials + trial, axis=1))
         width, bits = BATCH_CHUNK, None
-        while (rows := _fleet_round(kind, params, rows, key, span, width, bits)) is not None:
+        while (rows := _fleet_round(rule, rows, key, span, width, bits)) is not None:
             width, bits = min(4 * width, CHUNK_MAX), bits or np.random.PCG64(0)
     key = key.reshape(len(plans), trials)
     found = key < _NEVER
@@ -591,12 +590,12 @@ def _target(config: TrialConfig, sid: int) -> int:
     return perts[sid - 1].map_index(config.treasure) if perts else config.treasure
 
 
-def _searcher_row(kind: StrategyKind, params: SearchParams, sid: int, target: int,
+def _searcher_row(rule: Rule, sid: int, target: int,
                   crash: int | None) -> tuple[int, int, int, int] | None:
     """(sid, own index of ``target``, first step, last step before ``crash``)
     of searcher sid; None if it never opens ``target`` or crashes by ``first``."""
-    own = kind.member(sid).own_index(params, target)
-    first = None if own is None else kind.entry_step(params, own)
+    own = rule.own_index(target)
+    first = None if own is None else rule.entry_step(own)
     if first is None or crash is not None and crash <= first:
         return None
     return sid, own, first, _NEVER if crash is None else crash - 1
@@ -604,9 +603,8 @@ def _searcher_row(kind: StrategyKind, params: SearchParams, sid: int, target: in
 
 def _plan(config: TrialConfig) -> list[tuple[int, int, int, int]]:
     """The _searcher_row of each searcher that can hit, in sid order."""
-    rows = (_searcher_row(config.kind, config.params, sid, _target(config, sid),
-                          config.crashes.crash_time(sid))
-            for sid in range(1, config.fleet_size + 1))
+    rows = (_searcher_row(rule, sid, _target(config, sid), config.crashes.crash_time(sid))
+            for sid, rule in enumerate(config.kind.fleet(config.params, config.fleet_size), 1))
     return [row for row in rows if row is not None]
 
 
@@ -637,15 +635,15 @@ def _plans(templates: Sequence[TrialConfig]) -> list[list]:
     return plans
 
 
-def _pool_hit_times(kind: StrategyKind, params: SearchParams, target: int,
-                    seeds: np.ndarray, sid: int, limit: int) -> np.ndarray:
+def _pool_hit_times(rule: Rule, target: int, seeds: np.ndarray, sid: int,
+                    limit: int) -> np.ndarray:
     """First step <= limit at which searcher ``sid`` of each trial seed in
     ``seeds`` (uint64) opens ``target``, 0 where none; the engine of
     _fleet_block with a one-searcher fleet, in blocks of BLOCK_ROWS rows."""
-    row = _searcher_row(kind, params, sid, target, limit + 1)
+    row = _searcher_row(rule, sid, target, limit + 1)
     plan = [] if row is None else [row]
     blocks = [seeds[i:i + BLOCK_ROWS] for i in range(0, len(seeds), BLOCK_ROWS)]
-    return np.concatenate([_fleet_block(kind, params, [plan], _seed_words(b), len(b))[0][0]
+    return np.concatenate([_fleet_block(rule, [plan], _seed_words(b), len(b))[0][0]
                            for b in blocks])
 
 
@@ -656,8 +654,8 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     estimate_speedup: it has no horizon, and finds nothing only when every
     searcher crashed first.
     """
-    times, finders = _fleet_block(config.kind, config.params, _plans([config]),
-                                  _seed_words(config.seed), 1)
+    times, finders = _fleet_block(config.kind.fleet(config.params, config.fleet_size)[0],
+                                  _plans([config]), _seed_words(config.seed), 1)
     if not times[0, 0]:
         return TrialOutcome(None, None)
     return TrialOutcome(int(times[0, 0]), int(finders[0, 0]))
@@ -673,7 +671,7 @@ def _trial_blocks(templates: Sequence[TrialConfig], trials: int):
     """Yield (times, finders), each (templates, block trials), of trials
     0..trials-1 of every template; trial i runs with trial_seed(base, i), and
     0 marks a trial that found nothing.  The templates share kind, params and
-    base seed, so each block derives its trial seeds once for all of them.
+    base seed, so each block derives its trial seeds once, if their rule draws.
 
     A block holds as many trials as the largest fleet alone fits in
     BLOCK_ROWS rows, and runs its templates in one _fleet_block pass while
@@ -686,7 +684,9 @@ def _trial_blocks(templates: Sequence[TrialConfig], trials: int):
     plans = _plans(templates)
     if not plans:
         return
-    kind, params, base = templates[0].kind, templates[0].params, templates[0].seed
+    lead = templates[0]  # the fleets' rules share lead's pool (c, p) and draws
+    rule, base = lead.kind.fleet(lead.params, lead.fleet_size)[0], lead.seed
+    _entropy_words(base)  # a negative base seed raises, drawn from or not
     sizes = [len(plan) for plan in plans]
     per_block = max(1, min(trials, BLOCK_ROWS // max([1, *sizes])))
     cuts, rows = [0], 0
@@ -697,9 +697,9 @@ def _trial_blocks(templates: Sequence[TrialConfig], trials: int):
         rows += n
     cuts.append(len(plans))
     for start in range(0, trials, per_block):
-        seeds = trial_seeds(base, start, min(trials, start + per_block))
-        words = _seed_words(seeds)
-        runs = [_fleet_block(kind, params, plans[a:b], words, len(seeds))
+        stop = min(trials, start + per_block)
+        words = _seed_words(trial_seeds(base, start, stop)) if rule.draws else None
+        runs = [_fleet_block(rule, plans[a:b], words, stop - start)
                 for a, b in zip(cuts, cuts[1:])]
         yield tuple(np.concatenate(part) for part in zip(*runs))
 

@@ -8,21 +8,21 @@ Strategies are pure state machines.  A :class:`SearcherState` belongs to one
 searcher; distinct searchers never share state, so fleets need no
 synchronization.
 
-Every strategy is one pool sampler under one pool rule (c, p) over its own
-box list: at step t it draws uniformly among the unvisited own indices
-1..c*ceil(t/p), so own index j joins the pool at step p*ceil(j/c) - p + 1.
-The box list (i, n) maps own index j to box i + (j-1)*n.  Nested is (k+1, 2)
+Every strategy is one pool sampler under one :class:`Rule`, a pool rule
+(c, p) over a box list (i, n): at step t it draws uniformly among the
+unvisited own indices 1..c*ceil(t/p), so own index j joins the pool at step
+p*ceil(j/c) - p + 1, and own index j is box i + (j-1)*n.  Nested is (k+1, 2)
 and block-random(b) is (b, b) over the boxes themselves, the list (1, 1);
 member i of an n-way partition is the rule (1, 1) over the list (i, n)
 (coordinated searcher i is member i of k, solo member 1 of 1).
-:class:`StrategyKind` alone knows the rules and the lists; the simulator's
-engine and the exact tables read them from it, and the stepper here, which
-opens a partition member's boxes in order, is their reference.
+:meth:`StrategyKind.rule` and :meth:`StrategyKind.fleet` alone map a
+strategy's name to its rules; the simulator's engine, the exact tables and
+the stepper here, their reference, take a rule and read only its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,48 @@ class SearchParams:
 
 
 @dataclass(frozen=True)
+class Rule:
+    """The pool rule (c, p) over the box list (i, n): at step t the pool holds
+    own indices 1..c*ceil(t/p), and own index j is box i + (j-1)*n."""
+
+    c: int
+    p: int
+    i: int = 1
+    n: int = 1
+
+    def __post_init__(self) -> None:
+        if not all(isinstance(v, int) for v in (self.c, self.p, self.i, self.n)):
+            raise ValueError(f"a rule's fields must be integers, got {self}")
+        if not (1 <= self.p <= self.c and 1 <= self.i <= self.n):  # c < p runs dry at step p
+            raise ValueError(f"a rule needs 1 <= p <= c and 1 <= i <= n, got {self}")
+
+    @property
+    def draws(self) -> bool:
+        """False for (1, 1), which opens own index t at step t without a draw."""
+        return (self.c, self.p) != (1, 1)
+
+    def pool_limit(self, t):
+        """Largest own index in the pool at step t >= 0 (0 at t = 0),
+        c*ceil(t/p).  t may be an integer array; the result is then
+        elementwise."""
+        return (t + self.p - 1) // self.p * self.c
+
+    def entry_step(self, j: int) -> int:
+        """The step that appends own index j >= 1 to the pool, the least t
+        with pool_limit(t) >= j: p*ceil(j/c) - p + 1."""
+        return self.p * -(-j // self.c) - self.p + 1
+
+    def box(self, j):
+        """The box of own index j, i + (j-1)*n."""
+        return self.i + (j - 1) * self.n
+
+    def own_index(self, x: int) -> int | None:
+        """Box x's own index; None if the list never holds x."""
+        j, off = divmod(x - self.i, self.n)
+        return j + 1 if off == 0 and j >= 0 else None
+
+
+@dataclass(frozen=True)
 class StrategyKind:
     """Tagged choice of sampler.
 
@@ -96,60 +138,26 @@ class StrategyKind:
     def block_random(cls, block_len: int = 3) -> "StrategyKind":
         return cls(BLOCK_RANDOM, block_len=block_len)
 
-    @property
-    def randomized(self) -> bool:
-        return self.name in (NESTED, BLOCK_RANDOM)
-
-    def pool_rule(self, params: SearchParams) -> tuple[int, int]:
-        """(c, p): the pool holds own indices 1..c*ceil(t/p) at step t; (k+1, 2)
-        nested, (b, b) block-random, (1, 1) a partition member."""
+    def rule(self, params: SearchParams) -> Rule:
+        """(k+1, 2) nested, (b, b) block-random and (1, 1) solo over the boxes
+        themselves; (1, 1) over (searcher_id, k) a coordinated member."""
         if self.name == NESTED:
-            return params.k + 1, 2
+            return Rule(params.k + 1, 2)
         if self.name == BLOCK_RANDOM:
-            return self.block_len, self.block_len
-        return 1, 1
+            return Rule(self.block_len, self.block_len)
+        i, n = (self.searcher_id, params.k) if self.name == COORDINATED else (1, 1)
+        if i > n:
+            raise ValueError(f"searcher_id {i} out of range 1..{n}")
+        return Rule(1, 1, i, n)
 
-    def pool_limit(self, params: SearchParams, t):
-        """Largest own index in the sampling pool at step t >= 0 (0 at t = 0),
-        c*ceil(t/p).  t may be an integer array; the result is then
-        elementwise."""
-        c, p = self.pool_rule(params)
-        return (t + p - 1) // p * c
-
-    def entry_step(self, params: SearchParams, x: int) -> int:
-        """The step that appends own index x >= 1 to the pool, the least t
-        with pool_limit(t) >= x: p*ceil(x/c) - p + 1."""
-        c, p = self.pool_rule(params)
-        return p * -(-x // c) - p + 1
-
-    def box_list(self, params: SearchParams) -> tuple[int, int]:
-        """(i, n): own index j is box i + (j-1)*n; (searcher_id, k) for a
-        coordinated member, (1, 1) for every other strategy."""
+    def fleet(self, params: SearchParams, size: int) -> list[Rule]:
+        """The rule of each fleet searcher 1..size: member sid of the k-way
+        partition for a coordinated fleet (so size must be k), else rule()."""
         if self.name != COORDINATED:
-            return 1, 1
-        if self.searcher_id > params.k:
-            raise ValueError(f"searcher_id {self.searcher_id} out of range 1..{params.k}")
-        return self.searcher_id, params.k
-
-    def box(self, params: SearchParams, j):
-        """The box of own index j, i + (j-1)*n."""
-        i, n = self.box_list(params)
-        return i + (j - 1) * n
-
-    def own_index(self, params: SearchParams, x: int) -> int | None:
-        """Box x's index in this strategy's own list; None if it never opens x."""
-        i, n = self.box_list(params)
-        j, off = divmod(x - i, n)
-        return j + 1 if off == 0 and j >= 0 else None
-
-    def member(self, sid: int) -> "StrategyKind":
-        """What fleet searcher sid runs: member sid of a coordinated fleet."""
-        return replace(self, searcher_id=sid) if self.name == COORDINATED else self
-
-    def check_fleet(self, params: SearchParams, fleet: int) -> None:
-        """Raise ValueError unless a coordinated fleet is the whole k-way partition."""
-        if self.name == COORDINATED and fleet != params.k:
-            raise ValueError(f"a coordinated fleet has k = {params.k} searchers, got {fleet}")
+            return [self.rule(params)] * size
+        if size != params.k:
+            raise ValueError(f"a coordinated fleet has k = {params.k} searchers, got {size}")
+        return [Rule(1, 1, sid, size) for sid in range(1, size + 1)]
 
     def describe(self) -> str:
         if self.name == BLOCK_RANDOM:
@@ -196,16 +204,15 @@ def searcher_seed(trial_seed: int, searcher_id: int) -> np.random.SeedSequence:
 
 @dataclass
 class SearcherState:
-    """Mutable bookkeeping for one searcher.
+    """Mutable bookkeeping for one searcher under ``rule``.
 
-    ``candidates`` holds the unvisited members of the current sampling pool in
-    an indexable list, so each uniform draw is O(1) with no rejection loop;
-    ``pool_level`` is the last box appended to it.
-    ``len(visited) == step_count`` at all times.
+    ``candidates`` holds the unvisited own indices of the current pool in an
+    indexable list, so each draw is O(1) with no rejection loop;
+    ``pool_level`` is the last own index appended to it, and ``visited``
+    holds the boxes opened.  ``len(visited) == step_count`` at all times.
     """
 
-    params: SearchParams
-    kind: StrategyKind
+    rule: Rule
     stream: UniformStream | None = None
     visited: set[int] = field(default_factory=set)
     step_count: int = 0
@@ -213,37 +220,34 @@ class SearcherState:
     pool_level: int = 0
 
 
-def make_state(kind: StrategyKind, params: SearchParams, stream: UniformStream | None = None) -> SearcherState:
-    kind.box_list(params)  # raises for a searcher_id outside 1..k
-    if kind.randomized and stream is None:
-        raise ValueError(f"strategy {kind.name!r} needs a UniformStream")
-    return SearcherState(params=params, kind=kind, stream=stream)
+def make_state(rule: Rule, stream: UniformStream | None = None) -> SearcherState:
+    if rule.draws and stream is None:
+        raise ValueError(f"the pool rule ({rule.c}, {rule.p}) needs a UniformStream")
+    return SearcherState(rule=rule, stream=stream)
 
 
 def next_box(state: SearcherState) -> int:
-    """Step whichever strategy ``state.kind`` selects.
+    """Step the searcher one step under ``state.rule``.
 
-    The pool sampler extends its candidate list to ``kind.pool_limit(t)``, so
-    at step t the list holds pool_limit(t) - (t - 1) >= 1 boxes whatever the
-    draws; the emitted box is uniform over them, and its slot is refilled
-    with the list's last box (swap-pop).  A partition member opens
-    ``kind.box(t)``, own index t.
+    A rule that draws extends its candidate list to ``rule.pool_limit(t)``,
+    so at step t the list holds pool_limit(t) - (t - 1) >= 1 own indices
+    whatever the draws; the one taken is uniform over them, and its slot is
+    refilled with the list's last (swap-pop).  The rule (1, 1) takes own
+    index t without a draw.  Either opens ``rule.box`` of it.
     """
-    kind = state.kind
+    rule = state.rule
     t = state.step_count + 1
-    if kind.randomized:
+    if rule.draws:
         cand = state.candidates
-        limit = kind.pool_limit(state.params, t)
+        limit = rule.pool_limit(t)
         cand.extend(range(state.pool_level + 1, limit + 1))
         state.pool_level = limit
-        m = len(cand)
-        j = state.stream.pick(m)
-        box = cand[j]
-        last = cand.pop()
-        if j < m - 1:
-            cand[j] = last
+        j = state.stream.pick(len(cand))
+        cand[j], own = cand[-1], cand[j]
+        cand.pop()
     else:
-        box = kind.box(state.params, t)
+        own = state.pool_level = t
+    box = rule.box(own)
     state.visited.add(box)
     state.step_count = t
     return box

@@ -51,7 +51,7 @@ def test_criterion_02_column_identity():
     worst = Fraction(0)
     for k in (1, 2, 3, 5, 10):
         params = SearchParams(k)
-        view = matrix.SurvivalMatrix(StrategyKind.nested(), params, exact=True)
+        view = matrix.SurvivalMatrix(StrategyKind.nested().rule(params), exact=True)
         for t in range(1, 201):
             worst = max(worst, view.column_sum_residual(t))
     elapsed = time.perf_counter() - t0

@@ -237,7 +237,7 @@ def test_matrix_cells_equal_view_values(capsys):
     xmax, tmax = 40, 14
     for argv, kind, params in SLAB_KINDS:
         for exact in (False, True):
-            view = matrix.SurvivalMatrix(kind, params, exact)
+            view = matrix.SurvivalMatrix(kind.rule(params), exact)
             want = {x: [view.value(x, t) for t in range(tmax + 1)] for x in range(1, xmax + 1)}
             flags = [*argv, "--xmax", str(xmax), "--tmax", str(tmax)] + ["--exact"] * exact
             code, out = run_cli(capsys, "matrix", *flags)
@@ -276,7 +276,7 @@ def test_exact_pool_slab_builds_no_fraction(capsys, monkeypatch):
         assert code == 0
     assert built == []
     # the counter does see the Fractions that the exact view's rows are made of
-    matrix.SurvivalMatrix(StrategyKind.nested(), SearchParams(2), exact=True).row(1, 3)
+    matrix.SurvivalMatrix(StrategyKind.nested().rule(SearchParams(2)), exact=True).row(1, 3)
     assert len(built) == 4
 
 

@@ -21,7 +21,7 @@ from boxsearch.matrix import (
     theta_exact_bracket,
     theta_window,
 )
-from boxsearch.strategy import SearchParams, StrategyKind
+from boxsearch.strategy import Rule, SearchParams, StrategyKind
 
 F = Fraction
 
@@ -59,7 +59,7 @@ def test_nested_survival_monte_carlo_oracle():
     assert nested_survival(p, 8, 6, exact=True) == F(1, 2)
     trials = 1_000_000
     seeds = np.arange(trials, dtype=np.uint64)  # trial seeds 0..trials-1, searcher 1
-    hits = np.count_nonzero(sim._pool_hit_times(nested, p, 8, seeds, 1, 6))
+    hits = np.count_nonzero(sim._pool_hit_times(nested.rule(p), 8, seeds, 1, 6))
     unvisited = 1 - hits / trials
     se = math.sqrt(exact * (1 - exact) / trials)
     assert abs(unvisited - exact) < 4 * se
@@ -73,8 +73,8 @@ def test_one_nested_recurrence_float_and_exact():
     cases += [(StrategyKind.block_random(b), SearchParams(2), b,
                partial(block_random_survival, b)) for b in (1, 2, 3, 5)]
     for kind, p, w, single in cases:
-        view = SurvivalMatrix(kind, p)
-        exact_view = SurvivalMatrix(kind, p, exact=True)
+        view = SurvivalMatrix(kind.rule(p))
+        exact_view = SurvivalMatrix(kind.rule(p), exact=True)
         for x in (1, w, w + 1, 3 * w, 5 * w + 1, 17 * w, 40 * w):
             for t in range(121):
                 assert single(x, t).hex() == view.value(x, t).hex()
@@ -98,7 +98,7 @@ def test_exact_cells_equal_fraction_products():
     # from x's entry step to t, m = limit(t) - (t - 1) unvisited pool members,
     # and is served as a Fraction
     for kind, p, limit in POOL_RULES:
-        view = SurvivalMatrix(kind, p, exact=True)
+        view = SurvivalMatrix(kind.rule(p), exact=True)
         for x in range(1, 61):
             want, cell = [], F(1)
             for t in range(121):
@@ -117,7 +117,7 @@ def test_exact_cells_stay_in_lowest_terms():
     # bits) out to t = 20000 for k = 2, 3; numerators kept over the product of
     # the sizes m would grow by log2(m) bits a step
     for k in (2, 3):
-        view = SurvivalMatrix(StrategyKind.nested(), SearchParams(k), exact=True)
+        view = SurvivalMatrix(StrategyKind.nested().rule(SearchParams(k)), exact=True)
         row = view.row(1, 20_000)
         nums, dens = view._exact_cells(1, 20_000)
         assert len(nums) == len(dens) == len(row)
@@ -133,8 +133,8 @@ def test_block_random_rows_match_closed_form():
     # its float rows round to within 1e-15 relative
     for b in (1, 2, 3, 5, 7):
         kind = StrategyKind.block_random(b)
-        exact = SurvivalMatrix(kind, SearchParams(2), exact=True)
-        approx = SurvivalMatrix(kind, SearchParams(2))
+        exact = SurvivalMatrix(kind.rule(SearchParams(2)), exact=True)
+        approx = SurvivalMatrix(kind.rule(SearchParams(2)))
         for x in range(1, 61):
             start = (x + b - 1) // b * b - b
             want = [F(max(0, b - max(0, t - start)), b) for t in range(61)]
@@ -150,7 +150,7 @@ def test_row_equals_value_for_every_strategy():
     views = [(kind, p) for kind in kinds] + [(StrategyKind.nested(), SearchParams(1))]
     for kind, p in views:
         for exact in (False, True):
-            rows, cells = SurvivalMatrix(kind, p, exact), SurvivalMatrix(kind, p, exact)
+            rows, cells = SurvivalMatrix(kind.rule(p), exact), SurvivalMatrix(kind.rule(p), exact)
             for x in (1, 2, 4, 5, 9, 13, 30):
                 for t_max in (0, 1, 6, 40):
                     row = rows.row(x, t_max)
@@ -160,9 +160,9 @@ def test_row_equals_value_for_every_strategy():
                     if not exact:
                         assert [v.hex() for v in row] == [v.hex() for v in want]
     with pytest.raises(ValueError):
-        SurvivalMatrix(StrategyKind.nested(), p).row(0, 3)
+        SurvivalMatrix(StrategyKind.nested().rule(p)).row(0, 3)
     with pytest.raises(ValueError):
-        SurvivalMatrix(StrategyKind.solo(), p).row(1, -1)
+        SurvivalMatrix(StrategyKind.solo().rule(p)).row(1, -1)
 
 
 # rules whose rows run dry, falling to 0 for good at a step where m = 1, as
@@ -186,7 +186,7 @@ def test_rows_that_run_dry():
         for exact in (False, True):
             one, zero = (F(1), F(0)) if exact else (1.0, 0.0)
             for row_first in (False, True):
-                view = SurvivalMatrix(kind, p, exact)
+                view = SurvivalMatrix(kind.rule(p), exact)
                 for x in (1, 2, 5, 9, 13, 30):
                     z = dry(x)
                     if z is None:
@@ -205,7 +205,7 @@ def test_rows_that_run_dry():
                     assert len(cached) == steps + 1, (kind, x, exact)
                     assert cached[0] == 1 and cached[-1] == 0, (kind, x, exact)
                     assert all(v > 0 for v in cached[:-1]), (kind, x, exact)
-            view = SurvivalMatrix(kind, p, exact)
+            view = SurvivalMatrix(kind.rule(p), exact)
             for t in range(61):
                 residual = view.column_sum_residual(t)
                 assert residual == 0 if exact else residual <= 1e-12, (kind, t)
@@ -221,12 +221,12 @@ def test_slab_hands_out_each_distinct_row_once():
              StrategyKind.solo(), *(StrategyKind.coordinated(i) for i in (1, 2, 3))]
     for kind in kinds:
         def first(p, x, kind=kind):
-            own = kind.own_index(p, x)
-            return own and kind.entry_step(p, own)
+            own = kind.rule(p).own_index(x)
+            return own and kind.rule(p).entry_step(own)
 
         for exact in (False, True):
             for x_max, t_max in ((1, 0), (30, 0), (30, 6), (30, 40), (5, 40)):
-                view = SurvivalMatrix(kind, p, exact)
+                view = SurvivalMatrix(kind.rule(p), exact)
                 rows, which = view.slab(x_max, t_max)
                 steps = [min(t_max + 1, first(p, x) or t_max + 1) for x in range(1, x_max + 1)]
                 assert len(rows) == len(set(steps))
@@ -236,9 +236,9 @@ def test_slab_hands_out_each_distinct_row_once():
                     assert rows[i] == [cell(v) for v in view.row(x, t_max)], (kind, x)
                     assert all(type(v) is cell for v in rows[i])
     with pytest.raises(ValueError):
-        SurvivalMatrix(StrategyKind.nested(), p).slab(0, 3)
+        SurvivalMatrix(StrategyKind.nested().rule(p)).slab(0, 3)
     with pytest.raises(ValueError):
-        SurvivalMatrix(StrategyKind.solo(), p).slab(1, -1)
+        SurvivalMatrix(StrategyKind.solo().rule(p)).slab(1, -1)
 
 
 def test_block_random_survival_reference_table():
@@ -255,7 +255,7 @@ def test_block_random_survival_reference_table():
 def test_row_monotone_and_block_equality():
     for k in (1, 2, 3, 5):
         p = SearchParams(k)
-        view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
+        view = SurvivalMatrix(StrategyKind.nested().rule(p), exact=True)
         for x in range(1, 3 * (k + 1) + 1):
             prev = F(1)
             for t in range(0, 40):
@@ -272,7 +272,7 @@ def test_row_monotone_and_block_equality():
 def test_column_identity_exact():
     for k in (1, 2, 3, 5, 10):
         p = SearchParams(k)
-        view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
+        view = SurvivalMatrix(StrategyKind.nested().rule(p), exact=True)
         for t in range(0, 51):
             assert view.column_sum_residual(t) == 0
 
@@ -284,7 +284,7 @@ def column_residual_by_box(view, t):
 
 def test_column_residual_equals_box_by_box_sum():
     for kind, p, _ in POOL_RULES:
-        view = SurvivalMatrix(kind, p, exact=True)
+        view = SurvivalMatrix(kind.rule(p), exact=True)
         for t in range(61):
             got = view.column_sum_residual(t)
             assert type(got) is F
@@ -297,12 +297,12 @@ def test_column_residual_reads_the_cached_cells():
     for kind, p, first, t in [(StrategyKind.nested(), SearchParams(2), 3, 9),
                               (StrategyKind.nested(), SearchParams(5), 1, 20),
                               (StrategyKind.block_random(3), SearchParams(2), 4, 5)]:
-        view = SurvivalMatrix(kind, p, exact=True)
+        view = SurvivalMatrix(kind.rule(p), exact=True)
         assert view.column_sum_residual(t) == 0
         nums, dens = view._exact_cells(first, t)
         nums[t - first + 1] += 1  # the cached row starts at step first - 1
         boxes = [x for x in range(1, view.support_limit(t) + 1)
-                 if kind.entry_step(p, x) == first]
+                 if kind.rule(p).entry_step(x) == first]
         assert view.column_sum_residual(t) == F(len(boxes), dens[t - first + 1])
         assert view.column_sum_residual(t) == column_residual_by_box(view, t)
         assert [view.column_sum_residual(s) for s in range(t)] == [0] * t
@@ -310,7 +310,7 @@ def test_column_residual_reads_the_cached_cells():
 
 def test_column_identity_example_k2_t4():
     p = SearchParams(2)
-    view = SurvivalMatrix(StrategyKind.nested(), p, exact=True)
+    view = SurvivalMatrix(StrategyKind.nested().rule(p), exact=True)
     # column t=4: 3*(1 - 1/6) + 3*(1 - 1/2) = 4
     assert view.column_sum_residual(4) == 0
 
@@ -319,7 +319,7 @@ def test_column_identity_other_strategies():
     p = SearchParams(2)
     for kind in (*map(StrategyKind.block_random, (1, 2, 3, 5)), StrategyKind.solo(),
                  StrategyKind.coordinated(2)):
-        view = SurvivalMatrix(kind, p, exact=True)
+        view = SurvivalMatrix(kind.rule(p), exact=True)
         for t in range(0, 30):
             assert view.column_sum_residual(t) == 0
 
@@ -330,9 +330,9 @@ def test_column_identity_caches_rows_from_their_entry_step():
     # cells a row however late its boxes enter
     for kind, params in ((StrategyKind.block_random(1), SearchParams(2)),
                          (StrategyKind.nested(), SearchParams(1))):
-        _, p = kind.pool_rule(params)
+        p = kind.rule(params).p
         for exact in (True, False):
-            view = SurvivalMatrix(kind, params, exact)
+            view = SurvivalMatrix(kind.rule(params), exact)
             assert view.column_sum_residual(3000) == 0
             rows = [nums for nums, _ in view._cells.values()] if exact else view._rows.values()
             assert len(rows) >= 3000 // p
@@ -343,27 +343,26 @@ def test_column_residual_sees_a_revisiting_map(monkeypatch):
     # a partition member's column is summed box by box, so a box map that
     # opens box 1 at every step (no other box has an own index) leaves a
     # residual of t - 1
-    view = SurvivalMatrix(StrategyKind.coordinated(2), SearchParams(2), exact=True)
-    monkeypatch.setattr(StrategyKind, "own_index",
-                        lambda self, params, x: 1 if x == 1 else None)
+    view = SurvivalMatrix(StrategyKind.coordinated(2).rule(SearchParams(2)), exact=True)
+    monkeypatch.setattr(Rule, "own_index", lambda self, x: 1 if x == 1 else None)
     assert view.column_sum_residual(10) == 9
 
 
 def test_coordinated_survival_values():
     p = SearchParams(3)
     # searcher 2 opens 2, 5, 8, ... at times 1, 2, 3, ...
-    view = SurvivalMatrix(StrategyKind.coordinated(2), p)
+    view = SurvivalMatrix(StrategyKind.coordinated(2).rule(p))
     assert view.value(8, 2) == 1.0
     assert view.value(8, 3) == 0.0
     assert view.value(7, 100) == 1.0  # never on its arithmetic path
-    solo = SurvivalMatrix(StrategyKind.solo(), p)
+    solo = SurvivalMatrix(StrategyKind.solo().rule(p))
     assert solo.value(5, 4) == 1.0 and solo.value(5, 5) == 0.0
     assert all(type(view.value(x, 3)) is float for x in (7, 8))
-    exact = SurvivalMatrix(StrategyKind.coordinated(2), p, exact=True)
+    exact = SurvivalMatrix(StrategyKind.coordinated(2).rule(p), exact=True)
     assert [exact.value(8, t) for t in (2, 3)] == [F(1), F(0)]
     assert all(type(exact.value(x, 3)) is F for x in (7, 8))
     with pytest.raises(ValueError):
-        SurvivalMatrix(StrategyKind.coordinated(4), p).value(1, 1)
+        SurvivalMatrix(StrategyKind.coordinated(4).rule(p)).value(1, 1)
 
 
 def test_product_formula_agreement():
@@ -416,7 +415,7 @@ def test_theta_exact_bracket_equals_fraction_sum():
                 partial = sum(v ** k for v in row)
                 lo, hi = tail_of(row[t_max], t_max // 2)
                 assert theta_exact_bracket(p, x, t_max) == (F(partial + lo, x), F(partial + hi, x))
-    view = SurvivalMatrix(StrategyKind.nested(), SearchParams(2))
+    view = SurvivalMatrix(StrategyKind.nested().rule(SearchParams(2)))
     assert view.power_sum(9, 2, 3) == 3  # before x enters the pool every cell is 1
 
 
@@ -483,7 +482,7 @@ def test_tail_certificate_brackets_directly_summed_tail():
     big_t = 20_000
     for k, fleets in ((2, (2, 3, 8)), (3, (2, 12)), (5, (3, 4))):
         p = SearchParams(k)
-        row = SurvivalMatrix(StrategyKind.nested(), p).row(1, 2 * big_t)
+        row = SurvivalMatrix(StrategyKind.nested().rule(p)).row(1, 2 * big_t)
         delta = F(2, k - 1)
         for fleet in fleets:
             tail_of = _tail_certificate(delta, fleet, (delta / 2,))

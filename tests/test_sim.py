@@ -54,7 +54,7 @@ def test_trial_reproducible():
 
 def reference_hit_time(kind, params, target, seed, sid, limit):
     """Step strategy.next_box until it returns ``target``; None after ``limit``."""
-    state = make_state(kind, params, UniformStream(searcher_seed(seed, sid)))
+    state = make_state(kind.rule(params), UniformStream(searcher_seed(seed, sid)))
     for t in range(1, limit + 1):
         if next_box(state) == target:
             return t
@@ -80,7 +80,7 @@ def test_hit_time_matches_strategy_reference():
             for limit in (100_000, full, full - 1, join - 1):
                 want = reference_hit_time(kind, params, x, seed, sid, limit)
                 assert want == (full if limit >= full else None)
-                got = sim._pool_hit_times(kind, params, x, np.array([seed], np.uint64), sid,
+                got = sim._pool_hit_times(kind.rule(params), x, np.array([seed], np.uint64), sid,
                                           limit)
                 assert got.tolist() == [want or 0]
     # a partition member runs the same engine as the rule (1, 1) over its own
@@ -94,11 +94,11 @@ def test_hit_time_matches_strategy_reference():
         for kind, sid in members:
             for x in (1, 2, k, k + 1, 2 * k + 1, 40, 101):
                 full = reference_hit_time(kind, params, x, 0, sid, 500)
-                assert full == kind.own_index(params, x)  # (1, 1): own index j enters at j
+                assert full == kind.rule(params).own_index(x)  # (1, 1): own index j enters at j
                 for limit in (500, full, full - 1) if full else (500,):
                     want = reference_hit_time(kind, params, x, 0, sid, limit)
                     assert want == (full if full and limit >= full else None)
-                    got = sim._pool_hit_times(kind, params, x, seeds, sid, limit)
+                    got = sim._pool_hit_times(kind.rule(params), x, seeds, sid, limit)
                     assert got.tolist() == [want or 0] * len(seeds), (kind, sid, x, limit)
 
 
@@ -349,7 +349,7 @@ def test_rounds_widen_within_the_draw_budget(monkeypatch):
     monkeypatch.setattr(sim, "_event_search", record)
     kind, params = StrategyKind.nested(), SearchParams(5)
     seeds = sim.trial_seeds(4, 0, sim.BLOCK_ROWS)
-    times = sim._pool_hit_times(kind, params, 1000, seeds, 1, 40_000)
+    times = sim._pool_hit_times(kind.rule(params), 1000, seeds, 1, 40_000)
     assert all(rows * width <= sim.CHUNK_MAX for rows, width in shapes)
     widths = list(dict.fromkeys(width for _, width in shapes))
     assert widths == [min(sim.BATCH_CHUNK * 4 ** i, sim.CHUNK_MAX)
@@ -358,22 +358,28 @@ def test_rounds_widen_within_the_draw_budget(monkeypatch):
     assert sum(rows for rows, width in shapes if width == 1024) >= 500
     lone = seeds[np.flatnonzero(times == 0)[:1]]
     shapes.clear()
-    assert sim._pool_hit_times(kind, params, 1000, lone, 1, 40_000).tolist() == [0]
+    assert sim._pool_hit_times(kind.rule(params), 1000, lone, 1, 40_000).tolist() == [0]
     assert (1, sim.CHUNK_MAX) in shapes
 
 
 def test_one_box_pools_seed_no_stream(monkeypatch):
     # a (1, 1) row (solo, a coordinated member, block-random(1)) hits at its
-    # entry step whatever it draws, so its fleet seeds no stream; a nested
-    # fleet, run last, shows that the wrapper sees the streams that are seeded
-    seeded = []
-    seed_streams = sim._seeded_streams
+    # entry step whatever it draws, so its fleet derives no trial seed and
+    # seeds no stream; a nested fleet, run last, shows that the wrappers see
+    # the seeds and streams that are made
+    seeded, derived = [], []
+    seed_streams, derive = sim._seeded_streams, sim.trial_seeds
 
     def record(words, sids):
         seeded.append(sids.size)
         return seed_streams(words, sids)
 
+    def record_seeds(base, start, stop):
+        derived.append(stop - start)
+        return derive(base, start, stop)
+
     monkeypatch.setattr(sim, "_seeded_streams", record)
+    monkeypatch.setattr(sim, "trial_seeds", record_seeds)
     fleets = [config(k=1, kind=StrategyKind.solo(), x=9, seed=1),
               config(k=2, kind=StrategyKind.solo(), x=40, seed=2,
                      perturbations=(shift(3), Perturbation(kind="extra-boxes"))),
@@ -385,9 +391,11 @@ def test_one_box_pools_seed_no_stream(monkeypatch):
         estimate_speedup(c, 50, allow_non_discovery=True)
         run_trial(c)
     sim.estimate_speedups(fused_sets()[4], 40)
-    assert seeded == []
+    assert seeded == derived == []
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        estimate_speedup(config(k=2, kind=StrategyKind.solo(), x=9, seed=-1), 50)
     estimate_speedup(config(k=2, x=30, seed=6), 50)
-    assert seeded and all(seeded)
+    assert seeded and all(seeded) and derived == [50]
 
 
 def column_walk(j, m, p, end):
@@ -417,7 +425,7 @@ def test_event_search_matches_column_walk(kind, k):
     params = SearchParams(k)
     for width in (1, 2, 16, 64):
         for t in (1, 2, 3, 4, 7, 40, 1001):
-            m = sim._list_sizes(kind, params, t, width)[0]
+            m = sim._list_sizes(kind.rule(params), t, width)[0]
             rows = 40
             j = (rng.random((rows, width)) * m).astype(np.int64)
             p = rng.integers(0, m[0], rows)
@@ -440,9 +448,9 @@ def test_list_sizes_follow_the_pool_rule():
         for t in [*range(1, 41), 999, 7001, 10 ** 9 + 1]:
             for n in (1, 16, 8192):
                 steps = np.arange(t, t + n)
-                m, mf = sim._list_sizes(kind, params, t, n)
+                m, mf = sim._list_sizes(kind.rule(params), t, n)
                 assert m.dtype == np.int64 and mf.dtype == np.float64
-                assert m.tolist() == (kind.pool_limit(params, steps) - steps + 1).tolist()
+                assert m.tolist() == (kind.rule(params).pool_limit(steps) - steps + 1).tolist()
                 assert mf.tolist() == m.astype(np.float64).tolist()
                 assert not m.flags.writeable and not mf.flags.writeable
 

@@ -9,6 +9,7 @@ from boxsearch.matrix import SurvivalMatrix
 from boxsearch.strategy import (
     UNIFORM_CHUNK,
     UNIFORM_FIRST,
+    Rule,
     SearchParams,
     StrategyKind,
     UniformStream,
@@ -19,14 +20,14 @@ from boxsearch.strategy import (
 
 
 def fresh_state(kind, params, seed=0, sid=1):
-    return make_state(kind, params, UniformStream(searcher_seed(seed, sid)))
+    return make_state(kind.rule(params), UniformStream(searcher_seed(seed, sid)))
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         SearchParams(0)
     p = SearchParams(4)
-    assert StrategyKind.nested().pool_rule(p) == (5, 2)
+    assert StrategyKind.nested().rule(p) == Rule(5, 2)
     assert p.delta == pytest.approx(2 / 3)
     with pytest.raises(ValueError):
         SearchParams(1).delta
@@ -43,7 +44,7 @@ def test_strategy_kind_validation():
 
 
 def opened(kind, params, steps):
-    state = make_state(kind, params)
+    state = make_state(kind.rule(params))
     return [next_box(state) for _ in range(steps)]
 
 
@@ -55,7 +56,7 @@ def test_coordinated_examples():
     with pytest.raises(ValueError):
         StrategyKind.coordinated(0)
     with pytest.raises(ValueError):
-        make_state(StrategyKind.coordinated(4), p3)
+        make_state(StrategyKind.coordinated(4).rule(p3))
 
 
 def test_solo_prefix():
@@ -72,23 +73,24 @@ def test_partition_rule():
         members = [(StrategyKind.solo(), 1, 1)]
         members += [(StrategyKind.coordinated(i), i, k) for i in range(1, k + 1)]
         for kind, i, n in members:
-            assert kind.box_list(params) == (i, n)
+            assert kind.rule(params) == Rule(1, 1, i, n)
             boxes = opened(kind, params, 200)
             assert boxes == [i + (t - 1) * n for t in range(1, 201)]
             for x in range(1, 201):
                 want = boxes.index(x) + 1 if x in boxes else None
-                assert kind.own_index(params, x) == want
+                assert kind.rule(params).own_index(x) == want
         outside = StrategyKind.coordinated(k + 1)
         with pytest.raises(ValueError):
-            outside.box_list(params)
+            outside.rule(params)
         with pytest.raises(ValueError):
-            outside.own_index(params, 1)
+            outside.rule(params).own_index(1)
         with pytest.raises(ValueError):
-            make_state(outside, params)
+            make_state(outside.rule(params))
     # a sampler's own list is the boxes themselves
     for kind in (StrategyKind.nested(), StrategyKind.block_random(3)):
-        assert kind.box_list(SearchParams(2)) == (1, 1)
-        assert [kind.own_index(SearchParams(2), x) for x in range(1, 201)] == list(range(1, 201))
+        rule = kind.rule(SearchParams(2))
+        assert (rule.i, rule.n) == (1, 1)
+        assert [rule.own_index(x) for x in range(1, 201)] == list(range(1, 201))
 
 
 # every strategy a fleet can run: nested k, block-random b, solo, and every
@@ -105,18 +107,18 @@ def test_box_and_own_index_are_inverse():
     # it: on the boxes it reaches, and on every own index
     for kind, params in BOX_MAP_KINDS:
         for x in range(1, 201):
-            own = kind.own_index(params, x)
+            own = kind.rule(params).own_index(x)
             if own is not None:
-                assert kind.box(params, own) == x, (kind, x)
+                assert kind.rule(params).box(own) == x, (kind, x)
         for j in range(1, 201):
-            assert kind.own_index(params, kind.box(params, j)) == j, (kind, j)
+            assert kind.rule(params).own_index(kind.rule(params).box(j)) == j, (kind, j)
 
 
 def test_support_limit_is_the_reference_reach():
     # the largest box the reference stepper can have opened by step t: any
     # box its candidate list has held (pool_level) or any box it opened
     for kind, params in BOX_MAP_KINDS:
-        view = SurvivalMatrix(kind, params)
+        view = SurvivalMatrix(kind.rule(params))
         state = fresh_state(kind, params, seed=7)
         for t in range(121):
             if t:
@@ -173,7 +175,7 @@ def test_no_revisit_long_runs():
         (StrategyKind.solo(), SearchParams(1)),
         (StrategyKind.coordinated(2), SearchParams(4)),
     ]:
-        st = fresh_state(kind, params) if kind.randomized else make_state(kind, params)
+        st = fresh_state(kind, params) if kind.rule(params).draws else make_state(kind.rule(params))
         seq = [next_box(st) for _ in range(10_000)]
         assert len(set(seq)) == len(seq)
         assert len(st.visited) == st.step_count == 10_000
@@ -199,14 +201,14 @@ def test_pool_rule():
     steps = np.arange(0, 401)
     for kind, params, limit in rules:
         want = [limit(t) for t in range(401)]
-        assert [kind.pool_limit(params, t) for t in range(401)] == want
-        assert kind.pool_limit(params, steps).tolist() == want
+        assert [kind.rule(params).pool_limit(t) for t in range(401)] == want
+        assert kind.rule(params).pool_limit(steps).tolist() == want
         for t in range(1, 401):
             assert want[t] - (t - 1) >= 1  # the candidate list is never empty
             assert want[t] >= want[t - 1]
         for x in range(1, 201):
             first = next(t for t in range(1, 401) if limit(t) >= x)
-            assert kind.entry_step(params, x) == first
+            assert kind.rule(params).entry_step(x) == first
     # a partition member is the rule (1, 1) over its own boxes i, i + k, ...:
     # the pool holds t own boxes at step t, and box x enters at its visit step
     for k in (1, 2, 3, 5):
@@ -214,16 +216,16 @@ def test_pool_rule():
         members = [(StrategyKind.solo(), 1, 1)]
         members += [(StrategyKind.coordinated(i), i, k) for i in range(1, k + 1)]
         for kind, i, n in members:
-            assert kind.pool_rule(params) == (1, 1)
-            assert [kind.pool_limit(params, t) for t in range(401)] == list(range(401))
+            assert kind.rule(params) == Rule(1, 1, i, n)
+            assert [kind.rule(params).pool_limit(t) for t in range(401)] == list(range(401))
             boxes = opened(kind, params, 200)
             for x in range(1, 201):
-                own = kind.own_index(params, x)
+                own = kind.rule(params).own_index(x)
                 if (x - i) % n:
                     assert own is None
                 else:
                     assert own == (x - i) // n + 1
-                    assert kind.entry_step(params, own) == boxes.index(x) + 1
+                    assert kind.rule(params).entry_step(own) == boxes.index(x) + 1
 
 
 def test_nested_k1_fills_pools_exactly():
@@ -274,6 +276,9 @@ def test_block_random_len1_is_solo():
     p = SearchParams(2)
     st = fresh_state(StrategyKind.block_random(1), p, seed=9)
     assert [next_box(st) for _ in range(20)] == list(range(1, 21))
+    # its rule (1, 1) opens own index t at step t without a draw, so needs no stream
+    st = make_state(StrategyKind.block_random(1).rule(p))
+    assert [next_box(st) for _ in range(20)] == list(range(1, 21))
 
 
 def test_deterministic_replay():
@@ -288,7 +293,7 @@ def test_deterministic_replay():
 
 def test_randomized_kind_requires_stream():
     with pytest.raises(ValueError):
-        make_state(StrategyKind.nested(), SearchParams(2))
+        make_state(StrategyKind.nested().rule(SearchParams(2)))
 
 
 def test_uniform_stream_is_chunking_invariant():

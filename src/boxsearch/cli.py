@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Iterable, NamedTuple, Sequence
@@ -28,6 +29,10 @@ from .strategy import BLOCK_RANDOM, COORDINATED, NESTED, SOLO, SearchParams, Str
 DEFAULT_SEED = 17
 SEED_ENV_VAR = "BOXSEARCH_SEED"
 
+# no matrix slab may pass this many cells, whatever --max-cells says: a slab
+# is built whole before a line is written, so one far past it exhausts memory
+MAX_SLAB_CELLS = 100_000_000
+
 _STRATEGY_CHOICES = (NESTED, BLOCK_RANDOM, SOLO, COORDINATED)
 _FLOAT_SPEC = ".12g"  # how CSV writes a float
 _spell = f"{{:{_FLOAT_SPEC}}}".format  # the CSV text of a float
@@ -39,6 +44,58 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, _FLOAT_SPEC)
     return "" if v is None else str(v)
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # the C string encoder json.dumps uses
+
+
+def _json(obj, pad: str = "", memo: dict | None = None) -> str:
+    """The text ``json.dumps(obj, indent=2)`` gives for ``obj`` nested at
+    indent ``pad``, built from C-level pieces (``json.dumps`` walks every
+    value in Python once an indent is set).  A list of strings is encoded in
+    one pass, and a list object met again at the same indent is written once:
+    ``memo`` maps (id, pad) to its text for one call, so the payload must
+    outlive it.  Dict keys must be str; any value other than a dict, list,
+    tuple, str, int, float, bool or None raises TypeError, as json.dumps does."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    if memo is None:
+        memo = {}
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(f"{_encode_str(k)}: {_json(v, inner, memo)}" for k, v in obj.items())
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        text = memo.get((id(obj), pad))
+        if text is None:
+            try:  # a list of str, such as a row of exact matrix cells
+                body = sep.join(map(_encode_str, obj))
+            except TypeError:
+                body = sep.join([_json(v, inner, memo) for v in obj])
+            text = memo[id(obj), pad] = f"[\n{inner}{body}\n{pad}]"
+        return text
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(pieces: Iterable[str], path: str | None) -> None:
@@ -158,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=int, required=True, help="columns 0..tmax")
     p.add_argument("--exact", action="store_true", help="rational values like 2/3")
     p.add_argument("--max-cells", type=int, default=10_000_000,
-                   help="refuse slabs larger than this")
+                   help="refuse slabs larger than this; slabs above "
+                        f"{MAX_SLAB_CELLS} cells are refused whatever it says")
     add_common(p)
 
     p = sub.add_parser("speedup", help="theta and speed-up over a set of x values",
@@ -217,14 +275,16 @@ def _cmd_matrix(args, seed: int) -> Output:
     """The slab N(x, t) for x <= --xmax, t <= --tmax.  The view hands out
     each distinct row once (:meth:`matrix.SurvivalMatrix.slab`), for CSV
     with each cached float cell spelled once: a row's CSV text is joined
-    once, and in JSON every x with that row shares its cell list."""
+    once, and in JSON every x with that row shares its cell list, which
+    :func:`_json` encodes once."""
     cells = args.xmax * (args.tmax + 1)
     if args.xmax < 1 or args.tmax < 0:
         raise ValueError("--xmax must be >= 1 and --tmax >= 0")
-    if cells > args.max_cells:
-        raise ValueError(
-            f"--xmax {args.xmax} x --tmax {args.tmax} is {cells} cells, "
-            f"above --max-cells {args.max_cells}")
+    for cap, name in ((args.max_cells, f"--max-cells {args.max_cells}"),
+                      (MAX_SLAB_CELLS, f"the ceiling of {MAX_SLAB_CELLS} cells")):
+        if cells > cap:
+            raise ValueError(f"--xmax {args.xmax} x --tmax {args.tmax} is {cells} cells, "
+                             f"above {name}")
     for flag, value, strategy in (("--block", args.block, BLOCK_RANDOM),
                                   ("--searcher-id", args.searcher_id, COORDINATED)):
         if value is not None and args.strategy != strategy:
@@ -234,7 +294,8 @@ def _cmd_matrix(args, seed: int) -> Output:
     rule = kind.rule(SearchParams(args.k))
     c, p = rule.c, rule.p  # the pool sizes up to --tmax are int64 arrays
     if max(c, args.tmax + p - 1, rule.pool_limit(args.tmax)) >= 1 << 63:
-        flag = {NESTED: "--k", BLOCK_RANDOM: "--block"}.get(kind.name, "--tmax")
+        # a (1, 1) rule cannot trip this below the slab ceiling
+        flag = "--block" if kind.name == BLOCK_RANDOM else "--k"
         raise ValueError(f"{flag} {getattr(args, flag[2:])} is too large: the pool rule "
                          f"(c, p) = ({c}, {p}) must keep c*ceil(t/p) and t + p - 1 below "
                          f"2**63 up to --tmax {args.tmax}")
@@ -463,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = _report(args.subcommand, seed, out.options, out.results)
         if out.failures is not None:
             payload["failures"] = out.failures
-        pieces = [json.dumps(payload, indent=2) + "\n"]
+        pieces = [_json(payload) + "\n"]
     try:
         _emit(pieces, args.output)
     except OSError as exc:  # an unwritable --output is bad input too

@@ -745,16 +745,30 @@ def estimate_speedups(templates: Sequence[TrialConfig], trials: int,
     found = [0] * len(templates)
     for times, _ in _trial_blocks(templates, trials):
         for i, row in enumerate(times):
-            hits = row[row > 0].tolist()
-            found[i] += len(hits)
-            total[i] += sum(hits)
-            total_sq[i] += sum(t * t for t in hits)
+            n, s, sq = _moments(row[row > 0])
+            found[i] += n
+            total[i] += s
+            total_sq[i] += sq
     for n in found:
         if n < trials and not allow_non_discovery:
             raise NonDiscoveryError(
                 f"{trials - n} of {trials} trials did not find the treasure; no mean reported")
     return [_run_stats(c.treasure, trials, *moments)
             for c, *moments in zip(templates, found, total, total_sq)]
+
+
+def _moments(hits: np.ndarray) -> tuple[int, int, int]:
+    """The count of ``hits`` (positive int64 hit times), their sum and the
+    sum of their squares, as exact ints: summed in int64 numpy while
+    len * max**2 stays below 2**63, so neither sum can wrap, else in Python
+    ints."""
+    if not hits.size:
+        return 0, 0, 0
+    top = int(hits.max())
+    if hits.size * top * top < 1 << 63:
+        return hits.size, int(hits.sum()), int(np.dot(hits, hits))
+    values = hits.tolist()
+    return len(values), sum(values), sum(t * t for t in values)
 
 
 def _run_stats(treasure: int, trials: int, found: int, total: int, total_sq: int) -> RunStats:

@@ -2,16 +2,20 @@
 
 import hashlib
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import boxsearch
-from boxsearch import bounds, matrix
-from boxsearch.cli import SEED_ENV_VAR, _fmt, build_parser, main
+from boxsearch import bounds, cli, matrix
+from boxsearch.cli import MAX_SLAB_CELLS, SEED_ENV_VAR, _fmt, _json, build_parser, main
 from boxsearch.strategy import SearchParams, StrategyKind
 
 
@@ -394,6 +398,69 @@ def test_matrix_json_format(capsys):
     assert payload["results"][0] == {"x": 1, "n": ["1", "2/3", "1/3"]}
 
 
+JSON_LEAVES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3,
+               np.float64(2.5), 0, -7, 2 ** 70, -(2 ** 70), True, False, None, "",
+               "plain", "é ü ∑ 😀", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f\n\t\r",
+               "\u2028\ud800", [], {}, ()]
+
+
+def _random_payload(rng: random.Random, depth: int, shared: list):
+    """A nested payload of dicts, lists and tuples over JSON_LEAVES, with
+    ``shared`` (one list object) placed at several depths."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(JSON_LEAVES)
+    if roll < 0.4:
+        return shared
+    items = [_random_payload(rng, depth - 1, shared) for _ in range(rng.randrange(1, 5))]
+    if roll < 0.6:
+        return items
+    if roll < 0.7:
+        return tuple(items)
+    keys = [rng.choice(["x", "n", "", "ké", 'q"', "a\\b", "\n"]) + str(i) for i in range(len(items))]
+    return dict(zip(keys, items))
+
+
+def test_json_writer_equals_json_dumps():
+    rng = random.Random(27)  # fixed before any run
+    for _ in range(400):
+        shared = [rng.choice(JSON_LEAVES) for _ in range(rng.randrange(1, 4))]
+        payload = _random_payload(rng, 4, shared)
+        assert _json(payload) == json.dumps(payload, indent=2)
+    # one list at two indents, and twice at the same indent
+    shared = ["1", "2/3", 0.5]
+    payload = {"a": shared, "b": [shared, shared, {"c": shared}], "d": [["s"], ["s"]]}
+    assert _json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 3), np.int64(3)])
+def test_json_writer_rejects_what_json_dumps_rejects(bad):
+    for payload in (bad, [bad], ["a", bad], {"k": [1, bad]}, ("t", {"k": bad})):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError):
+            _json(payload)
+
+
+def test_json_slab_encodes_each_shared_row_once(capsys, monkeypatch):
+    # the 40 x of this slab share 10 rows: each row's cells are encoded once,
+    # not once per x
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return json.encoder.encode_basestring_ascii(text)
+
+    monkeypatch.setattr(cli, "_encode_str", counted)
+    code, out = run_cli(capsys, "matrix", "--exact", "--k", "3", "--xmax", "40", "--tmax", "40",
+                        "--format", "json")
+    assert code == 0
+    rows = [r["n"] for r in json.loads(out)["results"]]
+    assert len(rows) == 40 and len({tuple(r) for r in rows}) == 10
+    cells = [c for c in calls if isinstance(c, str) and re.fullmatch(r"\d+(/\d+)?", c)]
+    assert len(cells) == 10 * 41
+
+
 def test_speedup_exact_k1(capsys):
     code, out = run_cli(capsys, "speedup", "--k", "1", "--x", "100", "--mode", "exact")
     assert code == 0
@@ -624,6 +691,26 @@ def test_huge_local_shuffle_window_exits_2(capsys):
 def test_matrix_pool_past_int64_exits_2(capsys, argv, flag):
     err = usage_error(capsys, "matrix", *argv, "--xmax", "100", "--tmax", "3")
     assert flag in err and "below 2**63 up to --tmax 3" in err
+
+
+@pytest.mark.parametrize("argv", [("--strategy", "solo"), ("--k", "2")])
+def test_matrix_slab_ceiling_names_tmax(capsys, argv):
+    # a --tmax near 2**63 is refused by the slab ceiling, whatever --max-cells
+    # says, before any row is built or the int64 guard names --k
+    err = usage_error(capsys, "matrix", *argv, "--xmax", "1", "--tmax", "9223372036854775806",
+                      "--max-cells", "99999999999999999999")
+    assert ("--xmax 1 x --tmax 9223372036854775806 is 9223372036854775807 cells, above the "
+            f"ceiling of {MAX_SLAB_CELLS} cells") in err
+    assert "too large" not in err
+
+
+def test_matrix_slab_ceiling_caps_every_max_cells(capsys):
+    # the default cap lies under the ceiling, and a larger cap cannot lift it
+    assert build_parser().parse_args(["matrix", "--xmax", "1", "--tmax", "0"]).max_cells \
+        <= MAX_SLAB_CELLS
+    err = usage_error(capsys, "matrix", "--xmax", "1", "--tmax", str(MAX_SLAB_CELLS),
+                      "--max-cells", str(2 * MAX_SLAB_CELLS))
+    assert f"is {MAX_SLAB_CELLS + 1} cells, above the ceiling of {MAX_SLAB_CELLS} cells" in err
 
 
 @pytest.mark.parametrize("instances", ["0", "-3"])

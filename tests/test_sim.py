@@ -672,6 +672,22 @@ def test_stderr_exact_for_large_times():
     assert stats.stderr == pytest.approx(math.sqrt(var / len(times)), rel=1e-12)
 
 
+@pytest.mark.parametrize("hits", [
+    [],
+    [1],
+    [3037000499],  # len * max**2 just below 2**63: summed in int64
+    [1518500249] * 4,
+    [1518500250] * 4,  # just above: int64 squares would wrap, so Python ints
+    [3037000500],
+    [2 ** 62, 1],
+    list(range(1, 20_001)),
+])
+def test_moments_equal_python_int_sums(hits):
+    got = sim._moments(np.array(hits, np.int64))
+    assert got == (len(hits), sum(hits), sum(t * t for t in hits))
+    assert all(type(v) is int for v in got)  # RunStats divides them as ints
+
+
 def test_mc_matches_theta_exact_k2():
     # nested strategy against the exact ratio via an independent route
     x = 500

@@ -52,10 +52,10 @@ _encode_str = json.encoder.encode_basestring_ascii  # the C string encoder json.
 def _json(obj, pad: str = "", memo: dict | None = None) -> str:
     """The text ``json.dumps(obj, indent=2)`` gives for ``obj`` nested at
     indent ``pad``, built from C-level pieces (``json.dumps`` walks every
-    value in Python once an indent is set).  A list of strings is encoded in
-    one pass, and a list object met again at the same indent is written once:
-    ``memo`` maps (id, pad) to its text for one call, so the payload must
-    outlive it.  Dict keys must be str; any value other than a dict, list,
+    value in Python once an indent is set).  A list of strings or of finite
+    floats is encoded in one pass, and a list object met again at the same
+    indent is written once: ``memo`` maps (id, pad) to its text for one
+    call, so the payload must outlive it.  Dict keys must be str; any value other than a dict, list,
     tuple, str, int, float, bool or None raises TypeError, as json.dumps does."""
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -89,13 +89,26 @@ def _json(obj, pad: str = "", memo: dict | None = None) -> str:
             return "[]"
         text = memo.get((id(obj), pad))
         if text is None:
-            try:  # a list of str, such as a row of exact matrix cells
-                body = sep.join(map(_encode_str, obj))
-            except TypeError:
-                body = sep.join([_json(v, inner, memo) for v in obj])
-            text = memo[id(obj), pad] = f"[\n{inner}{body}\n{pad}]"
+            text = memo[id(obj), pad] = f"[\n{inner}{_json_items(obj, inner, memo)}\n{pad}]"
         return text
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_items(obj, inner: str, memo: dict) -> str:
+    """The items of the non-empty list ``obj`` as :func:`_json` lays them out
+    at indent ``inner``: a list of str (a row of exact matrix cells) or of
+    finite floats (a row of float cells) in one pass, else item by item."""
+    sep = ",\n" + inner
+    try:  # the first item picks the pass, so a list of containers raises nothing
+        if isinstance(obj[0], str):
+            return sep.join(map(_encode_str, obj))
+        if isinstance(obj[0], float):  # float.__repr__ refuses an int or a bool
+            body = sep.join(map(float.__repr__, obj))
+            if "n" not in body:  # a NaN or an infinity ("nan", "inf") has its own spelling
+                return body
+    except TypeError:  # items of mixed types
+        pass
+    return sep.join([_json(v, inner, memo) for v in obj])
 
 
 def _emit(pieces: Iterable[str], path: str | None) -> None:

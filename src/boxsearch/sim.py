@@ -20,10 +20,12 @@ by the step at which they enter, and a round draws in sub-batches within each
 run of rows that share it.  Round 1 runs on numpy uint64 arrays for all rows
 at once: SeedSequence hashing and PCG64 seeding, the jump to the step at
 which the treasure joins the row's pool (F. Brown's LCG jump-ahead, as in
-``PCG64.advance``), and the first draws, whose last emulated state each row
-keeps.  In each later round a row still running hands its PCG64 state to a
-native generator through ``.state`` (it is not re-seeded) and draws there;
-then every row's state jumps past the round at once.  All of these
+``PCG64.advance``), and the first draws.  A row that goes on past round 1
+takes a native generator and is handed its last emulated state, through
+``.state``, once (it is not re-seeded); it draws there in every later round,
+and because it draws each whole round, its generator already stands at the
+next round's start.  The generators come from a per-thread pool that every
+block reuses (:class:`_GeneratorPool`).  Seeds, jumps and the handoff
 reproduce numpy's streams bit for bit, so each trial's outcome is the one its
 searchers' own ``Generator(PCG64(searcher_seed(trial seed, sid)))`` streams
 give.  A round settles most rows with one comparison: a treasure whose slot
@@ -40,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -215,6 +218,7 @@ CHUNK_MAX = 8192
 # Rows (fleet, trial, searcher) run together: this bounds the memory of a
 # block.  A fused robustness run at x <= 50 holds 8 rows per trial over 200
 # trials, which 1024 would split into two blocks that each pay every round.
+# It also caps a thread's pool of native generators (_GeneratorPool).
 BLOCK_ROWS = 4096
 
 # numpy's SeedSequence and PCG64 on uint64 arrays, one element per row.  The
@@ -441,20 +445,51 @@ def _event_search(j: np.ndarray, m: np.ndarray, p: np.ndarray, end: np.ndarray):
     return hit, p
 
 
-def _native_uniforms(bits: np.random.PCG64, streams: np.ndarray, end: np.ndarray,
-                     width: int) -> np.ndarray:
-    """Generator.random's doubles (rows x width) of the PCG64 ``streams``: row
-    r draws its first end[r] columns on the native ``bits``, handed the row's
-    state and inc through ``.state``; the rest stay 0."""
+class _GeneratorPool(threading.local):
+    """The calling thread's native generators, reused by every block it runs.
+
+    A row that goes on past round 1 keeps one generator to its end.  Building
+    one costs about four state handoffs, so they are kept, not built per
+    block; a block runs at most BLOCK_ROWS rows at once, so a thread holds at
+    most that many, about 2.5 KB each.  Each thread has its own: blocks that
+    run in two threads at once never draw on one generator."""
+
+    def __init__(self) -> None:
+        self.generators: list[np.random.Generator] = []
+
+    def take(self, n: int) -> list[np.random.Generator]:
+        """The first ``n`` generators, building any that are missing."""
+        pool = self.generators
+        pool.extend(np.random.Generator(np.random.PCG64(0)) for _ in range(n - len(pool)))
+        return pool[:n]
+
+
+_POOL = _GeneratorPool()
+
+
+def _hand_over(streams: np.ndarray) -> np.ndarray:
+    """Native generators, in an object array, for the rows of the PCG64
+    ``streams`` (4 x rows): each row's generator from the pool, handed the
+    row's state and inc through ``.state``, the row's one handoff."""
+    gens = np.empty(streams.shape[1], object)
+    gens[:] = _POOL.take(len(gens))
+    for g, s_hi, s_lo, i_hi, i_lo in zip(gens, *streams.tolist()):
+        g.bit_generator.state = {"bit_generator": "PCG64",
+                                 "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                                 "has_uint32": 0, "uinteger": 0}
+    return gens
+
+
+def _native_uniforms(gens: np.ndarray, end: np.ndarray, width: int) -> np.ndarray:
+    """Generator.random's doubles (rows x width) on the rows' own native
+    generators ``gens``: row r draws its next end[r] columns; the rest stay
+    0.  A row that draws the whole width leaves its generator at the start
+    of its next round."""
     # zero-filled, not np.empty: the columns a row leaves undrawn are cast to
     # int64 too, and an uninitialised NaN there would warn (an error in tests)
     u = np.zeros((len(end), width))
-    rng = np.random.Generator(bits)
-    for r, (s_hi, s_lo, i_hi, i_lo, e) in enumerate(zip(*streams.tolist(), end.tolist())):
-        bits.state = {"bit_generator": "PCG64",
-                      "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-                      "has_uint32": 0, "uinteger": 0}
-        rng.random(out=u[r, :e])
+    for g, row, e in zip(gens, u, end.tolist()):
+        g.random(out=row[:e])
     return u
 
 
@@ -468,66 +503,66 @@ def _step_runs(t: np.ndarray) -> list[tuple[int, int, int]]:
 
 def _select(live: np.ndarray, *rows: np.ndarray) -> list[np.ndarray]:
     """The ``live`` rows of each array, along its last axis (compress is
-    cheaper than a boolean index of the 4 x rows streams)."""
+    cheaper than a boolean index of the 4 x rows streams and of an object
+    array)."""
     return [a.compress(live, axis=-1) for a in rows]
 
 
-def _fleet_round(rule: Rule, rows: tuple, key: np.ndarray, span: int, width: int,
-                 bits: np.random.PCG64 | None) -> tuple | None:
+def _fleet_round(rule: Rule, rows: tuple, key: np.ndarray, span: int,
+                 width: int) -> tuple | None:
     """One round of ``rows``: (t, idx, sid, bound, p, streams) holds, per row
     and sorted by t, the step of the row's first draw in the round, the index
     of its (fleet, trial) key, its searcher id, bound and treasure's slot, and
-    its PCG64 (state hi, state lo, inc hi, inc lo) in a 4 x rows array.
+    its stream: in round 1 its seeded PCG64 (state hi, state lo, inc hi, inc
+    lo) as a column of a 4 x rows array, later its native generator in an
+    object array.
 
     A row's bound is the last step at which it could still beat its key:
     min(bound, (key - sid - 1) // span), starting from the last step before
-    its crash.  A row draws ``width`` steps, or only to its bound, and its
-    hits lower the keys.  Returns the rows that neither hit nor stopped at
-    their bound, each at its next round's step, or None.  A row that stopped
-    at its bound leaves with the rows that hit, so its state after the round
-    is never read and it need not draw the whole round.
+    its crash; every row of ``rows`` has t <= bound.  A row draws ``width``
+    steps, or only to its bound, and its hits lower the keys.  Returns the
+    rows that neither hit nor reach their bound, as lowered by those hits,
+    within the round, each at its next round's step, or None.  A row that
+    stopped at its bound leaves with the rows that hit, so its state after
+    the round is never read and it need not draw the whole round.
 
-    With ``bits`` None this is round 1: the streams are as seeded, and the
-    draws, t - 1 steps on, are emulated; the last column of the emulated
-    states is the state past the round, which each row keeps.  Later rounds
-    draw natively on ``bits`` and then advance every row's state past the
-    round by one jump.  Rows draw in sub-batches of at most CHUNK_MAX
-    uniforms, each within one run of rows that share t, so that one list of
-    candidate-list sizes (and in round 1 one jump table) serves the whole
-    sub-batch.
+    In round 1 the draws, t - 1 steps past the seeded streams, are emulated;
+    the last column of the emulated states is the state past the round, and
+    each row that goes on is handed it on a native generator (_hand_over).
+    Later rounds draw on those generators, which every row that goes on
+    leaves at its next round's start.  Rows draw in sub-batches of at most
+    CHUNK_MAX uniforms, each within one run of rows that share t, so that one
+    list of candidate-list sizes (and in round 1 one jump table) serves the
+    whole sub-batch.
     """
     t, idx, sid, bound, p, streams = rows
-    bound = np.minimum(bound, (key[idx] - sid - 1) // span)
-    live = bound >= t
-    if not live.any():
-        return None
-    t, idx, sid, bound, p, streams = _select(live, t, idx, sid, bound, p, streams)
+    emulated = streams.dtype != object
     end = np.minimum(bound - t + 1, width)
     hit = np.empty(len(t), np.int64)
     per = max(1, CHUNK_MAX // width)
     for a, b, step in _step_runs(t):
         m, mf = _list_sizes(rule, step, width)
-        jump = _jump_table(step - 1, width) if bits is None else None
+        jump = _jump_table(step - 1, width) if emulated else None
         for i in range(a, b, per):
             sub = slice(i, min(i + per, b))
-            if bits is None:
+            if emulated:
                 s_hi, s_lo, i_hi, i_lo = streams[:, sub, None]
                 state = _affine((s_hi, s_lo), (i_hi, i_lo), *jump)
                 streams[0, sub], streams[1, sub] = state[0][:, -1], state[1][:, -1]
                 u = _uniforms(state)
             else:
-                u = _native_uniforms(bits, streams[:, sub], end[sub], width)
+                u = _native_uniforms(streams[sub], end[sub], width)
             u *= mf
             hit[sub], p[sub] = _event_search(u.astype(np.int64), m, p[sub], end[sub])
     found = hit >= 0
     np.minimum.at(key, idx[found], (t[found] + hit[found]) * span + sid[found])
-    live = ~found & (end == width)
+    bound = np.minimum(bound, (key[idx] - sid - 1) // span)
+    live = ~found & (bound >= t + width)
     if not live.any():
         return None
     t, idx, sid, bound, p, streams = _select(live, t, idx, sid, bound, p, streams)
-    if bits is not None:  # round 1's rows already hold their state past the round
-        s_hi, s_lo, i_hi, i_lo = streams
-        streams[:2] = _affine((s_hi, s_lo), (i_hi, i_lo), *_jump_table(width - 1, 1))
+    if emulated:
+        streams = _hand_over(streams)
     return t + width, idx, sid, bound, p, streams
 
 
@@ -545,8 +580,14 @@ def _fleet_block(rule: Rule, plans: list, words: list | None,
     enters its pool.  Round 1 seeds every row, jumps it to that step (earlier
     draws cannot touch the target), and draws BATCH_CHUNK uniforms, all
     emulated at once; each later round draws 4x more, up to CHUNK_MAX, per
-    row on one native PCG64.  A (1, 1) pool holds one box, so its rows go
-    straight to their keys at their entry step, seeding nothing (words may be None).
+    row on the row's own native generator, handed its state once after
+    round 1.  A (1, 1) pool holds one box, so its rows go straight to their
+    keys at their entry step, seeding nothing (words may be None).
+
+    Rows run in groups of at most BLOCK_ROWS, one after another, which caps
+    the thread's pool of generators.  The groups share the keys, and a group
+    starts from the bounds that earlier groups set, so the outcomes are those
+    of one pass over all rows.
 
     Each (fleet, trial) keeps its best as one key, hit * span + sid with span
     above every sid, so the earliest hit wins and the lowest id breaks ties,
@@ -571,14 +612,22 @@ def _fleet_block(rule: Rule, plans: list, words: list | None,
         # the (sid, trial) streams, seeded by broadcasting sids against trials
         state, inc = _seeded_streams([w if isinstance(w, int) else w[None] for w in words],
                                      np.array(sids, np.uint64)[:, None])
+        seeded = np.array([*state, *inc]).reshape(4, -1)
         t, fleet, sid, bound, p, stream = np.repeat(
             np.array([(*e, sids.index(e[2])) for e in entries], np.int64).T, trials, axis=1)
         trial = np.arange(len(entries) * trials) % trials
-        rows = (t, fleet * trials + trial, sid, bound, p,
-                np.array([*state, *inc]).reshape(4, -1).take(stream * trials + trial, axis=1))
-        width, bits = BATCH_CHUNK, None
-        while (rows := _fleet_round(rule, rows, key, span, width, bits)) is not None:
-            width, bits = min(4 * width, CHUNK_MAX), bits or np.random.PCG64(0)
+        rows = (t, fleet * trials + trial, sid, bound, p, stream * trials + trial)
+        for g in range(0, len(trial), BLOCK_ROWS):
+            # a group starts from the keys that earlier groups set
+            t, idx, sid, bound, p, col = (a[g:g + BLOCK_ROWS] for a in rows)
+            bound = np.minimum(bound, (key[idx] - sid - 1) // span)
+            live = bound >= t
+            if not live.any():
+                continue
+            t, idx, sid, bound, p, col = _select(live, t, idx, sid, bound, p, col)
+            group, width = (t, idx, sid, bound, p, seeded.take(col, axis=1)), BATCH_CHUNK
+            while (group := _fleet_round(rule, group, key, span, width)) is not None:
+                width = min(4 * width, CHUNK_MAX)
     key = key.reshape(len(plans), trials)
     found = key < _NEVER
     return np.where(found, key // span, 0), np.where(found, key % span, 0)

@@ -433,6 +433,34 @@ def test_json_writer_equals_json_dumps():
     assert _json(payload) == json.dumps(payload, indent=2)
 
 
+@pytest.mark.parametrize("row", [
+    [0.5, 1.0, 1e-05, 1e16, 123456789.125, 2.0 ** -1074],
+    [-0.0, 5e-324, -1.7976931348623157e308, 0.1 + 0.2],
+    [0.5, math.nan], [math.inf, 0.25], [0.25, -math.inf], [math.nan],
+    [np.float64(0.1), np.float64(-0.0), 0.75], [np.float64(math.inf), 1.5],
+    [0.5, True], [False, 0.5], [0.5, 2], [3, 0.5], [0.5, None], [0.5, "n"], [0.5, [0.25]],
+    (0.5, 0.25),
+])
+def test_json_writer_float_lists_equal_json_dumps(row):
+    # a list of finite floats is written in one pass; a NaN, an infinity or
+    # a value of another type sends the list back through the type dispatch
+    shared = list(row)
+    for payload in (row, shared, {"a": shared, "b": [shared, {"c": shared}, shared]}):
+        assert _json(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_float_slab_equals_json_dumps(capsys):
+    # a float slab's rows are shared by many x, and each is written as
+    # json.dumps writes it
+    code, out = run_cli(capsys, "matrix", "--k", "3", "--xmax", "40", "--tmax", "40",
+                        "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    rows = [r["n"] for r in payload["results"]]
+    assert len({tuple(r) for r in rows}) == 10 and all(type(c) is float for c in rows[0])
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("bad", [Fraction(1, 3), np.int64(3)])
 def test_json_writer_rejects_what_json_dumps_rejects(bad):
     for payload in (bad, [bad], ["a", bad], {"k": [1, bad]}, ("t", {"k": bad})):

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -276,6 +278,140 @@ def test_fusion_runs_each_round_once(monkeypatch):
     calls.clear()
     sim.estimate_speedups(fused_sets()[1], 200)
     assert calls["trial_seeds"] == 200 // 32 + 1
+
+
+def in_new_thread(fn):
+    """fn() run in a thread of its own, which starts with an empty
+    generator pool; its result, or its exception raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # re-raised in the calling thread
+            out["error"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_threads_draw_on_their_own_generators():
+    # blocks that run in several threads at once never share a native
+    # generator: each thread's results equal its serial run.  A short switch
+    # interval makes the four threads interleave their rounds
+    robust = [config(k=2, x=600, seed=41, perturbations=(p, p))
+              for p in (Perturbation(), shift(7), Perturbation(kind="extra-boxes"))]
+    crash = [config(k=3, x=900, seed=43, searchers=4, crashes=CrashSchedule(((1, 1), (4, 300)))),
+             config(k=3, x=900, seed=43)]
+    sets = [robust, crash, robust[:2], [replace(c, treasure=700) for c in crash]]
+    want = [sim.estimate_speedups(s, 150) for s in sets]
+    results = [None] * len(sets)
+    start = threading.Barrier(len(sets))
+
+    def run(i):
+        start.wait(timeout=60)
+        results[i] = [sim.estimate_speedups(sets[i], 150) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(sets))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert results == [[w] * 3 for w in want]
+
+
+def test_row_groups_change_no_outcome(monkeypatch):
+    # rows run in groups of at most BLOCK_ROWS on shared keys: a 12-searcher
+    # fleet split 8 + 4 gives the outcomes of one pass, and the thread's
+    # pool never holds more than 8 generators
+    perts = [Perturbation(), shift(3), Perturbation(kind="extra-boxes"),
+             Perturbation(kind="local-shuffle", window=8, seed=5)] * 3
+    cfg = config(k=3, x=400, seed=77, searchers=12, perturbations=tuple(perts),
+                 crashes=CrashSchedule(((2, 1), (5, 40), (9, 250), (12, 600))))
+    seeds = [sim.trial_seed(cfg.seed, i) for i in range(30)]
+    want = ([run_trial(replace(cfg, seed=s)) for s in seeds], estimate_speedup(cfg, 30))
+    group_rows = []
+    fleet_round = sim._fleet_round
+
+    def record(rule, rows, *args):
+        group_rows.append(len(rows[0]))
+        return fleet_round(rule, rows, *args)
+
+    monkeypatch.setattr(sim, "BLOCK_ROWS", 8)
+    monkeypatch.setattr(sim, "_fleet_round", record)
+
+    def grouped():
+        got = ([run_trial(replace(cfg, seed=s)) for s in seeds], estimate_speedup(cfg, 30))
+        return got, len(sim._POOL.generators)
+
+    got, pool = in_new_thread(grouped)
+    assert got == want
+    assert 0 < pool <= 8 and max(group_rows) <= 8
+
+
+def test_each_row_is_handed_over_once(monkeypatch):
+    # a fused robustness-shaped pass sets a native generator's state once per
+    # row that reaches a native round, not once per round, and only the
+    # seeding and round 1's emulated draws jump states with _affine
+    handoffs, native_state = [], np.random.PCG64.state
+
+    class PCG64(np.random.PCG64):  # the name .state checks against
+        @property
+        def state(self):
+            return native_state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            handoffs.append(1)
+            native_state.__set__(self, value)
+
+    groups, row_rounds, affine_callers = [], [], []
+    fleet_round, native, affine = sim._fleet_round, sim._native_uniforms, sim._affine
+    emulated = [False]
+
+    def record_round(rule, rows, *args):
+        emulated[0] = rows[5].dtype != object
+        if emulated[0]:  # round 1 of a group of rows
+            groups.append(set())
+        return fleet_round(rule, rows, *args)
+
+    def record_native(gens, end, width):
+        groups[-1].update(map(id, gens))
+        row_rounds.append(len(gens))
+        return native(gens, end, width)
+
+    def record_affine(*args):
+        caller = sys._getframe(1).f_code.co_name
+        affine_callers.append((caller, emulated[0]))
+        return affine(*args)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    monkeypatch.setattr(sim, "_fleet_round", record_round)
+    monkeypatch.setattr(sim, "_native_uniforms", record_native)
+    monkeypatch.setattr(sim, "_affine", record_affine)
+    robust = [config(k=2, x=2000, seed=29, perturbations=(p, p)) for p in (
+        Perturbation(), shift(5), Perturbation(kind="extra-boxes"),
+        Perturbation(kind="local-shuffle", window=64, seed=3))]
+    templates = [config(k=2, x=2000, seed=29), *robust]
+    got = in_new_thread(lambda: sim.estimate_speedups(templates, 200))
+    monkeypatch.undo()
+    assert got == [estimate_speedup(c, 200) for c in templates]
+    rows = sum(len(g) for g in groups)
+    assert len(handoffs) == rows > 0
+    assert sum(row_rounds) > 2 * rows  # most rows that go native draw in several rounds
+    assert {caller for caller, _ in affine_callers} == {"_seeded_streams", "_fleet_round"}
+    assert all(first for caller, first in affine_callers if caller == "_fleet_round")
 
 
 def reference_outcome(cfg):

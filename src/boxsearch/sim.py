@@ -20,21 +20,25 @@ by the step at which they enter, and a round draws in sub-batches within each
 run of rows that share it.  Round 1 runs on numpy uint64 arrays for all rows
 at once: SeedSequence hashing and PCG64 seeding, the jump to the step at
 which the treasure joins the row's pool (F. Brown's LCG jump-ahead, as in
-``PCG64.advance``), and the first draws.  A row that goes on past round 1
-takes a native generator and is handed its last emulated state, through
-``.state``, once (it is not re-seeded); it draws there in every later round,
-and because it draws each whole round, its generator already stands at the
-next round's start.  The generators come from a per-thread pool that every
-block reuses (:class:`_GeneratorPool`).  Seeds, jumps and the handoff
-reproduce numpy's streams bit for bit, so each trial's outcome is the one its
-searchers' own ``Generator(PCG64(searcher_seed(trial seed, sid)))`` streams
-give.  A round settles most rows with one comparison: a treasure whose slot
-stays below the round's smallest list size is never the list's last box, so
-it never moves and only a draw of its slot hits it.  A one-box pool (a
-partition member, block-random(1)) hits at its entry step whatever it draws,
-so its rows derive no trial seed and seed no stream.  No trial has a
-horizon: one finds nothing only when every searcher crashed first.
-:func:`run_trial` is the same path at one trial.
+``PCG64.advance``), and the first draws.  While fewer than half of a round's
+rows go on, those that do stay emulated in rounds twice as wide, up to
+EMULATED_MAX, each jumped from the state past the row's last round; so a
+short-lived fleet seldom leaves the arrays.  Once at least half go on, or
+past EMULATED_MAX, each row that goes on takes a native generator and is
+handed its last emulated state, through ``.state``, once (it is not
+re-seeded); it draws there in every later round, and because it draws each
+whole round, its generator already stands at the next round's start.  The
+generators come from a per-thread pool that every block reuses
+(:class:`_GeneratorPool`).  Seeds, jumps and the handoff reproduce numpy's
+streams bit for bit, so each trial's outcome is the one its searchers' own
+``Generator(PCG64(searcher_seed(trial seed, sid)))`` streams give.  A round
+settles most rows with one comparison: a treasure whose slot stays below the
+round's smallest list size is never the list's last box, so it never moves
+and only a draw of its slot hits it.  A one-box pool (a partition member,
+block-random(1)) hits at its entry step whatever it draws, so its rows
+derive no trial seed and seed no stream.  No trial has a horizon: one finds
+nothing only when every searcher crashed first.  :func:`run_trial` is the
+same path at one trial.
 """
 
 from __future__ import annotations
@@ -207,13 +211,26 @@ class TrialOutcome:
 # Uniforms are drawn in rounds that start narrow (runs that end within a few
 # steps draw little) and widen to amortize numpy's per-call cost.  A uniform is
 # one PCG64 output whatever the widths, so they change no hit time.  Round 1
-# draws BATCH_CHUNK uniforms per row, each later round 4x more, up to
-# CHUNK_MAX.  A round's rows draw in sub-batches of at most CHUNK_MAX
-# uniforms: a round's memory is bounded, and its width does not shrink while
-# many rows are open.  Of 2**12, 2**13 and 2**14, 2**13 ran the heavy MC
-# commands of BENCH_15.json best on a 2-core Xeon: 2**14 slowed the one that
-# ends almost every trial in round 1, and 2**12 the ones with long tails.
-BATCH_CHUNK = 16
+# draws BATCH_CHUNK uniforms per row on the uint64 emulation.  While fewer
+# than half of a round's rows go on, those that do stay emulated in rounds
+# twice as wide, up to EMULATED_MAX; then they are handed native generators,
+# whose first round is 8x as wide as the round that handed them over and
+# each later one 4x, up to CHUNK_MAX.  So a short-lived group (a k = 3 fleet
+# at x <= 50 ends after about 7 steps) seldom hands over a row that then
+# draws one native round, and a long-lived one (most rows outlive round 1)
+# hands over after round 1 and draws the native widths 64, 256, 1024, ...
+# Over in-process mc-small-x ops, round 1 at 8 alone or a second, emulated
+# round at 64 alone took 0.96x and 0.93x of the former op time (16, then
+# native; all three with the mulhu chain of _mulhi), both together 0.82x;
+# with 4x rather than 8x after a handoff from
+# round 1, mc-large-x ran 4% slower (BENCH_29.json).  A round's rows draw in
+# sub-batches of at most CHUNK_MAX uniforms: a round's memory is bounded,
+# and its width does not shrink while many rows are open.  Of 2**12, 2**13
+# and 2**14, 2**13 ran the heavy MC commands of BENCH_15.json best on a
+# 2-core Xeon: 2**14 slowed the one that ends almost every trial in round 1,
+# and 2**12 the ones with long tails.
+BATCH_CHUNK = 8
+EMULATED_MAX = 32
 CHUNK_MAX = 8192
 # Rows (fleet, trial, searcher) run together: this bounds the memory of a
 # block.  A fused robustness run at x <= 50 holds 8 rows per trial over 200
@@ -306,11 +323,12 @@ def trial_seeds(base_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _mulhi(a, c):
     """High 64 bits of the 128-bit products a * c of uint64 values."""
+    # the carry chain of Hacker's Delight mulhu: no partial sum passes 2**64
     a0, a1 = a & _M32, a >> 32
     c0, c1 = c & _M32, c >> 32
-    p01, p10 = a0 * c1, a1 * c0
-    mid = (a0 * c0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    u = a1 * c0 + (a0 * c0 >> 32)
+    v = a0 * c1 + (u & _M32)
+    return a1 * c1 + (u >> 32) + (v >> 32)
 
 
 def _affine(s, inc, a, g):
@@ -448,11 +466,12 @@ def _event_search(j: np.ndarray, m: np.ndarray, p: np.ndarray, end: np.ndarray):
 class _GeneratorPool(threading.local):
     """The calling thread's native generators, reused by every block it runs.
 
-    A row that goes on past round 1 keeps one generator to its end.  Building
-    one costs about four state handoffs, so they are kept, not built per
-    block; a block runs at most BLOCK_ROWS rows at once, so a thread holds at
-    most that many, about 2.5 KB each.  Each thread has its own: blocks that
-    run in two threads at once never draw on one generator."""
+    A row that leaves the emulated rounds keeps one generator to its end.
+    Building one costs about four state handoffs, so they are kept, not
+    built per block; a block runs at most BLOCK_ROWS rows at once, so a
+    thread holds at most that many, about 2.5 KB each.  Each thread has its
+    own: blocks that run in two threads at once never draw on one
+    generator."""
 
     def __init__(self) -> None:
         self.generators: list[np.random.Generator] = []
@@ -509,13 +528,13 @@ def _select(live: np.ndarray, *rows: np.ndarray) -> list[np.ndarray]:
 
 
 def _fleet_round(rule: Rule, rows: tuple, key: np.ndarray, span: int,
-                 width: int) -> tuple | None:
+                 width: int, first: bool) -> tuple | None:
     """One round of ``rows``: (t, idx, sid, bound, p, streams) holds, per row
     and sorted by t, the step of the row's first draw in the round, the index
     of its (fleet, trial) key, its searcher id, bound and treasure's slot, and
-    its stream: in round 1 its seeded PCG64 (state hi, state lo, inc hi, inc
-    lo) as a column of a 4 x rows array, later its native generator in an
-    object array.
+    its stream: while emulated its PCG64 (state hi, state lo, inc hi, inc lo)
+    as a column of a 4 x rows array, later its native generator in an object
+    array.
 
     A row's bound is the last step at which it could still beat its key:
     min(bound, (key - sid - 1) // span), starting from the last step before
@@ -526,14 +545,17 @@ def _fleet_round(rule: Rule, rows: tuple, key: np.ndarray, span: int,
     stopped at its bound leaves with the rows that hit, so its state after
     the round is never read and it need not draw the whole round.
 
-    In round 1 the draws, t - 1 steps past the seeded streams, are emulated;
-    the last column of the emulated states is the state past the round, and
-    each row that goes on is handed it on a native generator (_hand_over).
-    Later rounds draw on those generators, which every row that goes on
-    leaves at its next round's start.  Rows draw in sub-batches of at most
-    CHUNK_MAX uniforms, each within one run of rows that share t, so that one
-    list of candidate-list sizes (and in round 1 one jump table) serves the
-    whole sub-batch.
+    An emulated round jumps each row's stored state by _jump_table: in round
+    1 (``first``) from its seeded state, t - 1 steps back, later from the
+    state past its last round.  The last column of the emulated states is
+    the state past the round, which the row stores.  Once at least half of
+    the round's rows go on, or once the next emulated round would be wider
+    than EMULATED_MAX, each row that goes on is handed that state on a
+    native generator (_hand_over).  Native rounds draw on those generators,
+    which every row that goes on leaves at its next round's start.  Rows
+    draw in sub-batches of at most CHUNK_MAX uniforms, each within one run
+    of rows that share t, so that one list of candidate-list sizes (and,
+    while emulated, one jump table) serves the whole sub-batch.
     """
     t, idx, sid, bound, p, streams = rows
     emulated = streams.dtype != object
@@ -542,7 +564,7 @@ def _fleet_round(rule: Rule, rows: tuple, key: np.ndarray, span: int,
     per = max(1, CHUNK_MAX // width)
     for a, b, step in _step_runs(t):
         m, mf = _list_sizes(rule, step, width)
-        jump = _jump_table(step - 1, width) if emulated else None
+        jump = _jump_table(step - 1 if first else 0, width) if emulated else None
         for i in range(a, b, per):
             sub = slice(i, min(i + per, b))
             if emulated:
@@ -558,10 +580,11 @@ def _fleet_round(rule: Rule, rows: tuple, key: np.ndarray, span: int,
     np.minimum.at(key, idx[found], (t[found] + hit[found]) * span + sid[found])
     bound = np.minimum(bound, (key[idx] - sid - 1) // span)
     live = ~found & (bound >= t + width)
-    if not live.any():
+    going = np.count_nonzero(live)
+    if not going:
         return None
     t, idx, sid, bound, p, streams = _select(live, t, idx, sid, bound, p, streams)
-    if emulated:
+    if emulated and (2 * going >= len(live) or 2 * width > EMULATED_MAX):
         streams = _hand_over(streams)
     return t + width, idx, sid, bound, p, streams
 
@@ -579,10 +602,13 @@ def _fleet_block(rule: Rule, plans: list, words: list | None,
     lock-step rounds (_fleet_round), sorted by the step at which its target
     enters its pool.  Round 1 seeds every row, jumps it to that step (earlier
     draws cannot touch the target), and draws BATCH_CHUNK uniforms, all
-    emulated at once; each later round draws 4x more, up to CHUNK_MAX, per
-    row on the row's own native generator, handed its state once after
-    round 1.  A (1, 1) pool holds one box, so its rows go straight to their
-    keys at their entry step, seeding nothing (words may be None).
+    emulated at once.  While fewer than half of a round's rows go on, they
+    stay emulated in rounds of twice the width, up to EMULATED_MAX; then
+    each row that goes on is handed its state once, on a native generator
+    of its own, whose first round is 8x as wide as the round that handed it
+    over and each later one 4x, up to CHUNK_MAX.  A (1, 1) pool holds one
+    box, so its rows go straight to their keys at their entry step, seeding
+    nothing (words may be None).
 
     Rows run in groups of at most BLOCK_ROWS, one after another, which caps
     the thread's pool of generators.  The groups share the keys, and a group
@@ -626,8 +652,13 @@ def _fleet_block(rule: Rule, plans: list, words: list | None,
                 continue
             t, idx, sid, bound, p, col = _select(live, t, idx, sid, bound, p, col)
             group, width = (t, idx, sid, bound, p, seeded.take(col, axis=1)), BATCH_CHUNK
-            while (group := _fleet_round(rule, group, key, span, width)) is not None:
-                width = min(4 * width, CHUNK_MAX)
+            first = emulated = True
+            while (group := _fleet_round(rule, group, key, span, width, first)) is not None:
+                # an emulated round doubles; a handoff's first native round
+                # is 8x as wide, and each native round after it 4x
+                still = group[5].dtype != object
+                width = min((2 if still else 8 if emulated else 4) * width, CHUNK_MAX)
+                first, emulated = False, still
     key = key.reshape(len(plans), trials)
     found = key < _NEVER
     return np.where(found, key // span, 0), np.where(found, key % span, 0)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxsearch import sim
+from boxsearch import cli, sim
 from boxsearch.matrix import expected_discovery_time, survival_row_exact, theta
 from boxsearch.sim import (
     CrashSchedule,
@@ -360,58 +360,88 @@ def test_row_groups_change_no_outcome(monkeypatch):
     assert 0 < pool <= 8 and max(group_rows) <= 8
 
 
-def test_each_row_is_handed_over_once(monkeypatch):
-    # a fused robustness-shaped pass sets a native generator's state once per
-    # row that reaches a native round, not once per round, and only the
-    # seeding and round 1's emulated draws jump states with _affine
-    handoffs, native_state = [], np.random.PCG64.state
+NATIVE_STATE = np.random.PCG64.state
 
-    class PCG64(np.random.PCG64):  # the name .state checks against
-        @property
-        def state(self):
-            return native_state.__get__(self)
 
-        @state.setter
-        def state(self, value):
-            handoffs.append(1)
-            native_state.__set__(self, value)
+class PCG64(np.random.PCG64):  # the name .state checks against
+    """A PCG64 that counts the states set on it."""
 
-    groups, row_rounds, affine_callers = [], [], []
+    sets = 0
+
+    @property
+    def state(self):
+        return NATIVE_STATE.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        PCG64.sets += 1
+        NATIVE_STATE.__set__(self, value)
+
+
+def count_work(monkeypatch, fn):
+    """fn() run in a new thread, whose generators count their handoffs, and
+    the work it did: its rounds as (first, rows, width, emulated) tuples,
+    the generators of the rows of each group that reach a native round, the
+    rows of each native round, each _affine call as (caller, emulated,
+    first) of the round it falls in, and the ``.state`` sets."""
+    rounds, groups, native_rows, affine_calls = [], [], [], []
     fleet_round, native, affine = sim._fleet_round, sim._native_uniforms, sim._affine
-    emulated = [False]
 
-    def record_round(rule, rows, *args):
-        emulated[0] = rows[5].dtype != object
-        if emulated[0]:  # round 1 of a group of rows
+    def record_round(rule, rows, key, span, width, first):
+        rounds.append((first, len(rows[0]), width, rows[5].dtype != object))
+        if first:
             groups.append(set())
-        return fleet_round(rule, rows, *args)
+        return fleet_round(rule, rows, key, span, width, first)
 
     def record_native(gens, end, width):
         groups[-1].update(map(id, gens))
-        row_rounds.append(len(gens))
+        native_rows.append(len(gens))
         return native(gens, end, width)
 
     def record_affine(*args):
-        caller = sys._getframe(1).f_code.co_name
-        affine_callers.append((caller, emulated[0]))
+        first, _, _, emulated = rounds[-1] if rounds else (None,) * 4
+        affine_calls.append((sys._getframe(1).f_code.co_name, emulated, first))
         return affine(*args)
 
-    monkeypatch.setattr(np.random, "PCG64", PCG64)
-    monkeypatch.setattr(sim, "_fleet_round", record_round)
-    monkeypatch.setattr(sim, "_native_uniforms", record_native)
-    monkeypatch.setattr(sim, "_affine", record_affine)
-    robust = [config(k=2, x=2000, seed=29, perturbations=(p, p)) for p in (
-        Perturbation(), shift(5), Perturbation(kind="extra-boxes"),
-        Perturbation(kind="local-shuffle", window=64, seed=3))]
-    templates = [config(k=2, x=2000, seed=29), *robust]
-    got = in_new_thread(lambda: sim.estimate_speedups(templates, 200))
-    monkeypatch.undo()
-    assert got == [estimate_speedup(c, 200) for c in templates]
-    rows = sum(len(g) for g in groups)
-    assert len(handoffs) == rows > 0
-    assert sum(row_rounds) > 2 * rows  # most rows that go native draw in several rounds
-    assert {caller for caller, _ in affine_callers} == {"_seeded_streams", "_fleet_round"}
-    assert all(first for caller, first in affine_callers if caller == "_fleet_round")
+    PCG64.sets = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "PCG64", PCG64)
+        patch.setattr(sim, "_fleet_round", record_round)
+        patch.setattr(sim, "_native_uniforms", record_native)
+        patch.setattr(sim, "_affine", record_affine)
+        got = in_new_thread(fn)
+    return got, dict(rounds=rounds, groups=groups, native_rows=native_rows,
+                     affine_calls=affine_calls, handoffs=PCG64.sets)
+
+
+def test_each_row_is_handed_over_once(monkeypatch):
+    # a fused robustness-shaped pass sets a native generator's state once per
+    # row that reaches a native round, not once per round, and only the
+    # seeding and the emulated rounds jump states with _affine.  Long-lived
+    # rows (x = 2000) go native after round 1 and draw in several native
+    # rounds; short-lived ones (k = 3, x = 20) run later emulated rounds too,
+    # which jump from the state past the row's last round
+    def robust(k, x, seed):
+        return [config(k=k, x=x, seed=seed)] + [
+            config(k=k, x=x, seed=seed, perturbations=(p,) * k) for p in (
+                Perturbation(), shift(5), Perturbation(kind="extra-boxes"),
+                Perturbation(kind="local-shuffle", window=64, seed=3))]
+
+    for templates, trials, long_lived in ((robust(2, 2000, 29), 200, True),
+                                          (robust(3, 20, 31), 300, False)):
+        got, work = count_work(monkeypatch, lambda: sim.estimate_speedups(templates, trials))
+        assert got == [estimate_speedup(c, trials) for c in templates]
+        rows = sum(len(g) for g in work["groups"])
+        assert work["handoffs"] == rows > 0
+        calls = work["affine_calls"]
+        assert {caller for caller, *_ in calls} == {"_seeded_streams", "_fleet_round"}
+        assert all(emulated for caller, emulated, _ in calls if caller == "_fleet_round")
+        later = any(not first for caller, _, first in calls if caller == "_fleet_round")
+        if long_lived:  # most rows that go native draw in several rounds
+            assert sum(work["native_rows"]) > 2 * rows
+            assert not later
+        else:
+            assert later
 
 
 def reference_outcome(cfg):
@@ -470,11 +500,28 @@ def test_tie_across_target_groups_goes_to_the_lower_id():
     assert run_trial(cfg) == sim.TrialOutcome(32, 1)
 
 
-def test_rounds_widen_within_the_draw_budget(monkeypatch):
-    # every draw matrix holds at most CHUNK_MAX uniforms, and a round's
-    # width does not depend on how many rows are open: a full block of long
-    # one-searcher tails draws 1024 wide with hundreds of rows still open,
-    # and a lone open row reaches CHUNK_MAX-wide rounds
+def check_schedule(rounds):
+    """Each round of count_work's ``rounds`` follows the schedule: a group
+    starts emulated at BATCH_CHUNK; an emulated round's rows that go on are
+    handed over once at least half of its rows go on, or once the next
+    emulated round would be wider than EMULATED_MAX; emulated rounds double,
+    the first native round is 8x as wide as the round that handed over, and
+    each native round after it 4x, up to CHUNK_MAX."""
+    for (first, rows, width, emulated), after in zip(rounds, rounds[1:] + [(True,) * 4]):
+        if first:
+            assert width == sim.BATCH_CHUNK and emulated
+        if after[0]:  # the group's last round
+            continue
+        _, going, next_width, still = after
+        if emulated:
+            assert still == (2 * going < rows and 2 * width <= sim.EMULATED_MAX)
+        else:
+            assert not still
+        assert next_width == min((2 if still else 8 if emulated else 4) * width, sim.CHUNK_MAX)
+
+
+def record_draws(monkeypatch):
+    """The shape of every draw matrix that the event search reads."""
     shapes = []
     search = sim._event_search
 
@@ -483,19 +530,70 @@ def test_rounds_widen_within_the_draw_budget(monkeypatch):
         return search(j, m, p, end)
 
     monkeypatch.setattr(sim, "_event_search", record)
-    kind, params = StrategyKind.nested(), SearchParams(5)
+    return shapes
+
+
+def test_rounds_widen_within_the_draw_budget(monkeypatch):
+    # every draw matrix holds at most CHUNK_MAX uniforms, and a round's
+    # width does not depend on how many rows are open: a full block of long
+    # one-searcher tails goes native after round 1, draws its first native
+    # round of 1024 or more with hundreds of rows still open, and a lone
+    # open row reaches CHUNK_MAX-wide rounds
+    shapes = record_draws(monkeypatch)
+    rule = StrategyKind.nested().rule(SearchParams(5))
     seeds = sim.trial_seeds(4, 0, sim.BLOCK_ROWS)
-    times = sim._pool_hit_times(kind.rule(params), 1000, seeds, 1, 40_000)
+    times, work = count_work(monkeypatch,
+                             lambda: sim._pool_hit_times(rule, 1000, seeds, 1, 40_000))
+    rounds = work["rounds"]
+    check_schedule(rounds)
     assert all(rows * width <= sim.CHUNK_MAX for rows, width in shapes)
-    widths = list(dict.fromkeys(width for _, width in shapes))
-    assert widths == [min(sim.BATCH_CHUNK * 4 ** i, sim.CHUNK_MAX)
-                      for i in range(len(widths))]
-    assert widths[-1] == sim.CHUNK_MAX
-    assert sum(rows for rows, width in shapes if width == 1024) >= 500
+    assert [emulated for *_, emulated in rounds[:2]] == [True, False]
+    assert rounds[-1][2] == sim.CHUNK_MAX
+    assert next(rows for _, rows, width, _ in rounds if width >= 1024) >= 500
     lone = seeds[np.flatnonzero(times == 0)[:1]]
     shapes.clear()
-    assert sim._pool_hit_times(kind.rule(params), 1000, lone, 1, 40_000).tolist() == [0]
+    assert sim._pool_hit_times(rule, 1000, lone, 1, 40_000).tolist() == [0]
     assert (1, sim.CHUNK_MAX) in shapes
+
+
+def test_short_lived_rows_stay_emulated(monkeypatch):
+    # a nested k = 3 fleet at x = 20 mostly ends within a few steps: fewer
+    # than half of each round's rows go on, so its rows run emulated rounds
+    # of 8, 16 and 32, and only the rows still open past the 32-wide round
+    # are handed over; no draw matrix holds more than CHUNK_MAX uniforms
+    shapes = record_draws(monkeypatch)
+    cfg = config(k=3, x=20, seed=31)
+    got, work = count_work(monkeypatch, lambda: estimate_speedup(cfg, 300))
+    rounds = work["rounds"]
+    check_schedule(rounds)
+    assert all(rows * width <= sim.CHUNK_MAX for rows, width in shapes)
+    assert len(work["groups"]) == 1
+    assert [width for *_, width, emulated in rounds if emulated] == [8, 16, 32]
+    native = [rows for _, rows, _, emulated in rounds if not emulated]
+    assert native and work["handoffs"] == native[0]
+    monkeypatch.undo()
+    assert got == estimate_speedup(cfg, 300)
+
+
+# (exit status, rounds, emulated row-columns, .state handoffs, native
+# row-rounds) of three CLI ops: the first two end within a few dozen steps,
+# the robustness run at x = 2000 goes native after round 1
+WORK_PINS = {
+    "speedup --mode mc --k 3 --x 30 --trials 300 --seed 5": (0, 4, 12192, 9, 9),
+    "crash --k 5 --k-prime 2 --x 40 --trials 150 --seed 5": (0, 4, 15744, 33, 33),
+    "robustness --k 2 --x 2000 --trials 40 --perturbation shift:5 "
+    "--perturbation extra-boxes --seed 5": (1, 5, 1920, 230, 490),
+}
+
+
+@pytest.mark.parametrize("argv", WORK_PINS)
+def test_mc_work_is_pinned(monkeypatch, capsys, argv):
+    status, work = count_work(monkeypatch, lambda: cli.main(argv.split()))
+    capsys.readouterr()
+    rounds = work["rounds"]
+    emulated = sum(rows * width for _, rows, width, emu in rounds if emu)
+    got = (status, len(rounds), emulated, work["handoffs"], sum(work["native_rows"]))
+    assert got == WORK_PINS[argv]
 
 
 def test_one_box_pools_seed_no_stream(monkeypatch):

@@ -30,6 +30,52 @@ def test_negative_base_seed_raises_like_numpy():
         sim.trial_seeds(-1, 0, 4)
 
 
+EDGE_U64 = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def u128(hi, lo):
+    return int(hi) << 64 | int(lo)
+
+
+def split(values):
+    """128-bit ints as a (hi, lo) pair of uint64 arrays."""
+    return (np.array([v >> 64 for v in values], np.uint64),
+            np.array([v & (2**64 - 1) for v in values], np.uint64))
+
+
+def joined(pair):
+    return [u128(hi, lo) for hi, lo in zip(*(v.tolist() for v in pair))]
+
+
+def test_mulhi_equals_python_int_products():
+    # every pair of edge operands, then random pairs from a fixed seed
+    edge = np.array(EDGE_U64, np.uint64)
+    got = sim._mulhi(edge[:, None], edge[None, :])
+    assert got.dtype == np.uint64
+    assert got.tolist() == [[a * c >> 64 for c in EDGE_U64] for a in EDGE_U64]
+    a, c = random_u64(10_000, 3), random_u64(10_000, 4)
+    assert sim._mulhi(a, c).tolist() == [x * y >> 64 for x, y in zip(a.tolist(), c.tolist())]
+
+
+def test_affine_equals_python_int_products():
+    # a * s + g * inc mod 2**128: every pair of 128-bit values whose words
+    # are edge values, as (s, a) and as (inc, g), the other two random; then
+    # random quadruples from a fixed seed
+    edge = [u128(hi, lo) for hi in EDGE_U64 for lo in EDGE_U64]
+    left, right = (list(v) for v in zip(*[(x, y) for x in edge for y in edge]))
+
+    def rand(n, seed):
+        return joined((random_u64(n, seed), random_u64(n, seed + 1)))
+
+    n = len(left)
+    cases = [(left, rand(n, 5), right, rand(n, 7)),
+             (rand(n, 5), left, rand(n, 7), right),
+             [rand(10_000, seed) for seed in (10, 12, 14, 16)]]
+    for s, inc, a, g in cases:
+        got = joined(sim._affine(split(s), split(inc), split(a), split(g)))
+        assert got == [(x * y + z * w) % 2**128 for x, y, z, w in zip(a, s, g, inc)]
+
+
 # trial seeds with a zero high word, a zero low word, all ones, random
 STREAM_SEEDS = np.concatenate([np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], np.uint64),
                                random_u64(40, 2), sim.trial_seeds(5, 0, 20)])
@@ -94,3 +140,21 @@ def test_state_handoff_continues_the_stream():
                       "has_uint32": 0, "uinteger": 0}
         want = np.random.Generator(own).random(300)
         assert np.random.Generator(bits).random(300).tolist() == want.tolist()
+
+
+def test_later_emulated_rounds_continue_the_stream():
+    # a round jumped from the state past the row's last round, as later
+    # emulated rounds are (_jump_table(0, width)), draws on where the row's
+    # own Generator would: rounds of 8, 16 and 32 after a 40-step skip
+    state, u, inc = batch_streams(STREAM_SEEDS[:8], 4, 40, 8)
+    drawn = [u]
+    for width in (16, 32):
+        state = sim._affine(column((state[0][:, -1], state[1][:, -1])), column(inc),
+                            *sim._jump_table(0, width))
+        drawn.append(sim._uniforms(state))
+    drawn = np.concatenate(drawn, axis=1)
+    for r, seed in enumerate(STREAM_SEEDS[:8].tolist()):
+        own = np.random.PCG64(searcher_seed(seed, 4))
+        own.advance(40)
+        assert drawn[r].tolist() == np.random.Generator(own).random(56).tolist()
+        assert own.state["state"]["state"] == as_int(state, r, -1)

@@ -321,12 +321,10 @@ def lower_bound_closed_form(k: int, a: float) -> float:
 
     Evaluated as the explicit difference of its two integral terms,
     (a/(a+k-1))^a * [k/(a-1) - (a-2)(k-1)/(a-1)^2]; the cutoff s cancels.
-    Tends to 4k/(k+1)^2 as a -> 2.
+    Tends to 4k/(k+1)^2 as a -> 2.  The arguments are checked by
+    :class:`LowerBoundConfig`.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if a <= 2:
-        raise ValueError(f"weight exponent must exceed 2, got {a}")
+    LowerBoundConfig(k, a)
     scale = (a / (a + k - 1)) ** a
     return scale * (k / (a - 1) - (a - 2) * (k - 1) / (a - 1) ** 2)
 

@@ -397,8 +397,9 @@ def _cmd_crash(args, seed: int) -> Output:
                   [] if report.overlap else ["ci95-overlap"])
 
 
-def _verify_entries(args, seed: int) -> list[dict]:
-    ks = args.k or [2, 3, 5]
+def _verify_entries(args, ks: list[int], seed: int) -> list[dict]:
+    """verify-bounds' entries at the fleet sizes ``ks``.  A check that needs
+    k >= 2 runs over ``fleets(*its names)``, which skips each smaller k."""
     entries: list[dict] = []
 
     def add(name: str, value, bound, passed: bool, k=None, note: str = "") -> None:
@@ -410,9 +411,14 @@ def _verify_entries(args, seed: int) -> list[dict]:
                         "status": "pass" if passed else "fail",
                         **({"note": note} if note else {})})
 
-    def skip(name: str, k, note: str) -> None:
-        entries.append({"name": name, "k": k, "value": None, "bound": None,
-                        "margin": None, "status": "skip", "note": note})
+    def fleets(*names: str):
+        for k in ks:
+            if k >= 2:
+                yield k
+            else:
+                entries.extend({"name": name, "k": k, "value": None, "bound": None,
+                                "margin": None, "status": "skip",
+                                "note": "not applicable: k >= 2 required"} for name in names)
 
     for alpha in (0.5, 1.0, 2.0):
         dev = abs(bounds.gamma_asymptotic_ratio(1_000_000, alpha) - 1.0)
@@ -427,10 +433,7 @@ def _verify_entries(args, seed: int) -> list[dict]:
     res = max(bounds.upper_bound_identity_residual(k) for k in range(2, 51))
     add("upper-bound-identity(k=2..50)", res, 1e-12, res <= 1e-12)
 
-    for k in ks:
-        if k < 2:
-            skip("claim1-tail", k, "not applicable: k >= 2 required")
-            continue
+    for k in fleets("claim1-tail"):
         delta = 2.0 / (k - 1)
         limit = 1.0 / (delta * k - 1.0)
         value = bounds.claim1_tail_sum(args.x_tail, delta, k, tolerance=1e-5)
@@ -452,26 +455,19 @@ def _verify_entries(args, seed: int) -> list[dict]:
     add(f"water-filling-vs-grid({args.instances} instances)", worst, 1e-4, worst <= 1e-4)
     add("water-filling-feasibility", worst_resid, 1e-10, worst_resid <= 1e-10)
 
-    for k in ks:
-        if k < 2:
-            skip("lower-bound-closed-form", k, "not applicable: k >= 2 required")
-            skip("lower-bound-quadrature", k, "not applicable: k >= 2 required")
-            continue
+    near, quad = "lower-bound-near-limit(a=2.001)", "lower-bound-quadrature(a=3)"
+    for k in fleets(near, quad):
         target = 4.0 * k / (k + 1) ** 2
-        near = bounds.lower_bound_closed_form(k, 2.001)
-        add("lower-bound-near-limit(a=2.001)", abs(near - target) / target, 0.01,
-            abs(near - target) / target <= 0.01, k=k)
+        gap = abs(bounds.lower_bound_closed_form(k, 2.001) - target) / target
+        add(near, gap, 0.01, gap <= 0.01, k=k)
         try:
             res3 = bounds.lowerbound_value(bounds.LowerBoundConfig(k=k, a=3.0), tolerance=1e-6)
-            add("lower-bound-quadrature(a=3)", res3.rel_gap, 1e-6,
-                res3.rel_gap <= 1e-6, k=k)
+            add(quad, res3.rel_gap, 1e-6, res3.rel_gap <= 1e-6, k=k)
         except RuntimeError as exc:
-            add("lower-bound-quadrature(a=3)", None, 1e-6, False, k=k, note=str(exc))
+            add(quad, None, 1e-6, False, k=k, note=str(exc))
 
-    for k in ks:
-        if k < 2:
-            skip("product-formula-agreement", k, "not applicable: k >= 2 required")
-            continue
+    agreement = "product-formula-agreement(x',t'<=40)"
+    for k in fleets(agreement):
         params = SearchParams(k)
         delta = params.delta
         view = matrix.SurvivalMatrix(StrategyKind.nested().rule(params))
@@ -481,7 +477,7 @@ def _verify_entries(args, seed: int) -> list[dict]:
             for tp in range(xp, 41):
                 b = bounds.gamma_ratio_product(xp, tp, delta)
                 worst_rel = max(worst_rel, abs(row[2 * tp] - b) / b)
-        add("product-formula-agreement(x',t'<=40)", worst_rel, 1e-12, worst_rel <= 1e-12, k=k)
+        add(agreement, worst_rel, 1e-12, worst_rel <= 1e-12, k=k)
 
     for k in ks:
         view = matrix.SurvivalMatrix(StrategyKind.nested().rule(SearchParams(k)), exact=True)
@@ -490,10 +486,7 @@ def _verify_entries(args, seed: int) -> list[dict]:
         add("column-identity(t<=100)", float(worst_col), 0.0, worst_col == 0, k=k)
 
     if not args.skip_theta:
-        for k in ks:
-            if k < 2:
-                skip("lower-bound-dominance", k, "not applicable: k >= 2 required")
-                continue
+        for k in fleets("lower-bound-dominance"):
             est = matrix.theta_window(SearchParams(k), args.theta_x, epsilon=1e-6)
             lb = bounds.lower_bound_closed_form(k, 2.001)
             add("lower-bound-dominance", lb, est.theta * 1.02, lb <= est.theta * 1.02, k=k)
@@ -504,8 +497,9 @@ def _verify_entries(args, seed: int) -> list[dict]:
 def _cmd_verify_bounds(args, seed: int) -> Output:
     if args.instances < 1:
         raise ValueError(f"--instances must be >= 1, got {args.instances}")
-    entries = _verify_entries(args, seed)
-    options = {"k": args.k or [2, 3, 5], "x_tail": args.x_tail, "theta_x": args.theta_x,
+    ks = args.k or [2, 3, 5]
+    entries = _verify_entries(args, ks, seed)
+    options = {"k": ks, "x_tail": args.x_tail, "theta_x": args.theta_x,
                "instances": args.instances, "skip_theta": args.skip_theta}
     return Output(options, entries, VERIFY_COLUMNS,
                   [[e[c] for c in VERIFY_COLUMNS] for e in entries],

@@ -645,15 +645,12 @@ def expected_discovery_time(kind: StrategyKind, params: SearchParams, x: int,
                             fleet: int | None = None, epsilon: float = 1e-8) -> float:
     """Exact fleet expected discovery time sum_t N(x, t)**fleet.
 
-    The fleet's rules are ``kind.fleet(params, fleet)``.  For rules that do
-    not draw the time is the first visit step of x among them, a (1, 1)
-    rule opening own index j at step j; for a rule that draws it is the
-    block sum of :func:`_block_sum`, finite for a rule whose pool runs dry
-    (block-random, nested at k = 1) and otherwise certified to epsilon*x.
+    It is one :func:`_block_sum` over the searchers of
+    ``kind.fleet(params, fleet)`` that hold x, who share a rule and x's own
+    index j: finite for a pool that runs dry (block-random, nested at k = 1;
+    a (1, 1) rule's sum is j), otherwise certified to epsilon*x.
     """
     n_fleet = _checked_fleet(params, x, fleet, epsilon)
-    rule, *_ = rules = kind.fleet(params, n_fleet)
-    if rule.draws:  # every searcher runs this one rule over the boxes themselves
-        return _block_sum(rule, -(-x // rule.c), epsilon * x, n_fleet)[0]
-    steps = (rule.own_index(x) for rule in rules)
-    return float(min(s for s in steps if s is not None))
+    holders = [r for r in kind.fleet(params, n_fleet) if r.own_index(x) is not None]
+    rule, own = holders[0], holders[0].own_index(x)
+    return _block_sum(rule, -(-own // rule.c), epsilon * x, len(holders))[0]

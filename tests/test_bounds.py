@@ -317,3 +317,32 @@ def test_lower_bound_config_validation():
         LowerBoundConfig(k=2, a=2.0)
     with pytest.raises(ValueError):
         LowerBoundConfig(k=2, a=3.0, s=0.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: direct_ratio_product(0, 5, 1.0), "need t >= x >= 1, got x=0, t=5"),
+    (lambda: direct_ratio_product(5, 4, 1.0), "need t >= x >= 1, got x=5, t=4"),
+    (lambda: direct_ratio_product(1, 5, 0.0), "delta must be positive, got 0.0"),
+    (lambda: gamma_asymptotic_ratio(0, 1.0), "n and alpha must be positive"),
+    (lambda: gamma_asymptotic_ratio(10, -1.0), "n and alpha must be positive"),
+    (lambda: bounds.claim1_tail_sum(0, 1.0, 2), "x must be >= 1, got 0"),
+    (lambda: bounds.claim1_tail_sum(5, 0.0, 2), "delta must be positive, got 0.0"),
+    (lambda: bounds.claim1_tail_sum(5, 1.0, 2, tolerance=0.0),
+     "tolerance must be positive, got 0.0"),
+    (lambda: upper_bound_identity_residual(1), "identity needs k >= 2, got 1"),
+    (lambda: WaterFillProblem((), 0.0, 2), "need at least one weight"),
+    (lambda: waterfill_objective(WaterFillProblem((1.0, 2.0), 1.0, 2), [0.5]),
+     "expected 2 values, got 1"),
+    (lambda: rebalance_pair(1.0, 1.0, 1.0, 1), "exponent k must be >= 2, got 1"),
+    (lambda: solve_gamma(1, 3.0, 1.0, 1.0), "k must be >= 2, got 1"),
+    (lambda: solve_gamma(2, 1.5, 1.0, 1.0), "weight exponent must be >= 2, got 1.5"),
+    (lambda: solve_gamma(2, 3.0, -1.0, 1.0), "s and t must be non-negative"),
+    (lambda: solve_gamma(2, 3.0, 1.0, -1.0), "s and t must be non-negative"),
+    # checked by LowerBoundConfig, with its messages
+    (lambda: lower_bound_closed_form(1, 3.0), "k must be >= 2, got 1"),
+    (lambda: lower_bound_closed_form(2, 2.0), "weight exponent must exceed 2, got 2.0"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

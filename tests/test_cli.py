@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -339,7 +340,7 @@ VERIFY_STDOUT_SHA256 = [
           "9942bfbb8e6a236d8dcfa0921533a934880b559bc90a31784e81b2d85c312db4",
           "a451004835519db402bf8bc0f79f44a60f3bc5cd390686338ef6569385f7947d",
       ], start=1)),
-    ("--k 1 --k 2 --k 10", "db6bf4b9d9cf0172213850657e6634cdf7dea81b8d2e35535caace08fe9f8fdd"),
+    ("--k 1 --k 2 --k 10", "3169f6872a8a4501ec16c8a46af6fa08858f13455092866c030f9ae2e523f76b"),
 ]
 
 
@@ -672,6 +673,27 @@ def test_crash_validation(capsys):
     assert "--k-prime" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("robustness", "--k", "2", "--x", "10", "--perturbation", "swap:3"),
+     "unknown perturbation 'swap'"),
+    (("speedup", "--x-range", "1:2"), "bad range '1:2'; expected LO:HI:STEP"),
+    (("speedup", "--x-range", "5:1:1"), "bad range '5:1:1'; need 1 <= LO <= HI, STEP >= 1"),
+])
+def test_bad_option_value_exits_2(capsys, argv, message):
+    assert message in usage_error(capsys, *argv)
+
+
+def test_crash_large_fleet_sets_up_in_linear_time(capsys):
+    # a fleet of 32000 searchers: each searcher's crash time and stream
+    # column are looked up, not searched for
+    argv = ("crash", "--k", "32000", "--k-prime", "1", "--x", "10", "--trials", "2")
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert run_cli(capsys, *argv) == (code, out)
+
+
 def test_crash_bad_treasure_exits_2(capsys):
     err = usage_error(capsys, "crash", "--k", "2", "--k-prime", "1", "--x", "0",
                       "--trials", "10")
@@ -783,12 +805,15 @@ def test_verify_bounds_theta_dominance_entry(capsys):
 
 
 def test_verify_bounds_k1_not_applicable(capsys):
-    code, out = run_cli(capsys, "verify-bounds", "--k", "1", "--instances", "2",
+    code, out = run_cli(capsys, "verify-bounds", "--k", "1", "--k", "2", "--instances", "2",
                         "--skip-theta", "--seed", "123")
     assert code == 0
     payload = json.loads(out)
     skipped = [e for e in payload["results"] if e["status"] == "skip"]
-    assert skipped and all("k >= 2 required" in e["note"] for e in skipped)
+    assert skipped and all("k >= 2 required" in e["note"] and e["k"] == 1 for e in skipped)
+    # a skip carries the name of the check it stands for
+    at_k2 = {e["name"] for e in payload["results"] if e["k"] == 2}
+    assert {e["name"] for e in skipped} <= at_k2
     # the column identity still applies at k = 1
     assert any(e["name"].startswith("column-identity") and e["status"] == "pass"
                and e["k"] == 1 for e in payload["results"])

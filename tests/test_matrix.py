@@ -731,3 +731,21 @@ def test_theta_fleet_override_matches_design():
     # start: the first chunk then falls back to 8192 taus instead of raising
     big = theta(p2, 1, epsilon=1e-3, fleet=3000)
     assert big.truncation_t == 2 * matrix._TAU_CHUNK and big.theta == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SurvivalMatrix(StrategyKind.nested().rule(SearchParams(2))).column_sum_residual(-1),
+     "step count must be >= 0, got -1"),
+    (lambda: theta_exact_bracket(SearchParams(1), 3, 10),
+     "exact bracket needs k >= 2; k = 1 sums are finite"),
+    (lambda: theta_exact_bracket(SearchParams(2), 1, 41),
+     "t_max must be even and at least the block entry step"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_speedup_curve_of_no_x_is_empty():
+    assert speedup_curve(SearchParams(2), []) == []

@@ -780,6 +780,20 @@ def test_crash_schedule_validation():
         config(k=2, crashes=CrashSchedule(((3, 1),)))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: Perturbation(kind="shift", shift=-1), "shift must be >= 0, got -1"),
+    (lambda: Perturbation(kind="local-shuffle", window=0), "window must be >= 1, got 0"),
+    (lambda: CrashSchedule(((1, 0),)), "crash time must be >= 1, got 0"),
+    (lambda: config(k=2, searchers=-1), "fleet size must be >= 1, got -1"),
+    (lambda: sim.trial_seeds(1, 2**32 - 1, 2**32 + 1),
+     "trial index must be below 2**32, got 4294967296"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_crashed_searcher_makes_no_peeks():
     # everyone crashed at t=1: nothing is ever found
     cfg = config(k=2, x=5, seed=9, crashes=CrashSchedule(((1, 1), (2, 1))))

@@ -314,3 +314,10 @@ def test_uniform_stream_is_chunking_invariant():
         assert [stream.uniform() for _ in range(n)] == whole[:n].tolist()
     stream = UniformStream(ss)
     assert [stream.uniform() for _ in range(whole.size)] == whole.tolist()
+
+
+def test_uniform_stream_takes_an_int_seed():
+    # an int seeds the stream as SeedSequence(int) would
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(99))).random(3)
+    stream = UniformStream(99)
+    assert [stream.uniform() for _ in range(3)] == want.tolist()
